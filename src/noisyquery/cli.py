@@ -119,9 +119,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    n_grid = _parse_grid_int(args.n)
-    p_grid = _parse_grid_float(args.p)
-    delta_grid = _parse_grid_float(args.delta)
+    try:
+        n_grid = _parse_grid_int(args.n)
+        p_grid = _parse_grid_float(args.p)
+        delta_grid = _parse_grid_float(args.delta)
+    except ValueError as exc:  # int()/float() parse failures
+        raise ContractViolation(f"bad grid value: {exc}") from exc
     total = len(n_grid) * len(p_grid) * len(delta_grid)
     if total == 0:
         raise ContractViolation("sweep grid is empty")

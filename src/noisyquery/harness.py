@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ContractViolation(f"delta must lie in (0, 1/2), got {self.delta}")
         if self.trials < 1:
             raise ContractViolation(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if self.algorithm in ("noisycompare",) and self.n < 2:
             raise ContractViolation("noisycompare needs n >= 2")
         parse_instance_spec(self.instance, self.n, self.algorithm)

@@ -109,8 +109,8 @@ class ForcedResponseStream:
     """Scripted answers consumed in order, replacing the random channel in tests.
 
     Each entry is the literal answer the oracle will return (``True``/1
-    for a bit read of 1 or a "less-than" comparison).  The ledger is
-    still updated per answer.  Exhausting the script is a contract
+    for a bit read of 1 or a "less-than" comparison).  The ledger still
+    counts every answer.  Exhausting the script is a contract
     violation: scripted traces must cover every query they provoke.
     """
 
@@ -210,14 +210,6 @@ class NoisyOracle:
         self._buf = (self._rng.random(size) < self.p).tolist()
         self._pos = 0
 
-    def _next_flip(self) -> bool:
-        pos = self._pos
-        if pos >= len(self._buf):
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._buf[pos]
-
     @property
     def algorithm_rng(self) -> np.random.Generator:
         """Deterministic stream for algorithm-level randomness (e.g. subsampling)."""
@@ -275,6 +267,76 @@ class NoisyOracle:
             pos = 0
         self._pos = pos + 1
         return truth ^ self._buf[pos]
+
+    def walk(self, i: int, j: int, k: int) -> tuple[bool, int]:
+        """Repeat one query until the net vote reaches +k or -k: (net vote > 0, queries).
+
+        ``j == 0`` reads bit i; otherwise each query asks whether
+        values[i] < values[j].  Answers, flip stream and ledger end up
+        exactly as after the same loop of :meth:`read_bit` or
+        :meth:`compare` calls; the ledger is updated once per walk.
+        """
+        if j == 0:
+            bits = self._bits
+            if bits is None:
+                raise ContractViolation("read_bit requires an oracle over a BitInstance")
+            if not 1 <= i <= self._n:
+                raise ContractViolation(f"index {i} out of range 1..{self._n}")
+            truth = bits[i] == 1
+        else:
+            values = self._values
+            if values is None:
+                raise ContractViolation("compare requires an oracle over a ValueInstance")
+            if i == j:
+                raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
+            if not (1 <= i <= self._n and 1 <= j <= self._n):
+                raise ContractViolation(f"pair ({i}, {j}) out of range 1..{self._n}")
+            truth = values[i] < values[j]
+        if k < 1:
+            raise ContractViolation(f"vote threshold must be >= 1, got {k}")
+
+        if self._forced is not None:
+            take = self._forced.take
+            d = t = 0
+            try:
+                while -k < d < k:
+                    t += 1
+                    d += 1 if take() else -1
+            finally:  # an exhausted script still counts the query it failed to answer
+                self._count(i, j, t)
+            return d > 0, t
+        if self._noiseless:
+            self._count(i, j, k)
+            return truth, k
+
+        # Walk the margin m = (answers equal to the truth) - (flipped answers)
+        # over the flip buffer; the net vote is m when the truth is 1, else -m.
+        buf, pos = self._buf, self._pos
+        end = len(buf)
+        start = pos
+        t = m = 0
+        while -k < m < k:
+            if pos == end:
+                t += pos - start
+                self._refill()
+                buf, pos, start = self._buf, 0, 0
+                end = len(buf)
+            m += -1 if buf[pos] else 1
+            pos += 1
+        self._pos = pos
+        t += pos - start
+        self._count(i, j, t)
+        return truth == (m > 0), t
+
+    def _count(self, i: int, j: int, t: int) -> None:
+        ledger = self.ledger
+        ledger.total += t
+        if j == 0:
+            ledger._per_index[i] += t
+        else:
+            key = (i, j) if i < j else (j, i)
+            pairs = ledger._per_pair
+            pairs[key] = pairs.get(key, 0) + t
 
 
 def make_instance_or(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ContractViolation
 from .oracles import NoisyOracle
@@ -33,19 +34,20 @@ __all__ = [
 ]
 
 
-def _validate_p_delta(p: float, delta: float) -> None:
+# Walks ask for the same few thresholds over and over (one per tournament
+# round and parameter point); bad arguments raise on every call, since
+# lru_cache stores no exceptions.
+@lru_cache(maxsize=1024)
+def vote_threshold(p: float, delta: float) -> int:
+    """Net-vote margin K at which the posterior leaves (delta, 1 - delta)."""
     if not 0.0 < p < 0.5:
         raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
     if not 0.0 < delta < 0.5:
         raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
-
-
-def vote_threshold(p: float, delta: float) -> int:
-    """Net-vote margin K at which the posterior leaves (delta, 1 - delta)."""
-    _validate_p_delta(p, delta)
     return math.ceil(math.log((1.0 - delta) / delta) / math.log((1.0 - p) / p))
 
 
+@lru_cache(maxsize=1024)
 def vote_threshold_log(p: float, log_delta: float) -> int:
     """Vote threshold for a tolerance given as log(delta).
 
@@ -116,23 +118,15 @@ class StopReport:
 
 
 def _bit_walk(oracle: NoisyOracle, i: int, k: int) -> StopReport:
-    read = oracle.read_bit
-    d = 0
-    t = 0
-    while -k < d < k:
-        t += 1
-        d += 1 if read(i) else -1
-    return StopReport(decision=1 if d > 0 else 0, queries_used=t)
+    up, t = oracle.walk(i, 0, k)
+    return StopReport(decision=1 if up else 0, queries_used=t)
 
 
 def _compare_walk(oracle: NoisyOracle, i: int, j: int, k: int) -> StopReport:
-    cmp = oracle.compare
-    d = 0
-    t = 0
-    while -k < d < k:
-        t += 1
-        d += 1 if cmp(i, j) else -1
-    return StopReport(decision=d > 0, queries_used=t)
+    if j == 0:  # oracle.walk would read bit i instead
+        raise ContractViolation(f"pair ({i}, {j}) out of range 1..{oracle.instance.n}")
+    less, t = oracle.walk(i, j, k)
+    return StopReport(decision=less, queries_used=t)
 
 
 def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:
@@ -142,7 +136,6 @@ def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport
     +K) and 0 at delta (net votes -K).  Expected queries are at most
     K / (1 - 2p).
     """
-    _validate_p_delta(p, delta)
     return _bit_walk(oracle, i, vote_threshold(p, delta))
 
 
@@ -157,7 +150,6 @@ def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -
     Identical walk to :func:`check_bit` on comparison answers; decision
     True means "less than".
     """
-    _validate_p_delta(p, delta)
     return _compare_walk(oracle, i, j, vote_threshold(p, delta))
 
 

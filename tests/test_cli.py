@@ -1,6 +1,10 @@
 """CLI surface: subcommands, exit codes, stream discipline, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,7 @@ class TestRunCommand:
             ["--n", "0"],
             ["--instance", "nonsense"],
             ["--trials", "0"],
+            ["--seed", "-1"],
         ],
     )
     def test_config_errors_exit_two(self, broken, capsys):
@@ -82,7 +87,9 @@ class TestRunCommand:
             idx = args.index(broken[i])
             args[idx + 1] = broken[i + 1]
         assert main(args) == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
 
 
 class TestSweepCommand:
@@ -106,13 +113,26 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 4
 
-    def test_bad_grid_exits_two(self, capsys):
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            ["--n", "5:1:1"],
+            ["--n", "abc"],
+            ["--p", "0.25,x"],
+            ["--delta", "1:x:2"],
+            ["--seed", "-1"],
+        ],
+    )
+    def test_bad_grid_exits_two(self, broken, capsys):
         args = [
             "sweep", "--algorithm", "checkbit", "--instance", "single_one:1",
-            "--n", "5:1:1", "--p", "0.25", "--delta", "0.05", "--trials", "5",
+            "--n", "1", "--p", "0.25", "--delta", "0.05", "--trials", "5", "--seed", "0",
         ]
+        args[args.index(broken[0]) + 1] = broken[1]
         assert main(args) == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
 
 
 class TestVerifyCommand:
@@ -122,6 +142,22 @@ class TestVerifyCommand:
         assert "PASS" in out
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    def test_monte_carlo_checks_reproduce_across_hash_seeds(self):
+        # String hashes are salted per process; the Monte Carlo seeds must not depend on them.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "noisyquery", "verify", "--mc-trials", "400"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )  # fmt: skip
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert "PASS  mc " in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_verify_failure_exits_three(self, capsys, monkeypatch):
         import noisyquery.cli as cli

@@ -275,3 +275,180 @@ def test_noiseless_channel_reads_truth(bits, seed):
     oracle = NoisyOracle(BitInstance(bits=tuple(bits)), 0.0, seed, allow_noiseless=True)
     observed = [oracle.read_bit(i) for i in range(1, len(bits) + 1)]
     assert observed == list(bits)
+
+
+# ---------------------------------------------------------------------------
+# NoisyOracle.walk against the loop of single queries it replaces
+# ---------------------------------------------------------------------------
+
+BIT_INSTANCE = BitInstance(bits=(0, 1, 0, 1))
+VALUE_INSTANCE = ValueInstance(values=(3.0, 1.0, 4.0, 2.0))
+# Refill boundaries of the flip stream: buffers of 512, 4096, then 16384 flips.
+REFILL_AT = (512, 512 + 4096, 512 + 4096 + 16384, 512 + 4096 + 2 * 16384)
+
+
+def _loop_walk(oracle, i, j, k):
+    """The reference: one read_bit/compare call per query until |net vote| = k."""
+    d = t = 0
+    while -k < d < k:
+        t += 1
+        answer = oracle.read_bit(i) if j == 0 else oracle.compare(i, j)
+        d += 1 if answer else -1
+    return d > 0, t
+
+
+def _twins(instance, p=0.25, seed=0, trial=0, **kwargs):
+    return (NoisyOracle(instance, p, seed, trial, **kwargs), NoisyOracle(instance, p, seed, trial, **kwargs))
+
+
+def _ledger(oracle):
+    ledger = oracle.ledger
+    return ledger.total, ledger.per_index, ledger.per_pair
+
+
+def _single(oracle, j):
+    return oracle.read_bit(1) if j == 0 else oracle.compare(1, 2)
+
+
+def _assert_walks_match(fast, slow, walks):
+    """Run the same (i, j, k) walks on both twins; returns the ledger total after each."""
+    totals = []
+    for i, j, k in walks:
+        assert fast.walk(i, j, k) == _loop_walk(slow, i, j, k)
+        assert _ledger(fast) == _ledger(slow)
+        totals.append(fast.ledger.total)
+    # Both twins left the flip stream at the same position.
+    j = walks[-1][1]
+    assert [_single(fast, j) for _ in range(3)] == [_single(slow, j) for _ in range(3)]
+    return totals
+
+
+class TestWalkMatchesQueryLoop:
+    @pytest.mark.parametrize("k", [1, 2, 5, 60])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_walks(self, k, seed):
+        fast, slow = _twins(BIT_INSTANCE, 0.3, seed, 4)
+        _assert_walks_match(fast, slow, [(1 + w % 4, 0, k) for w in range(40)])
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 60])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_compare_walks(self, k, seed):
+        pairs = [(1, 2), (2, 1), (3, 4), (4, 1), (2, 3)]
+        fast, slow = _twins(VALUE_INSTANCE, 0.3, seed, 4)
+        _assert_walks_match(fast, slow, [(*pairs[w % 5], k) for w in range(40)])
+
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 3)])
+    def test_long_walks_straddle_every_refill(self, instance, j):
+        # K = 150 at p = 0.4 takes ~750 queries a walk, so walks cross each boundary.
+        fast, slow = _twins(instance, 0.4, 11, 2)
+        walks = [(1, j, 150)] * 90
+        totals = _assert_walks_match(fast, slow, walks)
+        starts = [0] + totals[:-1]
+        for boundary in REFILL_AT:
+            assert any(s < boundary < e for s, e in zip(starts, totals)), boundary
+
+    @pytest.mark.parametrize("boundary", REFILL_AT[:2])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_walks_starting_and_ending_at_a_refill(self, boundary, j):
+        # Single queries bring both twins to just before a boundary; short
+        # walks then start at it, end on it, or cross it.
+        instance = BIT_INSTANCE if j == 0 else VALUE_INSTANCE
+        ended_on_boundary = False
+        for lead in range(12):
+            fast, slow = _twins(instance, 0.25, 5, lead)
+            for _ in range(boundary - lead):
+                assert _single(fast, j) == _single(slow, j)
+            totals = _assert_walks_match(fast, slow, [(1, j, 2)] * 4)
+            ended_on_boundary |= boundary in totals
+        assert ended_on_boundary
+
+    @given(
+        p=st.sampled_from([0.05, 0.25, 0.45]),
+        seed=st.integers(min_value=0, max_value=2**20),
+        walks=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 4), st.integers(1, 40)), min_size=1, max_size=25
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_walk_sequences(self, p, seed, walks):
+        bit_walks = [(i, 0, k) for i, _, k in walks]
+        _assert_walks_match(*_twins(BIT_INSTANCE, p, seed), bit_walks)
+        cmp_walks = [(i, j, k) for i, j, k in walks if j not in (0, i)]
+        if cmp_walks:
+            _assert_walks_match(*_twins(VALUE_INSTANCE, p, seed), cmp_walks)
+
+
+class TestWalkForcedAndNoiseless:
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 2)])
+    def test_forced_walk_takes_exactly_its_answers(self, instance, j):
+        script = [True, False, False, True, False, False, True, True, True]
+        stream = ForcedResponseStream(script)
+        fast = NoisyOracle(instance, 0.25, forced=stream)
+        slow = NoisyOracle(instance, 0.25, forced=ForcedResponseStream(script))
+        # Net votes +1 0 -1 0 -1 -2: absorbed at -2 after six answers.
+        assert fast.walk(1, j, 2) == _loop_walk(slow, 1, j, 2) == (False, 6)
+        assert stream.remaining == 3
+        assert _ledger(fast) == _ledger(slow)
+        assert _single(fast, j) == _single(slow, j) == 1
+
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 2)])
+    def test_forced_exhaustion_raises_and_counts_like_the_loop(self, instance, j):
+        fast = NoisyOracle(instance, 0.25, forced=ForcedResponseStream([True, False, True]))
+        slow = NoisyOracle(instance, 0.25, forced=ForcedResponseStream([True, False, True]))
+        with pytest.raises(ContractViolation, match="exhausted"):
+            fast.walk(1, j, 3)
+        with pytest.raises(ContractViolation, match="exhausted"):
+            _loop_walk(slow, 1, j, 3)
+        assert _ledger(fast) == _ledger(slow)
+        assert fast.ledger.total == 4
+
+    @pytest.mark.parametrize("k", [1, 9])
+    def test_noiseless_walk_takes_exactly_k(self, k):
+        oracle = NoisyOracle(BIT_INSTANCE, 0.0, allow_noiseless=True)
+        assert oracle.walk(2, 0, k) == (True, k)
+        assert oracle.walk(1, 0, k) == (False, k)
+        assert oracle.ledger.per_index == {1: k, 2: k}
+        oracle = NoisyOracle(VALUE_INSTANCE, 0.0, allow_noiseless=True)
+        assert oracle.walk(2, 4, k) == (True, k)
+        assert oracle.walk(4, 2, k) == (False, k)
+        assert oracle.ledger.per_pair == {(2, 4): 2 * k}
+        assert oracle.ledger.total == 2 * k
+
+
+class TestWalkContracts:
+    @pytest.mark.parametrize(
+        "instance, i, j, k",
+        [
+            (BIT_INSTANCE, 0, 0, 3),  # bit index below range
+            (BIT_INSTANCE, 5, 0, 3),  # bit index above range
+            (BIT_INSTANCE, 1, 2, 3),  # comparison on a bit instance
+            (VALUE_INSTANCE, 1, 0, 3),  # bit read on a value instance
+            (VALUE_INSTANCE, 2, 2, 3),  # i == j
+            (VALUE_INSTANCE, 1, 5, 3),  # pair out of range
+            (VALUE_INSTANCE, -1, 2, 3),  # pair out of range
+            (BIT_INSTANCE, 1, 0, 0),  # vote threshold below 1
+            (VALUE_INSTANCE, 1, 2, 0),  # vote threshold below 1
+        ],
+    )
+    def test_bad_arguments_raise_before_anything_moves(self, instance, i, j, k):
+        oracle, fresh = _twins(instance, 0.25, 3, 1)
+        with pytest.raises(ContractViolation):
+            oracle.walk(i, j, k)
+        assert _ledger(oracle) == (0, {}, {})
+        j_ok = 0 if isinstance(instance, BitInstance) else 2
+        assert [_single(oracle, j_ok) for _ in range(5)] == [_single(fresh, j_ok) for _ in range(5)]
+
+    def test_same_messages_as_single_queries(self):
+        bits, values = NoisyOracle(BIT_INSTANCE, 0.25), NoisyOracle(VALUE_INSTANCE, 0.25)
+        for walk, single in [
+            (lambda: bits.walk(9, 0, 2), lambda: bits.read_bit(9)),
+            (lambda: bits.walk(1, 2, 2), lambda: bits.compare(1, 2)),
+            (lambda: values.walk(1, 0, 2), lambda: values.read_bit(1)),
+            (lambda: values.walk(3, 3, 2), lambda: values.compare(3, 3)),
+            (lambda: values.walk(1, 7, 2), lambda: values.compare(1, 7)),
+        ]:
+            with pytest.raises(ContractViolation) as from_walk:
+                walk()
+            with pytest.raises(ContractViolation) as from_single:
+                single()
+            assert str(from_walk.value) == str(from_single.value)

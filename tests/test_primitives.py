@@ -14,6 +14,7 @@ from noisyquery.primitives import (
     check_bit,
     check_bit_log,
     noisy_compare,
+    noisy_compare_log,
     vote_threshold,
     vote_threshold_log,
 )
@@ -36,8 +37,11 @@ class TestVoteThreshold:
 
     @pytest.mark.parametrize("p,delta", [(0.0, 0.1), (0.5, 0.1), (0.25, 0.0), (0.25, 0.5)])
     def test_rejects_out_of_range(self, p, delta):
-        with pytest.raises(ContractViolation):
-            vote_threshold(p, delta)
+        for _ in range(2):  # the memo never stores a rejection
+            with pytest.raises(ContractViolation):
+                vote_threshold(p, delta)
+            with pytest.raises(ContractViolation):
+                vote_threshold_log(p, math.log(delta) if delta > 0 else 0.0)
 
     @given(
         st.floats(min_value=0.01, max_value=0.49),
@@ -84,14 +88,14 @@ class TestCheckBitTraces:
     def test_truthful_one_bit_stops_at_threshold(self):
         oracle = _truthful_oracle((1,))
         report = check_bit(oracle, 1, 0.01, 0.25)
-        assert report.decision == 1
+        assert report.decision == 1 and type(report.decision) is int
         assert report.queries_used == 5
         assert oracle.ledger.total == 5
 
     def test_truthful_zero_bit_symmetric(self):
         oracle = _truthful_oracle((0,))
         report = check_bit(oracle, 1, 0.01, 0.25)
-        assert report.decision == 0
+        assert report.decision == 0 and type(report.decision) is int
         assert report.queries_used == 5
 
     def test_single_vote_regime(self):
@@ -144,6 +148,16 @@ class TestNoisyCompareTraces:
         oracle = NoisyOracle(ValueInstance(values=(1.0, 2.0)), 0.25)
         with pytest.raises(ContractViolation):
             noisy_compare(oracle, 2, 2, 0.01, 0.25)
+
+    @pytest.mark.parametrize("instance", [BitInstance(bits=(1, 0)), ValueInstance(values=(1.0, 2.0))])
+    def test_index_zero_is_out_of_range(self, instance):
+        # j = 0 must not reach the oracle's walk, where it would mean a bit read.
+        oracle = NoisyOracle(instance, 0.25)
+        with pytest.raises(ContractViolation, match="out of range"):
+            noisy_compare(oracle, 1, 0, 0.01, 0.25)
+        with pytest.raises(ContractViolation, match="out of range"):
+            noisy_compare_log(oracle, 2, 0, math.log(0.01), 0.25)
+        assert oracle.ledger.total == 0
 
 
 class TestPosteriorState:
