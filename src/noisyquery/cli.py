@@ -59,11 +59,25 @@ def _parse_grid_float(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work is done."""
+    if out is None or out == "-":
+        return
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise ContractViolation(f"output directory {str(path.parent)!r} does not exist")
+    if path.is_dir():
+        raise ContractViolation(f"output path {out!r} is a directory")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ContractViolation(f"cannot write {out!r}: {exc.strerror or exc}") from exc
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -214,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ContractViolation as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

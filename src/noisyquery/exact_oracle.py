@@ -701,6 +701,8 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     registry configuration is also simulated that many times and compared
     against its enumeration at 5 binomial sigma on the error rate.
     """
+    if mc_trials < 0:
+        raise ContractViolation(f"mc_trials must be >= 0, got {mc_trials}")
     checks: list[tuple[str, bool, str]] = []
 
     # Closed form vs dense Markov solve, 12 significant digits.

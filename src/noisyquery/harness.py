@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bounds import lecam_budget, upper_budget
 from .errors import ContractViolation, InvariantError
@@ -213,13 +214,15 @@ def parse_instance_spec(
 
 
 @lru_cache(maxsize=32)
-def _cached_instance(spec: str, n: int, algorithm: str) -> BitInstance | ValueInstance:
-    return parse_instance_spec(spec, n, algorithm)
+def _cached_instance(spec: str, n: int, algorithm: str) -> tuple[BitInstance | ValueInstance, int]:
+    """The instance a spec names and its target value, computed once per instance."""
+    instance = parse_instance_spec(spec, n, algorithm)
+    return instance, instance.truth()
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
     """Execute one trial; deterministic in (config.seed, trial_index)."""
-    instance = _cached_instance(config.instance, config.n, config.algorithm)
+    instance, truth = _cached_instance(config.instance, config.n, config.algorithm)
     oracle = NoisyOracle(instance, config.p, config.seed, trial_index)
     algorithm = config.algorithm
     delta, p, n = config.delta, config.p, config.n
@@ -234,19 +237,19 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
         phase1, sub = report.queries_used, 0
     elif algorithm == "tournament-or":
         output = tournament_or(oracle, list(range(1, n + 1)), delta, p)
-        correct = output == instance.truth()
+        correct = output == truth
         phase1, sub = 0, oracle.ledger.total
     elif algorithm == "tournament-max":
         output = tournament_max(oracle, list(range(1, n + 1)), delta, p)
-        correct = output == instance.truth()
+        correct = output == truth
         phase1, sub = 0, oracle.ledger.total
     elif algorithm == "noisy-or":
         rep = noisy_or_report(oracle, n, delta, p)
-        correct = rep.output == instance.truth()
+        correct = rep.output == truth
         phase1, sub = rep.phase1_queries, rep.subroutine_queries
     else:  # noisy-max
         rep = noisy_max_report(oracle, n, delta, p)
-        correct = rep.output == instance.truth()
+        correct = rep.output == truth
         phase1, sub = rep.phase1_queries, rep.subroutine_queries
 
     total = oracle.ledger.total
@@ -265,24 +268,40 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
     )
 
 
-def _worker(args: tuple[ExperimentConfig, int]) -> TrialStats:
-    config, trial_index = args
-    return run_trial(config, trial_index)
+def _run_block(config: ExperimentConfig, start: int, stop: int) -> list[TrialStats]:
+    """Trials start..stop-1 of a campaign: the unit of work a worker process gets."""
+    return [run_trial(config, t) for t in range(start, stop)]
+
+
+@contextmanager
+def _trial_runner(workers: int, trials: int) -> Iterator[Callable[[ExperimentConfig], list[TrialStats]]]:
+    """A function from a validated config to its trials, in trial order.
+
+    With workers > 1 every call shares one worker pool, opened here and
+    closed on exit; campaigns of fewer than 4 trials run in this process.
+    """
+    if workers < 1:
+        raise ContractViolation(f"workers must be >= 1, got {workers}")
+    if workers == 1 or trials < 4:
+        yield lambda config: _run_block(config, 0, config.trials)
+        return
+    with get_context("fork").Pool(workers) as pool:
+
+        def run(config: ExperimentConfig) -> list[TrialStats]:
+            # One job per block of trial indices sends the config once a block;
+            # map returns the blocks in job order, so trials stay in index order.
+            size = max(1, config.trials // (workers * 8))
+            blocks = [(config, t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
+            return [stats for block in pool.starmap(_run_block, blocks, chunksize=1) for stats in block]
+
+        yield run
 
 
 def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialStats]:
     """All trials of a campaign, in trial order regardless of worker count."""
     config.validate()
-    if workers < 1:
-        raise ContractViolation(f"workers must be >= 1, got {workers}")
-    indices = range(config.trials)
-    if workers == 1 or config.trials < 4:
-        return [run_trial(config, t) for t in indices]
-    ctx = get_context("fork")
-    chunk = max(1, config.trials // (workers * 8))
-    with ctx.Pool(workers) as pool:
-        results = pool.map(_worker, [(config, t) for t in indices], chunksize=chunk)
-    return sorted(results, key=lambda ts: ts.trial_index)
+    with _trial_runner(workers, config.trials) as run:
+        return run(config)
 
 
 def aggregate(config: ExperimentConfig, trials: Sequence[TrialStats]) -> AggregateStats:
@@ -328,17 +347,17 @@ def run_sweep(
     """One aggregated row per (n, p, delta) grid point; rows are independent runs.
 
     Every row reuses the base seed, so each row is identical to a
-    standalone run of its configuration.
+    standalone run of its configuration.  Every row is validated before
+    any trial runs, and all rows share one worker pool.
     """
     if not n_grid or not p_grid or not delta_grid:
         raise ContractViolation("sweep grids must be nonempty")
-    rows = []
-    for n in n_grid:
-        for p in p_grid:
-            for delta in delta_grid:
-                cfg = replace(base, n=n, p=p, delta=delta)
-                rows.append(run_experiment(cfg, workers))
-    return rows
+    configs = [replace(base, n=n, p=p, delta=delta) for n in n_grid for p in p_grid for delta in delta_grid]
+    for cfg in configs:
+        cfg.validate()
+    # Each row's trials are dropped once aggregated, so a sweep holds one row at a time.
+    with _trial_runner(workers, base.trials) as run:
+        return [aggregate(cfg, run(cfg)) for cfg in configs]
 
 
 # ---------------------------------------------------------------------------

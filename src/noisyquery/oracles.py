@@ -191,7 +191,7 @@ class NoisyOracle:
         self._forced = forced
         self._noiseless = p == 0.0
         self._rng: np.random.Generator | None = None
-        self._buf: list[bool] = []
+        self._buf = b""
         self._pos = 0
         self._bufsize = _BUF_START
         self._alg_rng: np.random.Generator | None = None
@@ -202,12 +202,14 @@ class NoisyOracle:
         # Channel stream is lazily created so forced/noiseless oracles never
         # touch the RNG; buffer sizes follow a fixed growth schedule, making
         # the flip sequence a pure function of (master_seed, trial_index).
+        # Flips are kept as bytes (1 = flipped) so a walk can count a run of
+        # them with bytes.count.
         if self._rng is None:
             self._rng = np.random.default_rng(
                 np.random.SeedSequence((self.master_seed, self.trial_index, 0))
             )
         self._bufsize = size = min(self._bufsize * 8, _BUF_CAP)
-        self._buf = (self._rng.random(size) < self.p).tolist()
+        self._buf = (self._rng.random(size) < self.p).tobytes()
         self._pos = 0
 
     @property
@@ -266,7 +268,7 @@ class NoisyOracle:
             self._refill()
             pos = 0
         self._pos = pos + 1
-        return truth ^ self._buf[pos]
+        return truth != self._buf[pos]
 
     def walk(self, i: int, j: int, k: int) -> tuple[bool, int]:
         """Repeat one query until the net vote reaches +k or -k: (net vote > 0, queries).
@@ -275,6 +277,12 @@ class NoisyOracle:
         values[i] < values[j].  Answers, flip stream and ledger end up
         exactly as after the same loop of :meth:`read_bit` or
         :meth:`compare` calls; the ledger is updated once per walk.
+
+        A noisy walk costs O(jumps), not O(queries): while the margin
+        is m it skips k - |m| flips of the byte flip buffer at a time,
+        since the walk cannot stop sooner, and counts their flips with
+        ``bytes.count``.  Forced walks take their scripted answers one
+        by one; noiseless walks return after exactly k queries.
         """
         if j == 0:
             bits = self._bits
@@ -309,22 +317,28 @@ class NoisyOracle:
             self._count(i, j, k)
             return truth, k
 
-        # Walk the margin m = (answers equal to the truth) - (flipped answers)
-        # over the flip buffer; the net vote is m when the truth is 1, else -m.
+        # Track the margin m = (answers equal to the truth) - (flipped answers);
+        # the net vote is m when the truth is 1, else -m.  From margin m the
+        # walk cannot stop within k - |m| queries, so it takes them in one
+        # jump and counts their flips at once.  A jump stops short at the end
+        # of the buffer, which is refilled only if the walk goes on, exactly
+        # where a loop of single queries would refill it.
         buf, pos = self._buf, self._pos
         end = len(buf)
-        start = pos
         t = m = 0
         while -k < m < k:
             if pos == end:
-                t += pos - start
                 self._refill()
-                buf, pos, start = self._buf, 0, 0
+                buf, pos = self._buf, 0
                 end = len(buf)
-            m += -1 if buf[pos] else 1
-            pos += 1
+            nxt = pos + k - (m if m > 0 else -m)
+            if nxt > end:
+                nxt = end
+            steps = nxt - pos
+            m += steps - 2 * buf.count(1, pos, nxt)
+            t += steps
+            pos = nxt
         self._pos = pos
-        t += pos - start
         self._count(i, j, t)
         return truth == (m > 0), t
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ContractViolation
 from .oracles import NoisyOracle
@@ -109,24 +110,28 @@ class PosteriorState:
         return self.net_votes > 0
 
 
-@dataclass(frozen=True)
-class StopReport:
+class StopReport(NamedTuple):
     """Outcome of one stopping primitive: the decision and the queries it consumed."""
 
     decision: int | bool
     queries_used: int
 
 
+# Builds a StopReport from a (decision, queries_used) pair without the
+# Python-level __new__ that StopReport(...) runs; a walk is often only
+# ~10 queries, so the report is a visible share of its cost.
+_report = tuple.__new__
+
+
 def _bit_walk(oracle: NoisyOracle, i: int, k: int) -> StopReport:
     up, t = oracle.walk(i, 0, k)
-    return StopReport(decision=1 if up else 0, queries_used=t)
+    return _report(StopReport, (1 if up else 0, t))
 
 
 def _compare_walk(oracle: NoisyOracle, i: int, j: int, k: int) -> StopReport:
     if j == 0:  # oracle.walk would read bit i instead
         raise ContractViolation(f"pair ({i}, {j}) out of range 1..{oracle.instance.n}")
-    less, t = oracle.walk(i, j, k)
-    return StopReport(decision=less, queries_used=t)
+    return _report(StopReport, oracle.walk(i, j, k))
 
 
 def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:

@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, stream discipline, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisyquery.cli import main
 
@@ -92,7 +95,56 @@ class TestRunCommand:
         assert "Traceback" not in err
 
 
+class TestOutputPath:
+    RUN = TestRunCommand.ARGS
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "bounds", "verify"])
+    def test_missing_directory_exits_two_before_any_work(self, command, tmp_path, capsys):
+        argv = {
+            "run": self.RUN,
+            "sweep": TestSweepCommand.ARGS,
+            "bounds": ["bounds", "--n", "10", "--delta", "0.01", "--p", "0.25"],
+            "verify": ["verify"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err and "does not exist" in captured.err
+        assert "running" not in captured.err and "sweeping" not in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_directory_as_output_exits_two(self, tmp_path, capsys):
+        assert main(self.RUN + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "is a directory" in err
+
+    def test_write_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, text):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_text", refuse)
+        assert main(self.RUN + ["--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot write" in err and "Permission denied" in err
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
+    ARGS = [
+        "sweep", "--algorithm", "noisycompare", "--instance", "sorted",
+        "--n", "2,3", "--p", "0.1,0.25", "--delta", "0.05,0.01", "--trials", "50", "--seed", "5",
+    ]
+
+    def test_byte_identical_across_workers(self, tmp_path, capsys):
+        # All eight grid rows share one worker pool when workers > 1; each
+        # row's 50 trials go out in blocks of 3, the last block shorter.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(self.ARGS + ["--out", str(a), "--workers", "1"]) == 0
+        assert main(self.ARGS + ["--out", str(b), "--workers", "2"]) == 0
+        capsys.readouterr()
+        assert len(a.read_text().splitlines()) == 9
+        assert a.read_bytes() == b.read_bytes()
+
     def test_grid_rows(self, capsys):
         args = [
             "sweep", "--algorithm", "checkbit", "--instance", "single_one:1",
@@ -159,6 +211,13 @@ class TestVerifyCommand:
         assert "PASS  mc " in outputs[0]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("mc_trials", ["-1", "-20"])
+    def test_negative_mc_trials_exits_two(self, mc_trials, capsys):
+        assert main(["verify", "--mc-trials", mc_trials]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: mc_trials must be >= 0" in captured.err
+        assert captured.out == ""
+
     def test_verify_failure_exits_three(self, capsys, monkeypatch):
         import noisyquery.cli as cli
 
@@ -167,3 +226,95 @@ class TestVerifyCommand:
         )
         assert main(["verify"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Any argv: exit 0, 2 or 3, never a traceback
+# ---------------------------------------------------------------------------
+
+# A drawn argv is valid, or valid but for one flag set to a bad value.
+_GOOD_FLOATS = ["0.1", "0.25", "0.4", "0.05", "0.01"]
+_BAD_FLOATS = ["0", "0.5", "-0.1", "1", "nan", "inf", "-inf", "x", "", "1e-400"]
+_BAD = {
+    "--algorithm": ["bogus", ""],
+    "--instance": [
+        "single_one:0", "single_one:x", "single_one", "literal:", "literal:0,2", "relocated:99",
+        "relocated", "permuted:x", "literal:1,1", "nonsense", "", "sorted", "all_zero",
+    ],
+    "--n": ["0", "-3", "x", "", "1.5"],
+    "--p": _BAD_FLOATS,
+    "--delta": _BAD_FLOATS,
+    "--trials": ["0", "-2", "x", "2.0"],
+    "--seed": ["-1", "x"],
+    "--workers": ["0", "-1", "x"],
+    "--format": ["xml"],
+    "--out": ["missing/x.csv", "."],
+    "--mc-trials": ["-5", "-1", "x", "1.5"],
+}  # fmt: skip
+_BAD_GRIDS = {
+    "--n": ["5:1:1", "1:3:0", "abc", "", ",", "1:x:2", "1:2", "0", "-2"],
+    "--p": ["0.3:0.1:0.1", "0.6", "x", "0.25,", "", "nan", "1:2", "0:0.2:0.1"],
+    "--delta": ["0.3:0.1:0.1", "0.7", "x", "", "nan", "0.05,0"],
+}
+_OR_ALGORITHMS = ["checkbit", "tournament-or", "noisy-or"]
+_MAX_ALGORITHMS = ["noisycompare", "tournament-max", "noisy-max"]
+
+
+@st.composite
+def _argv(draw, out_dir):
+    command = draw(st.sampled_from(["bounds", "run", "sweep", "verify"]))
+    n = draw(st.integers(min_value=1, max_value=50))
+    flags: dict[str, str | None] = {"--out": draw(st.sampled_from([None, "-", "ok.csv"]))}
+    if command == "bounds":
+        flags.update({"--n": str(n), "--p": draw(st.sampled_from(_GOOD_FLOATS))})
+        flags["--delta"] = draw(st.sampled_from(_GOOD_FLOATS))
+    elif command == "verify":
+        flags["--mc-trials"] = draw(st.sampled_from([None, "0", "3"]))
+    else:
+        algorithm = draw(st.sampled_from(_OR_ALGORITHMS + _MAX_ALGORITHMS))
+        if algorithm in _OR_ALGORITHMS:
+            instance = draw(st.sampled_from(["all_zero", "single_one:1", "literal:" + ",".join("0" * n)]))
+        else:
+            instance = draw(st.sampled_from(["sorted", "permuted:3", "relocated:1"]))
+        flags.update({"--algorithm": algorithm, "--instance": instance})
+        flags["--trials"] = str(draw(st.integers(min_value=1, max_value=20)))
+        flags["--seed"] = draw(st.sampled_from([None, "0", "7"]))
+        flags["--workers"] = draw(st.sampled_from([None, "1", "2"]))
+        flags["--format"] = draw(st.sampled_from(["csv", "json"]))
+        if command == "run":
+            flags.update({"--n": str(n), "--p": draw(st.sampled_from(_GOOD_FLOATS))})
+            flags["--delta"] = draw(st.sampled_from(_GOOD_FLOATS))
+        else:
+            flags["--n"] = draw(st.sampled_from(["2", "2,3", "2:4:1", "10"]))
+            flags["--p"] = draw(st.sampled_from(["0.25", "0.1,0.4", "0.1:0.3:0.1"]))
+            flags["--delta"] = draw(st.sampled_from(["0.05", "0.05,0.01", "0.1:0.2:0.05"]))
+    broken = draw(st.one_of(st.none(), st.sampled_from(list(flags))))
+    if broken is not None:
+        bad = _BAD_GRIDS if command == "sweep" and broken in _BAD_GRIDS else _BAD
+        flags[broken] = draw(st.sampled_from(bad[broken]))
+    argv = [command]
+    for flag, value in flags.items():
+        if value is not None:
+            argv += [flag, str(out_dir / value) if flag == "--out" and value != "-" else value]
+    if command == "run" and draw(st.booleans()):
+        argv.append("--raw-trials")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-out")
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_argv_exits_cleanly(fuzz_out_dir, data):
+    argv = data.draw(_argv(fuzz_out_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing an argument
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -123,6 +123,16 @@ class TestChannelContracts:
         with pytest.raises(ContractViolation):
             oracle.compare(1, 3)
 
+    @pytest.mark.parametrize("p", [0.0, 0.25])
+    def test_answer_types(self, p):
+        # A bit read answers 0 or 1 as an int, a comparison as a bool,
+        # whatever the flip buffer holds.
+        bits = NoisyOracle(BitInstance(bits=(1, 0)), p, 3, allow_noiseless=True)
+        values = NoisyOracle(ValueInstance(values=(1.0, 2.0)), p, 3, allow_noiseless=True)
+        for _ in range(600):  # past the first refill
+            assert type(bits.read_bit(1)) is int and type(bits.read_bit(2)) is int
+            assert type(values.compare(1, 2)) is bool and type(values.compare(2, 1)) is bool
+
     def test_model_mismatch(self):
         bit_oracle = NoisyOracle(BitInstance(bits=(1,)), 0.25)
         with pytest.raises(ContractViolation):
@@ -361,6 +371,35 @@ class TestWalkMatchesQueryLoop:
             totals = _assert_walks_match(fast, slow, [(1, j, 2)] * 4)
             ended_on_boundary |= boundary in totals
         assert ended_on_boundary
+
+    @pytest.mark.parametrize("k, p", [(600, 0.02), (600, 0.05), (5000, 0.02), (5000, 0.05)])
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 3)])
+    def test_walks_longer_than_a_buffer(self, k, p, instance, j):
+        # One jump of k flips spans the whole 512-flip first buffer and, at
+        # K = 5000, the 4096-flip second one too.
+        fast, slow = _twins(instance, p, 13, 6)
+        walks = [(1, j, k)] * (2 if k == 600 else 5)
+        totals = _assert_walks_match(fast, slow, walks)
+        assert totals[0] >= k
+        if k == 5000:
+            assert totals[0] > REFILL_AT[1] and totals[-1] > REFILL_AT[2]
+
+    @pytest.mark.parametrize("boundary", REFILL_AT[:2])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_jump_landing_on_the_end_of_the_buffer(self, boundary, j):
+        # From margin 0 the first jump takes k flips, so a walk started k
+        # flips before a boundary lands exactly on it; it either stops there
+        # (no refill) or goes on into the next buffer.
+        instance = BIT_INSTANCE if j == 0 else VALUE_INSTANCE
+        k = 3
+        outcomes = set()
+        for trial in range(16):
+            fast, slow = _twins(instance, 0.25, 9, trial)
+            for _ in range(boundary - k):
+                assert _single(fast, j) == _single(slow, j)
+            totals = _assert_walks_match(fast, slow, [(1, j, k), (1, j, k)])
+            outcomes.add(totals[0] == boundary)
+        assert outcomes == {True, False}
 
     @given(
         p=st.sampled_from([0.05, 0.25, 0.45]),

@@ -11,6 +11,7 @@ from noisyquery.exact_oracle import analyze_walk
 from noisyquery.oracles import BitInstance, ForcedResponseStream, NoisyOracle, ValueInstance
 from noisyquery.primitives import (
     PosteriorState,
+    StopReport,
     check_bit,
     check_bit_log,
     noisy_compare,
@@ -127,6 +128,28 @@ class TestCheckBitTraces:
             check_bit(oracle, 1, 0.6, 0.25)
         with pytest.raises(ContractViolation):
             check_bit(oracle, 1, 0.01, 0.0)
+
+
+class TestStopReport:
+    def test_immutable_and_unpacks_to_decision_then_queries(self):
+        oracle = NoisyOracle(BitInstance(bits=(1,)), 0.25, 5, 0)
+        report = check_bit(oracle, 1, 0.01, 0.25)
+        assert isinstance(report, StopReport)
+        decision, queries = report
+        assert (decision, queries) == (report.decision, report.queries_used)
+        assert queries == oracle.ledger.total
+        with pytest.raises(AttributeError):
+            report.decision = 1 - decision
+        with pytest.raises(AttributeError):
+            report.queries_used = 0
+        assert report == StopReport(decision=decision, queries_used=queries)
+
+    def test_compare_report_fields(self):
+        oracle = NoisyOracle(ValueInstance(values=(1.0, 2.0)), 0.25, 5, 0)
+        report = noisy_compare(oracle, 1, 2, 0.01, 0.25)
+        assert type(report) is StopReport
+        assert type(report.decision) is bool
+        assert report._fields == ("decision", "queries_used")
 
 
 class TestNoisyCompareTraces:
