@@ -40,7 +40,6 @@ from .oracles import (
     make_instance_or,
 )
 from .primitives import (
-    PosteriorState,
     StopReport,
     check_bit,
     noisy_compare,
@@ -74,7 +73,6 @@ __all__ = [
     "NoisyOracle",
     "OrRunReport",
     "OrThreshold",
-    "PosteriorState",
     "QueryLedger",
     "RoundSchedule",
     "StopReport",

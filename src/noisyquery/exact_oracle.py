@@ -14,9 +14,11 @@ Three layers, each checking the one below:
   algorithm on a tiny instance, yielding the exact output distribution,
   error probability, and expected query count.
 
-None of this shares code with the implementations it validates: the
-implementations consume oracle answers query by query, the analysis here
-never draws a single random bit.
+The implementations consume oracle answers query by query; the analysis
+here never draws a single random bit.  It shares only the vote threshold
+(:func:`~noisyquery.primitives.vote_threshold` and its log form) and the
+round schedule (:class:`~noisyquery.tournaments.RoundSchedule`) with them,
+and the tests pin the values of both independently.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ import numpy as np
 
 from .errors import ContractViolation, EnumerationCapError
 from .oracles import BitInstance, ValueInstance
-from .primitives import vote_threshold, vote_threshold_log
+from .primitives import vote_threshold
 from .toplevel import or_threshold, sampling_probability
+from .tournaments import RoundSchedule
 
 __all__ = [
     "EnumerationResult",
@@ -66,6 +69,13 @@ class WalkAnalysis:
     expected_queries: float
 
 
+def _check_walk(p: float, threshold: int) -> None:
+    if not 0.0 < p < 0.5:
+        raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
+    if threshold < 1:
+        raise ContractViolation(f"threshold must be >= 1, got {threshold}")
+
+
 def analyze_walk(p: float, threshold: int) -> WalkAnalysis:
     """Gambler's-ruin closed form for the stopping walk.
 
@@ -73,10 +83,7 @@ def analyze_walk(p: float, threshold: int) -> WalkAnalysis:
     direction) and -1 with probability p, and stops at +/-K.  Absorption
     at -K is the error.
     """
-    if not 0.0 < p < 0.5:
-        raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
-    if threshold < 1:
-        raise ContractViolation(f"threshold must be >= 1, got {threshold}")
+    _check_walk(p, threshold)
     lam = (1.0 - p) / p
     error = 1.0 / (1.0 + lam**threshold)
     win = 1.0 / (1.0 + lam**-threshold)
@@ -92,10 +99,7 @@ def analyze_walk_markov(p: float, threshold: int) -> WalkAnalysis:
     Cross-check for :func:`analyze_walk`; practical for K up to a few
     hundred (the transient space has 2K - 1 states).
     """
-    if not 0.0 < p < 0.5:
-        raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
-    if threshold < 1:
-        raise ContractViolation(f"threshold must be >= 1, got {threshold}")
+    _check_walk(p, threshold)
     k = threshold
     m = 2 * k - 1  # transient states d = -K+1 .. K-1
     up = 1.0 - p
@@ -210,10 +214,7 @@ def _branch_stats_cached(p: float, threshold: int) -> WalkBranchStats:
 
 def walk_branch_stats(p: float, threshold: int) -> WalkBranchStats:
     """Exact conditional absorption statistics (rational solve, cached)."""
-    if not 0.0 < p < 0.5:
-        raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
-    if threshold < 1:
-        raise ContractViolation(f"threshold must be >= 1, got {threshold}")
+    _check_walk(p, threshold)
     return _branch_stats_cached(float(p), int(threshold))
 
 
@@ -226,11 +227,8 @@ def _round_thresholds(r: int, delta: float, p: float) -> list[tuple[int, int]]:
     """(matches, vote threshold) per round of a knockout over r entrants."""
     out = []
     size = r
-    for i in range(1, math.ceil(math.log2(r)) + 1 if r > 1 else 1):
-        if size <= 1:
-            break
-        log_tol = 2 * (2 * i - 1) * math.log(delta)
-        out.append((size // 2, vote_threshold_log(p, log_tol)))
+    for k in RoundSchedule.for_size(r, delta).vote_thresholds(p):
+        out.append((size // 2, k))
         size = (size + 1) // 2
     return out
 
@@ -242,8 +240,6 @@ def tournament_max_cost(r: int, delta: float, p: float) -> float:
     match's duration law depends only on its vote threshold, so the
     expectation is composition-independent.
     """
-    if r < 1:
-        raise ContractViolation(f"r must be >= 1, got {r}")
     return sum(
         matches * analyze_walk(p, k).expected_queries for matches, k in _round_thresholds(r, delta, p)
     )
@@ -251,12 +247,7 @@ def tournament_max_cost(r: int, delta: float, p: float) -> float:
 
 def tournament_or_cost(r: int, delta: float, p: float) -> float:
     """Exact expected reads of an OR knockout over r entrants (final check included)."""
-    if r < 1:
-        raise ContractViolation(f"r must be >= 1, got {r}")
-    base = sum(
-        matches * analyze_walk(p, k).expected_queries for matches, k in _round_thresholds(r, delta, p)
-    )
-    return base + analyze_walk(p, vote_threshold(p, delta)).expected_queries
+    return tournament_max_cost(r, delta, p) + analyze_walk(p, vote_threshold(p, delta)).expected_queries
 
 
 def _binom_pmf_window(n: int, q: float) -> tuple[int, np.ndarray]:
@@ -423,9 +414,8 @@ def _enum_knockout(
     the key is the value and a match compares the pair.
     """
     leaves = [(1.0, 0.0, list(entrants))]
-    rounds = math.ceil(math.log2(len(entrants))) if len(entrants) > 1 else 0
-    for i in range(1, rounds + 1):
-        stats = walk_branch_stats(p, vote_threshold_log(p, 2 * (2 * i - 1) * math.log(delta)))
+    for k in RoundSchedule.for_size(len(entrants), delta).vote_thresholds(p):
+        stats = walk_branch_stats(p, k)
         new_leaves = []
         for prob, eq, survivors in leaves:
             r = len(survivors)
@@ -560,16 +550,22 @@ def _reachable_thresholds(algorithm: str, n: int, delta: float, p: float) -> lis
     count cutoff, so deep (huge-threshold) rounds are often unreachable
     even when n alone would permit them.
     """
-    ks = [vote_threshold(p, delta)]
-    if algorithm == "noisy_or":
+    if algorithm == "noisy-or":
         theta = or_threshold(n, delta).value
-        bracket = min(n, max(math.ceil(theta) - 1, 0))
+        bracket = max(min(n, math.ceil(theta) - 1), 1)
     else:
         bracket = n
-    rounds = math.ceil(math.log2(bracket)) if bracket > 1 else 0
-    for i in range(1, rounds + 1):
-        ks.append(vote_threshold_log(p, 2 * (2 * i - 1) * math.log(delta)))
-    return ks
+    return [vote_threshold(p, delta), *RoundSchedule.for_size(bracket, delta).vote_thresholds(p)]
+
+
+# name -> (instance type, enumerator, largest input, largest reachable vote
+# threshold or None); names are the CLI's algorithm names.
+_ENUMERATORS = {
+    "tournament-or": (BitInstance, _enum_tournament_or, _TOURNAMENT_N_CAP, None),
+    "tournament-max": (ValueInstance, _enum_tournament_max, _TOURNAMENT_N_CAP, None),
+    "noisy-or": (BitInstance, _enum_noisy_or, _FULL_ALGO_N_CAP, _FULL_ALGO_K_CAP),
+    "noisy-max": (ValueInstance, _enum_noisy_max, _FULL_ALGO_N_CAP, _FULL_ALGO_K_CAP),
+}
 
 
 def enumerate_tournament(
@@ -580,8 +576,8 @@ def enumerate_tournament(
 ) -> EnumerationResult:
     """Exact output law of an algorithm on a tiny instance by full path enumeration.
 
-    Supported algorithms: ``tournament_or``, ``tournament_max`` (inputs up
-    to 8 entrants), ``noisy_or``, ``noisy_max`` (inputs up to 4, with
+    Supported algorithms: ``tournament-or``, ``tournament-max`` (inputs up
+    to 8 entrants), ``noisy-or``, ``noisy-max`` (inputs up to 4, with
     every reachable vote threshold at most 8).  Configurations beyond the
     caps are refused outright rather than approximated.
     """
@@ -589,46 +585,25 @@ def enumerate_tournament(
         raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
     if not 0.0 < p < 0.5:
         raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
+    if algorithm not in _ENUMERATORS:
+        raise ContractViolation(f"unknown algorithm {algorithm!r}; choose from {', '.join(_ENUMERATORS)}")
+    model, enumerate_paths, n_cap, k_cap = _ENUMERATORS[algorithm]
     n = instance.n
-    full = algorithm in ("noisy_or", "noisy_max")
-    if full:
-        if n > _FULL_ALGO_N_CAP:
+    if n > n_cap:
+        raise EnumerationCapError(f"{algorithm} enumeration capped at n <= {n_cap}, got {n}")
+    if k_cap is not None:
+        k = max(_reachable_thresholds(algorithm, n, delta, p))
+        if k > k_cap:
             raise EnumerationCapError(
-                f"{algorithm} enumeration capped at n <= {_FULL_ALGO_N_CAP}, got {n}"
+                f"{algorithm} enumeration capped at vote thresholds <= {k_cap}, got {k}"
             )
-        ks = _reachable_thresholds(algorithm, n, delta, p)
-        if max(ks) > _FULL_ALGO_K_CAP:
-            raise EnumerationCapError(
-                f"{algorithm} enumeration capped at vote thresholds <= {_FULL_ALGO_K_CAP}, "
-                f"got {max(ks)}"
-            )
-    elif algorithm in ("tournament_or", "tournament_max"):
-        if n > _TOURNAMENT_N_CAP:
-            raise EnumerationCapError(
-                f"{algorithm} enumeration capped at n <= {_TOURNAMENT_N_CAP}, got {n}"
-            )
-    else:
-        raise ContractViolation(f"unknown algorithm {algorithm!r}")
     # Path count is dominated by one branch per primitive call.
-    paths = 2 ** (2 * n + 2) * (2**n if algorithm == "noisy_max" else 1)
+    paths = 2 ** (2 * n + 2) * (2**n if algorithm == "noisy-max" else 1)
     if paths > _PATH_CAP:
         raise EnumerationCapError(f"enumeration would visit ~{paths} paths, above {_PATH_CAP}")
-
-    if algorithm == "tournament_or":
-        if not isinstance(instance, BitInstance):
-            raise ContractViolation("tournament_or needs a BitInstance")
-        return _enum_tournament_or(instance, delta, p)
-    if algorithm == "tournament_max":
-        if not isinstance(instance, ValueInstance):
-            raise ContractViolation("tournament_max needs a ValueInstance")
-        return _enum_tournament_max(instance, delta, p)
-    if algorithm == "noisy_or":
-        if not isinstance(instance, BitInstance):
-            raise ContractViolation("noisy_or needs a BitInstance")
-        return _enum_noisy_or(instance, delta, p)
-    if not isinstance(instance, ValueInstance):
-        raise ContractViolation("noisy_max needs a ValueInstance")
-    return _enum_noisy_max(instance, delta, p)
+    if not isinstance(instance, model):
+        raise ContractViolation(f"{algorithm} needs a {model.__name__}")
+    return enumerate_paths(instance, delta, p)
 
 
 # ---------------------------------------------------------------------------
@@ -663,28 +638,28 @@ def verify_registry() -> list[VerifyConfig]:
     v = lambda *vals: ValueInstance(values=tuple(float(x) for x in vals))
     return [
         # Single tournaments (n <= 8).
-        VerifyConfig("tor-n2-hot", "tournament_or", b(1, 0), 0.1, 0.25, 1, assert_domination=False),
-        VerifyConfig("tor-n2-zero", "tournament_or", b(0, 0), 0.1, 0.25, 1),
-        VerifyConfig("tor-n3-mid", "tournament_or", b(0, 1, 0), 0.05, 0.25, 1),
-        VerifyConfig("tor-n4-zero", "tournament_or", b(0, 0, 0, 0), 0.05, 0.25, 1),
-        VerifyConfig("tor-n4-pair", "tournament_or", b(0, 1, 1, 0), 0.05, 0.3, 1),
-        VerifyConfig("tor-n8-tail", "tournament_or", b(0, 0, 0, 0, 0, 0, 0, 1), 0.05, 0.25, 1),
-        VerifyConfig("tmax-n2", "tournament_max", v(1, 2), 0.1, 0.25, 1),
-        VerifyConfig("tmax-n3-sorted", "tournament_max", v(1, 2, 3), 0.05, 0.3, 1),
-        VerifyConfig("tmax-n4-sorted", "tournament_max", v(1, 2, 3, 4), 0.05, 0.25, 1),
-        VerifyConfig("tmax-n4-reloc", "tournament_max", v(1, 4, 2, 3), 0.05, 0.1, 1),
-        VerifyConfig("tmax-n8-sorted", "tournament_max", v(*range(1, 9)), 0.05, 0.25, 1),
+        VerifyConfig("tor-n2-hot", "tournament-or", b(1, 0), 0.1, 0.25, 1, assert_domination=False),
+        VerifyConfig("tor-n2-zero", "tournament-or", b(0, 0), 0.1, 0.25, 1),
+        VerifyConfig("tor-n3-mid", "tournament-or", b(0, 1, 0), 0.05, 0.25, 1),
+        VerifyConfig("tor-n4-zero", "tournament-or", b(0, 0, 0, 0), 0.05, 0.25, 1),
+        VerifyConfig("tor-n4-pair", "tournament-or", b(0, 1, 1, 0), 0.05, 0.3, 1),
+        VerifyConfig("tor-n8-tail", "tournament-or", b(0, 0, 0, 0, 0, 0, 0, 1), 0.05, 0.25, 1),
+        VerifyConfig("tmax-n2", "tournament-max", v(1, 2), 0.1, 0.25, 1),
+        VerifyConfig("tmax-n3-sorted", "tournament-max", v(1, 2, 3), 0.05, 0.3, 1),
+        VerifyConfig("tmax-n4-sorted", "tournament-max", v(1, 2, 3, 4), 0.05, 0.25, 1),
+        VerifyConfig("tmax-n4-reloc", "tournament-max", v(1, 4, 2, 3), 0.05, 0.1, 1),
+        VerifyConfig("tmax-n8-sorted", "tournament-max", v(*range(1, 9)), 0.05, 0.25, 1),
         # Full OR algorithm (n <= 4, reachable thresholds <= 8).
-        VerifyConfig("nor-n2-zero", "noisy_or", b(0, 0), 0.2, 0.25, 2),
-        VerifyConfig("nor-n3-zero", "noisy_or", b(0, 0, 0), 0.1, 0.25, 2),
-        VerifyConfig("nor-n3-one", "noisy_or", b(0, 1, 0), 0.1, 0.25, 2),
-        VerifyConfig("nor-n4-one", "noisy_or", b(1, 0, 0, 0), 0.05, 0.3, 2),
-        VerifyConfig("nor-n4-zero", "noisy_or", b(0, 0, 0, 0), 0.05, 0.1, 2),
+        VerifyConfig("nor-n2-zero", "noisy-or", b(0, 0), 0.2, 0.25, 2),
+        VerifyConfig("nor-n3-zero", "noisy-or", b(0, 0, 0), 0.1, 0.25, 2),
+        VerifyConfig("nor-n3-one", "noisy-or", b(0, 1, 0), 0.1, 0.25, 2),
+        VerifyConfig("nor-n4-one", "noisy-or", b(1, 0, 0, 0), 0.05, 0.3, 2),
+        VerifyConfig("nor-n4-zero", "noisy-or", b(0, 0, 0, 0), 0.05, 0.1, 2),
         # Full MAX algorithm (n <= 3, reachable thresholds <= 8).
-        VerifyConfig("nmax-n2", "noisy_max", v(1, 2), 0.2, 0.25, 3),
-        VerifyConfig("nmax-n3-sorted", "noisy_max", v(1, 2, 3), 0.25, 0.25, 3),
-        VerifyConfig("nmax-n3-reloc", "noisy_max", v(3, 1, 2), 0.25, 0.25, 3),
-        VerifyConfig("nmax-n3-p15", "noisy_max", v(1, 2, 3), 0.25, 0.15, 3),
+        VerifyConfig("nmax-n2", "noisy-max", v(1, 2), 0.2, 0.25, 3),
+        VerifyConfig("nmax-n3-sorted", "noisy-max", v(1, 2, 3), 0.25, 0.25, 3),
+        VerifyConfig("nmax-n3-reloc", "noisy-max", v(3, 1, 2), 0.25, 0.25, 3),
+        VerifyConfig("nmax-n3-p15", "noisy-max", v(1, 2, 3), 0.25, 0.15, 3),
     ]
 
 
@@ -735,7 +710,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     checks.append(("walk conditional stats vs closed form", worst < 1e-12, f"max rel err {worst:.2e}"))
 
     # Enumeration agrees with hand-derivable structure.
-    single = enumerate_tournament(BitInstance(bits=(0,)), "tournament_or", 0.25, 0.25)
+    single = enumerate_tournament(BitInstance(bits=(0,)), "tournament-or", 0.25, 0.25)
     cf1 = analyze_walk(0.25, vote_threshold(0.25, 0.25))
     ok = (
         _rel_err(single.error_probability, cf1.error_probability) < 1e-12
@@ -743,8 +718,8 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     )
     checks.append(("enumeration: single-entrant OR = one stopped walk", ok, ""))
 
-    pair = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "tournament_max", 0.1, 0.25)
-    k2 = vote_threshold_log(0.25, 2 * math.log(0.1))
+    pair = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "tournament-max", 0.1, 0.25)
+    (k2,) = RoundSchedule.for_size(2, 0.1).vote_thresholds(0.25)
     cf2 = analyze_walk(0.25, k2)
     ok = (
         _rel_err(pair.error_probability, cf2.error_probability) < 1e-12
@@ -753,7 +728,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     checks.append(("enumeration: two-entrant MAX = one squared-tolerance walk", ok, ""))
 
     inst22 = BitInstance(bits=(0, 0))
-    enum22 = enumerate_tournament(inst22, "noisy_or", 0.2, 0.25)
+    enum22 = enumerate_tournament(inst22, "noisy-or", 0.2, 0.25)
     err_struct = noisy_or_error_all_zero(2, 0.2, 0.25)
     eq_struct = expected_queries_noisy_or(inst22, 0.2, 0.25)
     ok = (
@@ -800,7 +775,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
                 spec = "literal:" + ",".join(repr(x) for x in cfg.instance.values)
             stats = run_experiment(
                 ExperimentConfig(
-                    algorithm=cfg.algorithm.replace("_", "-"),
+                    algorithm=cfg.algorithm,
                     instance=spec,
                     n=cfg.instance.n,
                     p=cfg.p,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -41,9 +42,59 @@ __all__ = [
     "wilson_interval",
 ]
 
-OR_ALGORITHMS = ("checkbit", "tournament-or", "noisy-or")
-MAX_ALGORITHMS = ("noisycompare", "tournament-max", "noisy-max")
-ALGORITHMS = OR_ALGORITHMS + MAX_ALGORITHMS
+
+# A runner maps (oracle, n, delta, p) to (output, phase-1 queries, subroutine
+# queries).  Each calls its algorithm by module-global name, so a tracer that
+# swaps module attributes sees the call; a table of function objects would not.
+
+
+def _run_checkbit(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+    return (*check_bit(oracle, 1, delta, p), 0)
+
+
+def _run_noisycompare(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+    return (*noisy_compare(oracle, 1, 2, delta, p), 0)
+
+
+def _run_tournament_or(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+    return tournament_or(oracle, list(range(1, n + 1)), delta, p), 0, oracle.ledger.total
+
+
+def _run_tournament_max(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+    return tournament_max(oracle, list(range(1, n + 1)), delta, p), 0, oracle.ledger.total
+
+
+def _run_noisy_or(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+    report = noisy_or_report(oracle, n, delta, p)
+    return report.output, report.phase1_queries, report.subroutine_queries
+
+
+def _run_noisy_max(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+    report = noisy_max_report(oracle, n, delta, p)
+    return report.output, report.phase1_queries, report.subroutine_queries
+
+
+def _literal(parse: Callable[[str], int | float]) -> Callable[[str], tuple]:
+    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok != "")
+
+
+# An instance model: its factory, and for each family that takes a parameter
+# the keyword argument the text after the colon becomes.
+_OR_MODEL = (make_instance_or, {"single_one": ("index", int), "literal": ("bits", _literal(int))})
+_MAX_MODEL = (
+    make_instance_max,
+    {"relocated": ("index", int), "permuted": ("seed", int), "literal": ("values", _literal(float))},
+)
+
+# name -> (instance model, runner, target: the output a correct run returns).
+ALGORITHMS = {
+    "checkbit": (_OR_MODEL, _run_checkbit, lambda instance: instance.bits[0]),
+    "tournament-or": (_OR_MODEL, _run_tournament_or, BitInstance.truth),
+    "noisy-or": (_OR_MODEL, _run_noisy_or, BitInstance.truth),
+    "noisycompare": (_MAX_MODEL, _run_noisycompare, lambda instance: instance.values[0] < instance.values[1]),
+    "tournament-max": (_MAX_MODEL, _run_tournament_max, ValueInstance.truth),
+    "noisy-max": (_MAX_MODEL, _run_noisy_max, ValueInstance.truth),
+}
 
 # Two-sided 95% normal quantile, used by both interval styles.
 _Z95 = 1.959963984540054
@@ -85,10 +136,6 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ContractViolation(
-                f"unknown algorithm {self.algorithm!r}; choose from {', '.join(ALGORITHMS)}"
-            )
         if self.n < 1:
             raise ContractViolation(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.p < 0.5:
@@ -177,91 +224,44 @@ def parse_instance_spec(
     spec: str, n: int, algorithm: str
 ) -> BitInstance | ValueInstance:
     """Build the instance named by ``family[:params]`` for the algorithm's model."""
+    if algorithm not in ALGORITHMS:
+        raise ContractViolation(f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}")
+    (factory, keywords), _, _ = ALGORITHMS[algorithm]
     family, _, params = spec.partition(":")
-    or_model = algorithm in OR_ALGORITHMS
+    kwargs = {}
     try:
-        if or_model:
-            if family == "all_zero":
-                return make_instance_or("all_zero", n)
-            if family == "single_one":
-                return make_instance_or("single_one", n, index=int(params))
-            if family == "literal":
-                bits = tuple(int(tok) for tok in params.split(",") if tok != "")
-                if len(bits) != n:
-                    raise ContractViolation(f"literal bits have length {len(bits)}, expected n={n}")
-                return make_instance_or("literal", bits=bits)
-            raise ContractViolation(
-                f"unknown OR-model instance family {family!r} "
-                "(expected all_zero, single_one:j, or literal:b1,b2,...)"
-            )
-        if family == "sorted":
-            return make_instance_max("sorted", n)
-        if family == "relocated":
-            return make_instance_max("relocated", n, index=int(params))
-        if family == "permuted":
-            return make_instance_max("permuted", n, seed=int(params))
-        if family == "literal":
-            values = tuple(float(tok) for tok in params.split(",") if tok != "")
-            if len(values) != n:
-                raise ContractViolation(f"literal values have length {len(values)}, expected n={n}")
-            return make_instance_max("literal", values=values)
-        raise ContractViolation(
-            f"unknown MAX-model instance family {family!r} "
-            "(expected sorted, relocated:i, permuted:seed, or literal:v1,v2,...)"
-        )
-    except ValueError as exc:  # int()/float() parse failures
+        if family in keywords:
+            name, parse = keywords[family]
+            kwargs[name] = parse(params)
+            if family == "literal" and len(kwargs[name]) != n:
+                raise ContractViolation(f"literal {name} have length {len(kwargs[name])}, expected n={n}")
+        return factory(family, n, **kwargs)
+    except ValueError as exc:  # parse failures and the factory's refusals (ContractViolation is one)
         raise ContractViolation(f"bad instance parameters in {spec!r}: {exc}") from exc
 
 
 @lru_cache(maxsize=32)
-def _cached_instance(spec: str, n: int, algorithm: str) -> tuple[BitInstance | ValueInstance, int]:
-    """The instance a spec names and its target value, computed once per instance."""
+def _cached_instance(spec: str, n: int, algorithm: str) -> tuple[BitInstance | ValueInstance, int | bool]:
+    """The instance a spec names and its algorithm's target, computed once per instance."""
     instance = parse_instance_spec(spec, n, algorithm)
-    return instance, instance.truth()
+    return instance, ALGORITHMS[algorithm][2](instance)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
     """Execute one trial; deterministic in (config.seed, trial_index)."""
-    instance, truth = _cached_instance(config.instance, config.n, config.algorithm)
+    instance, target = _cached_instance(config.instance, config.n, config.algorithm)
     oracle = NoisyOracle(instance, config.p, config.seed, trial_index)
-    algorithm = config.algorithm
-    delta, p, n = config.delta, config.p, config.n
-
-    if algorithm == "checkbit":
-        report = check_bit(oracle, 1, delta, p)
-        correct = report.decision == instance.bits[0]
-        phase1, sub = report.queries_used, 0
-    elif algorithm == "noisycompare":
-        report = noisy_compare(oracle, 1, 2, delta, p)
-        correct = report.decision == (instance.values[0] < instance.values[1])
-        phase1, sub = report.queries_used, 0
-    elif algorithm == "tournament-or":
-        output = tournament_or(oracle, list(range(1, n + 1)), delta, p)
-        correct = output == truth
-        phase1, sub = 0, oracle.ledger.total
-    elif algorithm == "tournament-max":
-        output = tournament_max(oracle, list(range(1, n + 1)), delta, p)
-        correct = output == truth
-        phase1, sub = 0, oracle.ledger.total
-    elif algorithm == "noisy-or":
-        rep = noisy_or_report(oracle, n, delta, p)
-        correct = rep.output == truth
-        phase1, sub = rep.phase1_queries, rep.subroutine_queries
-    else:  # noisy-max
-        rep = noisy_max_report(oracle, n, delta, p)
-        correct = rep.output == truth
-        phase1, sub = rep.phase1_queries, rep.subroutine_queries
-
+    output, phase1, sub = ALGORITHMS[config.algorithm][1](oracle, config.n, config.delta, config.p)
     total = oracle.ledger.total
     if total != oracle.ledger.component_total():
         raise InvariantError("ledger total does not match its per-component sum")
     if phase1 + sub != total:
         raise InvariantError(
-            f"phase accounting {phase1} + {sub} != ledger total {total} for {algorithm}"
+            f"phase accounting {phase1} + {sub} != ledger total {total} for {config.algorithm}"
         )
     return TrialStats(
         trial_index=trial_index,
-        correct=correct,
+        correct=output == target,
         queries=total,
         phase1_queries=phase1,
         subroutine_queries=sub,
@@ -278,10 +278,14 @@ def _trial_runner(workers: int, trials: int) -> Iterator[Callable[[ExperimentCon
     """A function from a validated config to its trials, in trial order.
 
     With workers > 1 every call shares one worker pool, opened here and
-    closed on exit; campaigns of fewer than 4 trials run in this process.
+    closed on exit, of at most as many processes as this process has
+    CPUs; campaigns of fewer than 4 trials run in this process.
     """
     if workers < 1:
         raise ContractViolation(f"workers must be >= 1, got {workers}")
+    # Outputs do not depend on the worker count, so more workers than usable CPUs only cost.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cpus)
     if workers == 1 or trials < 4:
         yield lambda config: _run_block(config, 0, config.trials)
         return

@@ -12,6 +12,7 @@ Indices are 1-based throughout, matching the usual [n] convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,7 +58,7 @@ class BitInstance:
 
 @dataclass(frozen=True)
 class ValueInstance:
-    """A hidden vector of pairwise-distinct reals; the target is the argmax index."""
+    """A hidden vector of pairwise-distinct reals, none NaN; the target is the argmax index."""
 
     values: tuple[float, ...]
 
@@ -65,6 +66,8 @@ class ValueInstance:
         if len(self.values) < 1:
             raise ContractViolation("ValueInstance needs at least one value")
         vals = tuple(float(v) for v in self.values)
+        if any(math.isnan(v) for v in vals):
+            raise ContractViolation("values must not be NaN; the argmax is otherwise ill-defined")
         if len(set(vals)) != len(vals):
             raise ContractViolation("values must be pairwise distinct; the argmax is otherwise ill-defined")
         object.__setattr__(self, "values", vals)
@@ -223,44 +226,31 @@ class NoisyOracle:
 
     # -- queries ---------------------------------------------------------------
 
-    def read_bit(self, i: int) -> int:
-        """Read bit i through the channel; increments the ledger, then answers."""
-        bits = self._bits
-        if bits is None:
-            raise ContractViolation("read_bit requires an oracle over a BitInstance")
-        if not 1 <= i <= self._n:
-            raise ContractViolation(f"index {i} out of range 1..{self._n}")
-        ledger = self.ledger
-        ledger.total += 1
-        ledger._per_index[i] += 1
-        if self._forced is not None:
-            return int(self._forced.take())
-        if self._noiseless:
-            return bits[i]
-        pos = self._pos
-        if pos >= len(self._buf):
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return bits[i] ^ self._buf[pos]
+    def _truth(self, i: int, j: int | None) -> bool:
+        """The noiseless answer to a query, once its arguments are checked.
 
-    def compare(self, i: int, j: int) -> bool:
-        """Ask whether values[i] < values[j] through the channel."""
-        values = self._values
-        if values is None:
+        ``j is None`` asks for bit i, anything else whether
+        values[i] < values[j].  Raises before anything is counted or drawn.
+        """
+        n = self._n
+        if j is None:
+            if self._bits is None:
+                raise ContractViolation("read_bit requires an oracle over a BitInstance")
+            if not 1 <= i <= n:
+                raise ContractViolation(f"index {i} out of range 1..{n}")
+            return self._bits[i] == 1
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ContractViolation(f"pair ({i}, {j}) out of range 1..{n}")
+        if self._values is None:
             raise ContractViolation("compare requires an oracle over a ValueInstance")
         if i == j:
             raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
-        if not (1 <= i <= self._n and 1 <= j <= self._n):
-            raise ContractViolation(f"pair ({i}, {j}) out of range 1..{self._n}")
-        ledger = self.ledger
-        ledger.total += 1
-        key = (i, j) if i < j else (j, i)
-        pairs = ledger._per_pair
-        pairs[key] = pairs.get(key, 0) + 1
+        return self._values[i] < self._values[j]
+
+    def _answer(self, truth: bool) -> bool:
+        """One answer through the channel, or the next scripted one."""
         if self._forced is not None:
             return self._forced.take()
-        truth = values[i] < values[j]
         if self._noiseless:
             return truth
         pos = self._pos
@@ -269,6 +259,18 @@ class NoisyOracle:
             pos = 0
         self._pos = pos + 1
         return truth != self._buf[pos]
+
+    def read_bit(self, i: int) -> int:
+        """Read bit i through the channel; increments the ledger, then answers."""
+        truth = self._truth(i, None)
+        self._count(i, 0, 1)
+        return int(self._answer(truth))
+
+    def compare(self, i: int, j: int) -> bool:
+        """Ask whether values[i] < values[j] through the channel."""
+        truth = self._truth(i, j)
+        self._count(i, j, 1)
+        return self._answer(truth)
 
     def walk(self, i: int, j: int, k: int) -> tuple[bool, int]:
         """Repeat one query until the net vote reaches +k or -k: (net vote > 0, queries).
@@ -284,22 +286,7 @@ class NoisyOracle:
         ``bytes.count``.  Forced walks take their scripted answers one
         by one; noiseless walks return after exactly k queries.
         """
-        if j == 0:
-            bits = self._bits
-            if bits is None:
-                raise ContractViolation("read_bit requires an oracle over a BitInstance")
-            if not 1 <= i <= self._n:
-                raise ContractViolation(f"index {i} out of range 1..{self._n}")
-            truth = bits[i] == 1
-        else:
-            values = self._values
-            if values is None:
-                raise ContractViolation("compare requires an oracle over a ValueInstance")
-            if i == j:
-                raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
-            if not (1 <= i <= self._n and 1 <= j <= self._n):
-                raise ContractViolation(f"pair ({i}, {j}) out of range 1..{self._n}")
-            truth = values[i] < values[j]
+        truth = self._truth(i, j or None)
         if k < 1:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
 
@@ -379,7 +366,7 @@ def make_instance_or(
         if bits is None:
             raise ContractViolation("literal requires bits")
         return BitInstance(bits=tuple(bits))
-    raise ContractViolation(f"unknown OR instance family {family!r}")
+    raise ContractViolation(f"unknown OR instance family {family!r} (expected all_zero, single_one or literal)")
 
 
 def make_instance_max(
@@ -421,4 +408,6 @@ def make_instance_max(
         if values is None:
             raise ContractViolation("literal requires values")
         return ValueInstance(values=tuple(values))
-    raise ContractViolation(f"unknown MAX instance family {family!r}")
+    raise ContractViolation(
+        f"unknown MAX instance family {family!r} (expected sorted, relocated, permuted or literal)"
+    )

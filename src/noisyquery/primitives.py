@@ -16,7 +16,6 @@ produces routinely (tolerances are therefore passed around in log space).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -24,7 +23,6 @@ from .errors import ContractViolation
 from .oracles import NoisyOracle
 
 __all__ = [
-    "PosteriorState",
     "StopReport",
     "check_bit",
     "check_bit_log",
@@ -67,49 +65,6 @@ def vote_threshold_log(p: float, log_delta: float) -> int:
     return math.ceil(numerator / math.log((1.0 - p) / p))
 
 
-@dataclass
-class PosteriorState:
-    """Exact posterior of the stopped walk: alpha = lambda^d / (1 + lambda^d).
-
-    ``net_votes`` is the number of answers favouring the positive
-    hypothesis minus those against; ``threshold`` is the absorbing margin
-    K >= 1.
-    """
-
-    net_votes: int
-    threshold: int
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ContractViolation(f"threshold must be >= 1, got {self.threshold}")
-        if not self.lam > 1.0:
-            raise ContractViolation(f"lambda must exceed 1, got {self.lam}")
-
-    @property
-    def alpha(self) -> float:
-        # Logistic form keeps the value finite for large |d| log(lambda).
-        x = self.net_votes * math.log(self.lam)
-        if x >= 0:
-            return 1.0 / (1.0 + math.exp(-x))
-        e = math.exp(x)
-        return e / (1.0 + e)
-
-    @property
-    def stopped(self) -> bool:
-        return abs(self.net_votes) >= self.threshold
-
-    def observe(self, favourable: bool) -> None:
-        if self.stopped:
-            raise ContractViolation("posterior walk already absorbed; no further observations allowed")
-        self.net_votes += 1 if favourable else -1
-
-    def decision(self) -> bool:
-        if not self.stopped:
-            raise ContractViolation("walk has not stopped; no decision available")
-        return self.net_votes > 0
-
-
 class StopReport(NamedTuple):
     """Outcome of one stopping primitive: the decision and the queries it consumed."""
 
@@ -129,9 +84,8 @@ def _bit_walk(oracle: NoisyOracle, i: int, k: int) -> StopReport:
 
 
 def _compare_walk(oracle: NoisyOracle, i: int, j: int, k: int) -> StopReport:
-    if j == 0:  # oracle.walk would read bit i instead
-        raise ContractViolation(f"pair ({i}, {j}) out of range 1..{oracle.instance.n}")
-    return _report(StopReport, oracle.walk(i, j, k))
+    # oracle.walk(i, 0, k) would read bit i; compare(i, 0) refuses the pair as out of range.
+    return _report(StopReport, oracle.walk(i, j, k) if j else oracle.compare(i, j))
 
 
 def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:

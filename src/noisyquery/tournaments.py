@@ -24,7 +24,7 @@ from .errors import ContractViolation
 from .oracles import NoisyOracle
 from .primitives import check_bit, check_bit_log, noisy_compare_log, vote_threshold_log
 
-__all__ = ["Bracket", "RoundSchedule", "tournament_max", "tournament_or"]
+__all__ = ["RoundSchedule", "tournament_max", "tournament_or"]
 
 # Observer signature: (round_index, log_tolerance, vote_threshold, first, second)
 MatchHook = Callable[[int, float, int, int, int], None]
@@ -59,44 +59,38 @@ class RoundSchedule:
         """The round-i tolerance as a float; 0.0 signals underflow, use the log form."""
         return math.exp(self.log_round_error(i))
 
-
-@dataclass
-class Bracket:
-    """Survivors of a knockout in entry order, by original index."""
-
-    survivors: list[int]
-    round_index: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.survivors)
+    def vote_thresholds(self, p: float) -> list[int]:
+        """The vote threshold of rounds 1..rounds at crossover probability p."""
+        return [vote_threshold_log(p, self.log_round_error(i)) for i in range(1, self.rounds + 1)]
 
 
 def _play_rounds(
-    oracle: NoisyOracle,
     entrants: Sequence[int],
     delta: float,
     p: float,
     winner_of: Callable[[int, int, float], int],
     match_hook: MatchHook | None,
 ) -> int:
-    """Run the bracket to a single survivor; ``winner_of(a, b, log_tol)`` decides a match."""
+    """Run the bracket to a single survivor; ``winner_of(a, b, log_tol)`` decides a match.
+
+    The schedule refuses an empty bracket and a delta outside (0, 1/2)
+    before any match is played.
+    """
     schedule = RoundSchedule.for_size(len(entrants), delta)
-    bracket = Bracket(survivors=list(entrants))
+    survivors = list(entrants)
     for i in range(1, schedule.rounds + 1):
         log_tol = schedule.log_round_error(i)
-        prev = bracket.survivors
-        r = len(prev)
+        r = len(survivors)
         nxt = []
         for j in range(r // 2):
-            first, second = prev[2 * j], prev[2 * j + 1]
+            first, second = survivors[2 * j], survivors[2 * j + 1]
             if match_hook is not None:
                 match_hook(i, log_tol, vote_threshold_log(p, log_tol), first, second)
             nxt.append(winner_of(first, second, log_tol))
         if r % 2 == 1:
-            nxt.append(prev[-1])
-        bracket = Bracket(survivors=nxt, round_index=i)
-    return bracket.survivors[0]
+            nxt.append(survivors[-1])
+        survivors = nxt
+    return survivors[0]
 
 
 def tournament_or(
@@ -113,15 +107,10 @@ def tournament_or(
     advances the second.  The last survivor is checked once more at the
     full tolerance and that decision is returned.
     """
-    if not indices:
-        raise ContractViolation("tournament_or requires at least one index")
-    if not 0.0 < delta < 0.5:
-        raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
-
     def winner_of(first: int, second: int, log_tol: float) -> int:
         return first if check_bit_log(oracle, first, log_tol, p).decision == 1 else second
 
-    last = _play_rounds(oracle, indices, delta, p, winner_of, match_hook)
+    last = _play_rounds(indices, delta, p, winner_of, match_hook)
     return check_bit(oracle, last, delta, p).decision
 
 
@@ -139,12 +128,7 @@ def tournament_max(
     "less-than" verdict advances the second element, anything else the
     first.  A single entrant is returned immediately with no queries.
     """
-    if not indices:
-        raise ContractViolation("tournament_max requires at least one index")
-    if not 0.0 < delta < 0.5:
-        raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
-
     def winner_of(first: int, second: int, log_tol: float) -> int:
         return second if noisy_compare_log(oracle, first, second, log_tol, p).decision else first
 
-    return _play_rounds(oracle, indices, delta, p, winner_of, match_hook)
+    return _play_rounds(indices, delta, p, winner_of, match_hook)

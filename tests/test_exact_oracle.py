@@ -95,12 +95,12 @@ class TestTournamentCosts:
 
 class TestEnumeration:
     def test_single_entrant_or_equals_walk(self):
-        result = enumerate_tournament(BitInstance(bits=(0,)), "tournament_or", 0.25, 0.25)
+        result = enumerate_tournament(BitInstance(bits=(0,)), "tournament-or", 0.25, 0.25)
         assert result.error_probability == pytest.approx(0.25, rel=1e-14)
         assert result.expected_queries == pytest.approx(1.0, rel=1e-14)
 
     def test_two_entrant_max_is_one_squared_tolerance_walk(self):
-        result = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "tournament_max", 0.1, 0.25)
+        result = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "tournament-max", 0.1, 0.25)
         k = vote_threshold_log(0.25, 2 * math.log(0.1))
         w = analyze_walk(0.25, k)
         assert result.error_probability == pytest.approx(w.error_probability, rel=1e-13)
@@ -110,7 +110,7 @@ class TestEnumeration:
         # Threshold max(log 2, 0.4 log 5) = log 2 < 1: one false positive
         # already declares 1, so error = 1 - (1 - walkerr)^2 with K = 2 and
         # the run is always exactly two walks.
-        result = enumerate_tournament(BitInstance(bits=(0, 0)), "noisy_or", 0.2, 0.25)
+        result = enumerate_tournament(BitInstance(bits=(0, 0)), "noisy-or", 0.2, 0.25)
         assert result.error_probability == pytest.approx(0.19, abs=1e-12)
         assert result.expected_queries == pytest.approx(6.4, abs=1e-12)
 
@@ -130,13 +130,13 @@ class TestEnumeration:
         # At (p, delta) = (0.25, 0.1) the final check's exact error is
         # exactly delta, so the bracket round pushes the total above it;
         # kept as a documented property of the as-written schedule.
-        result = enumerate_tournament(BitInstance(bits=(1, 0)), "tournament_or", 0.1, 0.25)
+        result = enumerate_tournament(BitInstance(bits=(1, 0)), "tournament-or", 0.1, 0.25)
         assert result.error_probability == pytest.approx(0.10327868852459016, rel=1e-12)
         assert result.error_probability > 0.1
 
     def test_structural_or_predictors_match_enumeration(self):
         inst = BitInstance(bits=(0, 0, 0))
-        enum = enumerate_tournament(inst, "noisy_or", 0.1, 0.25)
+        enum = enumerate_tournament(inst, "noisy-or", 0.1, 0.25)
         assert noisy_or_error_all_zero(3, 0.1, 0.25) == pytest.approx(
             enum.error_probability, rel=1e-9
         )
@@ -146,19 +146,19 @@ class TestEnumeration:
 
     def test_or_predictor_handles_mixed_bits(self):
         inst = BitInstance(bits=(0, 1, 0))
-        enum = enumerate_tournament(inst, "noisy_or", 0.1, 0.25)
+        enum = enumerate_tournament(inst, "noisy-or", 0.1, 0.25)
         assert expected_queries_noisy_or(inst, 0.1, 0.25) == pytest.approx(
             enum.expected_queries, rel=1e-9
         )
 
     def test_max_predictor_close_to_enumeration(self):
         # First-order in the tournament error; 0.1 percent at this scale.
-        enum = enumerate_tournament(ValueInstance(values=(1.0, 2.0, 3.0)), "noisy_max", 0.25, 0.25)
+        enum = enumerate_tournament(ValueInstance(values=(1.0, 2.0, 3.0)), "noisy-max", 0.25, 0.25)
         pred = expected_queries_noisy_max(3, 0.25, 0.25)
         assert pred == pytest.approx(enum.expected_queries, rel=2e-3)
 
     def test_max_predictor_exact_when_everything_is_sampled(self):
-        enum = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "noisy_max", 0.2, 0.25)
+        enum = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "noisy-max", 0.2, 0.25)
         assert expected_queries_noisy_max(2, 0.2, 0.25) == pytest.approx(
             enum.expected_queries, rel=1e-12
         )
@@ -168,27 +168,33 @@ class TestEnumerationCaps:
     def test_tournament_size_cap(self):
         inst = BitInstance(bits=(0,) * 9)
         with pytest.raises(EnumerationCapError):
-            enumerate_tournament(inst, "tournament_or", 0.05, 0.25)
+            enumerate_tournament(inst, "tournament-or", 0.05, 0.25)
 
     def test_full_algorithm_size_cap(self):
         inst = BitInstance(bits=(0,) * 5)
         with pytest.raises(EnumerationCapError):
-            enumerate_tournament(inst, "noisy_or", 0.1, 0.25)
+            enumerate_tournament(inst, "noisy-or", 0.1, 0.25)
 
     def test_threshold_cap(self):
         # delta = 0.2 at p = 0.25 makes the deepest reachable MAX round
         # need a vote threshold of 9, above the cap of 8.
         inst = ValueInstance(values=(1.0, 2.0, 3.0))
         with pytest.raises(EnumerationCapError):
-            enumerate_tournament(inst, "noisy_max", 0.2, 0.25)
+            enumerate_tournament(inst, "noisy-max", 0.2, 0.25)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ContractViolation):
             enumerate_tournament(BitInstance(bits=(0,)), "bogus", 0.1, 0.25)
 
+    @pytest.mark.parametrize("algorithm", ["tournament_or", "tournament_max", "noisy_or", "noisy_max"])
+    def test_underscore_names_refused(self, algorithm):
+        instance = BitInstance(bits=(0,)) if algorithm.endswith("or") else ValueInstance(values=(1.0,))
+        with pytest.raises(ContractViolation, match="unknown algorithm"):
+            enumerate_tournament(instance, algorithm, 0.1, 0.25)
+
     def test_model_mismatch(self):
         with pytest.raises(ContractViolation):
-            enumerate_tournament(BitInstance(bits=(0,)), "tournament_max", 0.1, 0.25)
+            enumerate_tournament(BitInstance(bits=(0,)), "tournament-max", 0.1, 0.25)
 
 
 class TestVerifyChecks:

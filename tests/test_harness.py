@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+from types import SimpleNamespace
 
 import pytest
 
+from noisyquery import harness
 from noisyquery.bounds import lecam_budget, upper_budget
 from noisyquery.errors import ContractViolation, InvariantError
+from noisyquery.exact_oracle import verify_registry
 from noisyquery.harness import (
     CSV_COLUMNS,
     AggregateStats,
@@ -23,6 +27,7 @@ from noisyquery.harness import (
     run_trials,
     wilson_interval,
 )
+from noisyquery.oracles import BitInstance
 
 
 def _config(**overrides):
@@ -56,6 +61,7 @@ class TestConfigValidation:
             {"instance": "single_one:9"},          # index out of range for n=1
             {"instance": "literal:0,1"},           # wrong length for n=1
             {"algorithm": "noisycompare", "instance": "sorted"},  # n=1 too small
+            {"algorithm": "noisy-max", "instance": "literal:nan,1", "n": 2},  # argmax undefined
         ],
     )
     def test_rejects(self, overrides):
@@ -77,6 +83,23 @@ class TestConfigValidation:
             parse_instance_spec("sorted", 3, "noisy-or")
         with pytest.raises(ContractViolation):
             parse_instance_spec("all_zero", 3, "noisy-max")
+
+    @pytest.mark.parametrize("algorithm", ["quicksort", "noisy_or", ""])
+    def test_unknown_algorithm_is_a_contract_violation(self, algorithm):
+        with pytest.raises(ContractViolation, match="unknown algorithm"):
+            parse_instance_spec("all_zero", 3, algorithm)
+
+
+class TestAlgorithmTable:
+    def test_verify_registry_runs_as_written(self):
+        for cfg in verify_registry():
+            assert cfg.algorithm in harness.ALGORITHMS
+            if isinstance(cfg.instance, BitInstance):
+                spec = "literal:" + ",".join(str(x) for x in cfg.instance.bits)
+            else:
+                spec = "literal:" + ",".join(repr(x) for x in cfg.instance.values)
+            config = ExperimentConfig(cfg.algorithm, spec, cfg.instance.n, cfg.p, cfg.delta, trials=3, seed=1)
+            assert run_experiment(config).config.algorithm == cfg.algorithm
 
 
 class TestIntervals:
@@ -154,6 +177,33 @@ class TestTrials:
     def test_worker_count_does_not_change_results(self):
         cfg = _config(algorithm="noisy-or", instance="single_one:3", n=8, trials=24)
         assert run_trials(cfg, workers=1) == run_trials(cfg, workers=2)
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize("cpus, workers, expected", [(3, 5000, [3]), (3, 2, [2]), (1, 5000, [])])
+    def test_pool_is_capped_at_usable_cpus(self, monkeypatch, cpus, workers, expected):
+        sizes = []
+
+        class SerialPool:
+            """Stands in for a process pool: records its size and runs every job here."""
+
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, jobs, chunksize=1):
+                return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = _config(algorithm="noisy-or", instance="single_one:3", n=8, trials=8)
+        assert run_trials(cfg, workers=workers) == run_trials(cfg)
+        assert sizes == expected
 
 
 class TestAggregation:

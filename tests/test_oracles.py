@@ -39,6 +39,15 @@ class TestInstances:
         with pytest.raises(ContractViolation):
             ValueInstance(values=())
 
+    def test_value_nan_rejected(self):
+        # NaN compares false both ways, so it would leave the argmax undefined;
+        # infinities are ordered and stay allowed.
+        for values in [(math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ContractViolation):
+                ValueInstance(values=values)
+        assert ValueInstance(values=(1.0, math.inf)).truth() == 2
+        assert ValueInstance(values=(1.0, -math.inf)).truth() == 1
+
 
 class TestInstanceFactories:
     def test_all_zero(self):

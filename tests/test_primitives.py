@@ -10,7 +10,6 @@ from noisyquery.errors import ContractViolation
 from noisyquery.exact_oracle import analyze_walk
 from noisyquery.oracles import BitInstance, ForcedResponseStream, NoisyOracle, ValueInstance
 from noisyquery.primitives import (
-    PosteriorState,
     StopReport,
     check_bit,
     check_bit_log,
@@ -181,36 +180,6 @@ class TestNoisyCompareTraces:
         with pytest.raises(ContractViolation, match="out of range"):
             noisy_compare_log(oracle, 2, 0, math.log(0.01), 0.25)
         assert oracle.ledger.total == 0
-
-
-class TestPosteriorState:
-    def test_alpha_matches_closed_form(self):
-        state = PosteriorState(net_votes=5, threshold=5, lam=3.0)
-        assert state.alpha == pytest.approx(3.0**5 / (1 + 3.0**5), rel=1e-15)
-        assert state.stopped
-        assert state.decision() is True
-
-    def test_alpha_extreme_votes_stay_finite(self):
-        state = PosteriorState(net_votes=5000, threshold=5000, lam=3.0)
-        assert state.alpha == 1.0
-        down = PosteriorState(net_votes=-5000, threshold=5000, lam=3.0)
-        assert down.alpha == 0.0
-
-    def test_observation_protocol(self):
-        state = PosteriorState(net_votes=0, threshold=2, lam=3.0)
-        with pytest.raises(ContractViolation):
-            state.decision()
-        state.observe(True)
-        state.observe(True)
-        assert state.decision() is True
-        with pytest.raises(ContractViolation):
-            state.observe(True)
-
-    def test_validation(self):
-        with pytest.raises(ContractViolation):
-            PosteriorState(net_votes=0, threshold=0, lam=3.0)
-        with pytest.raises(ContractViolation):
-            PosteriorState(net_votes=0, threshold=1, lam=0.9)
 
 
 def _float_posterior_run(p, delta, answers):

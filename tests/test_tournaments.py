@@ -197,7 +197,7 @@ class TestStatisticalAgreement:
     )
     def test_or_error_matches_enumeration(self, bits, delta, p):
         instance = BitInstance(bits=bits)
-        exact = enumerate_tournament(instance, "tournament_or", delta, p)
+        exact = enumerate_tournament(instance, "tournament-or", delta, p)
         trials = 20_000
         wrong = 0
         queries = 0
@@ -212,7 +212,7 @@ class TestStatisticalAgreement:
 
     def test_max_error_matches_enumeration(self):
         instance = ValueInstance(values=(1.0, 2.0, 3.0))
-        exact = enumerate_tournament(instance, "tournament_max", 0.05, 0.3)
+        exact = enumerate_tournament(instance, "tournament-max", 0.05, 0.3)
         trials = 20_000
         wrong = 0
         queries = 0
