@@ -50,7 +50,6 @@ from .tournaments import RoundSchedule, tournament_max, tournament_or
 from .toplevel import (
     MaxRunReport,
     OrRunReport,
-    OrThreshold,
     noisy_max,
     noisy_max_report,
     noisy_or,
@@ -72,7 +71,6 @@ __all__ = [
     "MaxRunReport",
     "NoisyOracle",
     "OrRunReport",
-    "OrThreshold",
     "QueryLedger",
     "RoundSchedule",
     "StopReport",

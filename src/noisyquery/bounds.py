@@ -123,15 +123,16 @@ def regime_ratio(delta: float, p: float) -> float:
     return math.log(1.0 / delta) / math.log(1.0 / p)
 
 
-def regime_label(ratio: float, small: float = 0.1, large: float = 10.0) -> str:
+def regime_label(ratio: float) -> str:
     """Classify a regime ratio as omega(1)-like, o(1)-like, or constant-gap.
 
-    The thresholds are presentation heuristics for a single (delta, p)
-    point; the asymptotic statements only make sense along sequences.
+    The thresholds 10 and 0.1 are presentation heuristics for a single
+    (delta, p) point; the asymptotic statements only make sense along
+    sequences.
     """
-    if ratio >= large:
+    if ratio >= 10.0:
         return "omega(1)-like: KL term dominates, bounds tight"
-    if ratio <= small:
+    if ratio <= 0.1:
         return "o(1)-like: linear term dominates, bounds tight"
     return "Theta(1): constant gap, bounds tight up to constant"
 

@@ -29,34 +29,24 @@ _EXIT_CONFIG = 2
 _EXIT_INTERNAL = 3
 
 
-def _parse_grid_int(text: str) -> list[int]:
-    """Comma list ("100,1000") or inclusive range ("100:1000:300")."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ContractViolation(f"range grid must be start:stop:step, got {text!r}")
-        start, stop, step = (int(tok) for tok in parts)
-        if step <= 0 or stop < start:
-            raise ContractViolation(f"bad range grid {text!r}")
+def _parse_grid(text: str, kind: type[int] | type[float]) -> list:
+    """Comma list ("100,1000") or inclusive range ("100:1000:300") of ints or floats."""
+    if ":" not in text:
+        return [kind(tok) for tok in text.split(",") if tok != ""]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ContractViolation(f"range grid must be start:stop:step, got {text!r}")
+    start, stop, step = (kind(tok) for tok in parts)
+    if step <= 0 or stop < start:
+        raise ContractViolation(f"bad range grid {text!r}")
+    if kind is int:
         return list(range(start, stop + 1, step))
-    return [int(tok) for tok in text.split(",") if tok != ""]
-
-
-def _parse_grid_float(text: str) -> list[float]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ContractViolation(f"range grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(tok) for tok in parts)
-        if step <= 0 or stop < start:
-            raise ContractViolation(f"bad range grid {text!r}")
-        out = []
-        x = start
-        while x <= stop + 1e-12:
-            out.append(round(x, 12))
-            x += step
-        return out
-    return [float(tok) for tok in text.split(",") if tok != ""]
+    out = []
+    x = start
+    while x <= stop + 1e-12:
+        out.append(round(x, 12))
+        x += step
+    return out
 
 
 def _check_out(out: str | None) -> None:
@@ -134,9 +124,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     try:
-        n_grid = _parse_grid_int(args.n)
-        p_grid = _parse_grid_float(args.p)
-        delta_grid = _parse_grid_float(args.delta)
+        n_grid = _parse_grid(args.n, int)
+        p_grid = _parse_grid(args.p, float)
+        delta_grid = _parse_grid(args.delta, float)
     except ValueError as exc:  # int()/float() parse failures
         raise ContractViolation(f"bad grid value: {exc}") from exc
     total = len(n_grid) * len(p_grid) * len(delta_grid)

@@ -283,7 +283,7 @@ def noisy_or_error_all_zero(n: int, delta: float, p: float) -> float:
     check does, independent of the bracket path.
     """
     err = analyze_walk(p, vote_threshold(p, delta)).error_probability
-    theta = or_threshold(n, delta).value
+    theta = or_threshold(n, delta)
     lo, pmf = _binom_pmf_window(n, err)
     error = 0.0
     for offset, mass in enumerate(pmf):
@@ -312,7 +312,7 @@ def expected_queries_noisy_or(instance: BitInstance, delta: float, p: float) -> 
     lo0, pmf0 = _binom_pmf_window(zeros, err) if zeros else (0, np.array([1.0]))
     pmf = np.convolve(pmf1, pmf0)
     lo = lo1 + lo0
-    theta = or_threshold(n, delta).value
+    theta = or_threshold(n, delta)
     tournament = 0.0
     for offset, mass in enumerate(pmf):
         s = lo + offset
@@ -474,7 +474,7 @@ def _enum_tournament_max(instance: ValueInstance, delta: float, p: float) -> Enu
 def _enum_noisy_or(instance: BitInstance, delta: float, p: float) -> EnumerationResult:
     n = instance.n
     stats = walk_branch_stats(p, vote_threshold(p, delta))
-    theta = or_threshold(n, delta).value
+    theta = or_threshold(n, delta)
     out = {0: 0.0, 1: 0.0}
     eq_total = 0.0
     # Phase-1 outcomes: which bits end up on the survivor list.
@@ -551,7 +551,7 @@ def _reachable_thresholds(algorithm: str, n: int, delta: float, p: float) -> lis
     even when n alone would permit them.
     """
     if algorithm == "noisy-or":
-        theta = or_threshold(n, delta).value
+        theta = or_threshold(n, delta)
         bracket = max(min(n, math.ceil(theta) - 1), 1)
     else:
         bracket = n

@@ -13,10 +13,10 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bounds import lecam_budget, upper_budget
 from .errors import ContractViolation, InvariantError
@@ -99,29 +99,6 @@ ALGORITHMS = {
 # Two-sided 95% normal quantile, used by both interval styles.
 _Z95 = 1.959963984540054
 
-CSV_COLUMNS = (
-    "algorithm",
-    "instance",
-    "n",
-    "p",
-    "delta",
-    "trials",
-    "seed",
-    "errors",
-    "error_rate",
-    "error_ci_lo",
-    "error_ci_hi",
-    "mean_queries",
-    "queries_ci_lo",
-    "queries_ci_hi",
-    "max_queries",
-    "phase1_mean_queries",
-    "subroutine_mean_queries",
-    "theory_upper_budget",
-    "theory_lecam_m_at_delta",
-    "ratio_mean_over_upper",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -151,22 +128,14 @@ class ExperimentConfig:
         parse_instance_spec(self.instance, self.n, self.algorithm)
 
 
-@dataclass(frozen=True)
-class TrialStats:
-    """Observables of a single trial."""
+class TrialStats(NamedTuple):
+    """Observables of a single trial; :func:`run_trial` checks queries = phase1 + subroutine."""
 
     trial_index: int
     correct: bool
     queries: int
     phase1_queries: int
     subroutine_queries: int
-
-    def __post_init__(self) -> None:
-        if self.queries != self.phase1_queries + self.subroutine_queries:
-            raise InvariantError(
-                f"trial {self.trial_index}: phase breakdown {self.phase1_queries} + "
-                f"{self.subroutine_queries} != total {self.queries}"
-            )
 
 
 @dataclass(frozen=True)
@@ -189,17 +158,23 @@ class AggregateStats:
     ratio_mean_over_upper: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval; appropriate for the rare-event error rates here."""
+# The output columns: the config's fields, then the aggregates' in declaration order.
+_CONFIG_COLUMNS = tuple(f.name for f in fields(ExperimentConfig))
+_STATS_COLUMNS = tuple(f.name for f in fields(AggregateStats) if f.name != "config")
+CSV_COLUMNS = _CONFIG_COLUMNS + _STATS_COLUMNS
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; appropriate for the rare-event error rates here."""
     if trials < 1:
         raise ContractViolation(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ContractViolation(f"successes {successes} outside 0..{trials}")
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     centre = (phat + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     # At the extremes centre - half is 0 (or centre + half is 1) exactly in
     # real arithmetic; pin them so float residue cannot leak through.
     lo = 0.0 if successes == 0 else max(0.0, centre - half)
@@ -207,8 +182,8 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return lo, hi
 
 
-def mean_interval(values: Sequence[float], z: float = _Z95) -> tuple[float, float, float]:
-    """(mean, lo, hi) normal-approximation interval; degenerate for one value."""
+def mean_interval(values: Sequence[float]) -> tuple[float, float, float]:
+    """(mean, lo, hi) 95% normal-approximation interval; degenerate for one value."""
     m = len(values)
     if m < 1:
         raise ContractViolation("mean_interval needs at least one value")
@@ -216,18 +191,21 @@ def mean_interval(values: Sequence[float], z: float = _Z95) -> tuple[float, floa
     if m == 1:
         return mean, mean, mean
     var = sum((v - mean) ** 2 for v in values) / (m - 1)
-    half = z * math.sqrt(var / m)
+    half = _Z95 * math.sqrt(var / m)
     return mean, mean - half, mean + half
 
 
 def parse_instance_spec(
     spec: str, n: int, algorithm: str
 ) -> BitInstance | ValueInstance:
-    """Build the instance named by ``family[:params]`` for the algorithm's model."""
+    """Build the instance named by ``family[:params]`` for the algorithm's model.
+
+    Only families that take a parameter accept text after a colon.
+    """
     if algorithm not in ALGORITHMS:
         raise ContractViolation(f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}")
     (factory, keywords), _, _ = ALGORITHMS[algorithm]
-    family, _, params = spec.partition(":")
+    family, colon, params = spec.partition(":")
     kwargs = {}
     try:
         if family in keywords:
@@ -235,7 +213,10 @@ def parse_instance_spec(
             kwargs[name] = parse(params)
             if family == "literal" and len(kwargs[name]) != n:
                 raise ContractViolation(f"literal {name} have length {len(kwargs[name])}, expected n={n}")
-        return factory(family, n, **kwargs)
+        instance = factory(family, n, **kwargs)  # refuses unknown families first
+        if colon and family not in keywords:
+            raise ContractViolation(f"{family} takes no parameter")
+        return instance
     except ValueError as exc:  # parse failures and the factory's refusals (ContractViolation is one)
         raise ContractViolation(f"bad instance parameters in {spec!r}: {exc}") from exc
 
@@ -259,13 +240,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
         raise InvariantError(
             f"phase accounting {phase1} + {sub} != ledger total {total} for {config.algorithm}"
         )
-    return TrialStats(
-        trial_index=trial_index,
-        correct=output == target,
-        queries=total,
-        phase1_queries=phase1,
-        subroutine_queries=sub,
-    )
+    return TrialStats(trial_index, output == target, total, phase1, sub)
 
 
 def _run_block(config: ExperimentConfig, start: int, stop: int) -> list[TrialStats]:
@@ -377,28 +352,7 @@ def _cell(value) -> str:
 
 def _row_values(stats: AggregateStats) -> list:
     cfg = stats.config
-    return [
-        cfg.algorithm,
-        cfg.instance,
-        cfg.n,
-        cfg.p,
-        cfg.delta,
-        cfg.trials,
-        cfg.seed,
-        stats.errors,
-        stats.error_rate,
-        stats.error_ci_lo,
-        stats.error_ci_hi,
-        stats.mean_queries,
-        stats.queries_ci_lo,
-        stats.queries_ci_hi,
-        stats.max_queries,
-        stats.phase1_mean_queries,
-        stats.subroutine_mean_queries,
-        stats.theory_upper_budget,
-        stats.theory_lecam_m_at_delta,
-        stats.ratio_mean_over_upper,
-    ]
+    return [getattr(cfg, name) for name in _CONFIG_COLUMNS] + [getattr(stats, name) for name in _STATS_COLUMNS]
 
 
 def render_csv(rows: Iterable[AggregateStats]) -> str:
@@ -417,15 +371,6 @@ def render_json(
     for row_idx, stats in enumerate(rows):
         record = dict(zip(CSV_COLUMNS, _row_values(stats)))
         if raw_trials is not None and row_idx in raw_trials:
-            record["trials_raw"] = [
-                {
-                    "trial_index": t.trial_index,
-                    "correct": t.correct,
-                    "queries": t.queries,
-                    "phase1_queries": t.phase1_queries,
-                    "subroutine_queries": t.subroutine_queries,
-                }
-                for t in raw_trials[row_idx]
-            ]
+            record["trials_raw"] = [t._asdict() for t in raw_trials[row_idx]]
         payload.append(record)
     return json.dumps(payload, indent=2) + "\n"

@@ -154,7 +154,6 @@ class NoisyOracle:
         "_values",
         "_n",
         "_forced",
-        "_noiseless",
         "_rng",
         "_buf",
         "_pos",
@@ -192,7 +191,6 @@ class NoisyOracle:
             self._bits = None
             self._values = [0.0, *instance.values]
         self._forced = forced
-        self._noiseless = p == 0.0
         self._rng: np.random.Generator | None = None
         self._buf = b""
         self._pos = 0
@@ -202,11 +200,11 @@ class NoisyOracle:
     # -- randomness plumbing -------------------------------------------------
 
     def _refill(self) -> None:
-        # Channel stream is lazily created so forced/noiseless oracles never
-        # touch the RNG; buffer sizes follow a fixed growth schedule, making
-        # the flip sequence a pure function of (master_seed, trial_index).
-        # Flips are kept as bytes (1 = flipped) so a walk can count a run of
-        # them with bytes.count.
+        # Channel stream is lazily created so forced oracles never touch the
+        # RNG; buffer sizes follow a fixed growth schedule, making the flip
+        # sequence a pure function of (master_seed, trial_index).  Flips are
+        # kept as bytes (1 = flipped) so a walk can count a run of them with
+        # bytes.count; at p = 0 every byte is 0.
         if self._rng is None:
             self._rng = np.random.default_rng(
                 np.random.SeedSequence((self.master_seed, self.trial_index, 0))
@@ -251,8 +249,6 @@ class NoisyOracle:
         """One answer through the channel, or the next scripted one."""
         if self._forced is not None:
             return self._forced.take()
-        if self._noiseless:
-            return truth
         pos = self._pos
         if pos >= len(self._buf):
             self._refill()
@@ -263,7 +259,7 @@ class NoisyOracle:
     def read_bit(self, i: int) -> int:
         """Read bit i through the channel; increments the ledger, then answers."""
         truth = self._truth(i, None)
-        self._count(i, 0, 1)
+        self._count(i, None, 1)
         return int(self._answer(truth))
 
     def compare(self, i: int, j: int) -> bool:
@@ -272,10 +268,10 @@ class NoisyOracle:
         self._count(i, j, 1)
         return self._answer(truth)
 
-    def walk(self, i: int, j: int, k: int) -> tuple[bool, int]:
+    def walk(self, i: int, j: int | None, k: int) -> tuple[bool, int]:
         """Repeat one query until the net vote reaches +k or -k: (net vote > 0, queries).
 
-        ``j == 0`` reads bit i; otherwise each query asks whether
+        ``j is None`` reads bit i; otherwise each query asks whether
         values[i] < values[j].  Answers, flip stream and ledger end up
         exactly as after the same loop of :meth:`read_bit` or
         :meth:`compare` calls; the ledger is updated once per walk.
@@ -283,10 +279,11 @@ class NoisyOracle:
         A noisy walk costs O(jumps), not O(queries): while the margin
         is m it skips k - |m| flips of the byte flip buffer at a time,
         since the walk cannot stop sooner, and counts their flips with
-        ``bytes.count``.  Forced walks take their scripted answers one
-        by one; noiseless walks return after exactly k queries.
+        ``bytes.count``, so a noiseless (p = 0) walk is one jump of
+        exactly k queries.  Forced walks take their scripted answers one
+        by one.
         """
-        truth = self._truth(i, j or None)
+        truth = self._truth(i, j)
         if k < 1:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
 
@@ -300,9 +297,6 @@ class NoisyOracle:
             finally:  # an exhausted script still counts the query it failed to answer
                 self._count(i, j, t)
             return d > 0, t
-        if self._noiseless:
-            self._count(i, j, k)
-            return truth, k
 
         # Track the margin m = (answers equal to the truth) - (flipped answers);
         # the net vote is m when the truth is 1, else -m.  From margin m the
@@ -329,10 +323,10 @@ class NoisyOracle:
         self._count(i, j, t)
         return truth == (m > 0), t
 
-    def _count(self, i: int, j: int, t: int) -> None:
+    def _count(self, i: int, j: int | None, t: int) -> None:
         ledger = self.ledger
         ledger.total += t
-        if j == 0:
+        if j is None:
             ledger._per_index[i] += t
         else:
             key = (i, j) if i < j else (j, i)

@@ -79,13 +79,12 @@ _report = tuple.__new__
 
 
 def _bit_walk(oracle: NoisyOracle, i: int, k: int) -> StopReport:
-    up, t = oracle.walk(i, 0, k)
+    up, t = oracle.walk(i, None, k)
     return _report(StopReport, (1 if up else 0, t))
 
 
 def _compare_walk(oracle: NoisyOracle, i: int, j: int, k: int) -> StopReport:
-    # oracle.walk(i, 0, k) would read bit i; compare(i, 0) refuses the pair as out of range.
-    return _report(StopReport, oracle.walk(i, j, k) if j else oracle.compare(i, j))
+    return _report(StopReport, oracle.walk(i, j, k))
 
 
 def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:

@@ -20,7 +20,6 @@ from .tournaments import tournament_max, tournament_or
 __all__ = [
     "MaxRunReport",
     "OrRunReport",
-    "OrThreshold",
     "noisy_max",
     "noisy_max_report",
     "noisy_or",
@@ -30,31 +29,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrThreshold:
+def or_threshold(n: int, delta: float) -> float:
     """Survivor-count cutoff max(log n, n delta log(1/delta)) for declaring OR = 1.
 
-    ``dominant`` records which argument achieved the max: the count term
-    ``n delta log(1/delta)`` dominates exactly in the delta >= 1/n regime,
-    the ``log n`` term below it.
+    The count term n delta log(1/delta) is the larger exactly when delta >= 1/n.
     """
-
-    n: int
-    delta: float
-    value: float
-    dominant: str  # "n_delta_log" | "log_n"
-
-
-def or_threshold(n: int, delta: float) -> OrThreshold:
     if n < 1:
         raise ContractViolation(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 0.5:
         raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
-    log_term = math.log(n)
-    count_term = n * delta * math.log(1.0 / delta)
-    if count_term >= log_term:
-        return OrThreshold(n=n, delta=delta, value=count_term, dominant="n_delta_log")
-    return OrThreshold(n=n, delta=delta, value=log_term, dominant="log_n")
+    return max(math.log(n), n * delta * math.log(1.0 / delta))
 
 
 def sampling_probability(n: int) -> float:
@@ -74,7 +58,7 @@ class OrRunReport:
     phase1_queries: int       # the n individual bit checks
     subroutine_queries: int   # the shortlist tournament, if it ran
     survivors: tuple[int, ...]
-    threshold: OrThreshold
+    threshold: float
 
     @property
     def total_queries(self) -> int:
@@ -118,7 +102,7 @@ def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRu
     threshold = or_threshold(n, delta)
     if not survivors:
         return OrRunReport(0, phase1, 0, (), threshold)
-    if len(survivors) >= threshold.value:
+    if len(survivors) >= threshold:
         return OrRunReport(1, phase1, 0, tuple(survivors), threshold)
     output = tournament_or(oracle, survivors, delta, p)
     sub = ledger.total - start - phase1

@@ -55,10 +55,6 @@ class RoundSchedule:
             raise ContractViolation(f"round index {i} outside 1..{self.rounds}")
         return 2 * (2 * i - 1) * math.log(self.delta)
 
-    def round_error(self, i: int) -> float:
-        """The round-i tolerance as a float; 0.0 signals underflow, use the log form."""
-        return math.exp(self.log_round_error(i))
-
     def vote_thresholds(self, p: float) -> list[int]:
         """The vote threshold of rounds 1..rounds at crossover probability p."""
         return [vote_threshold_log(p, self.log_round_error(i)) for i in range(1, self.rounds + 1)]

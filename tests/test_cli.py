@@ -80,6 +80,7 @@ class TestRunCommand:
             ["--delta", "0.7"],
             ["--n", "0"],
             ["--instance", "nonsense"],
+            ["--instance", "all_zero:1"],  # all_zero takes no parameter
             ["--trials", "0"],
             ["--seed", "-1"],
         ],

@@ -41,6 +41,12 @@ CASES = {
     "run-noisy-max.json": _run("noisy-max", "relocated:40", 100, "0.25", "0.01"),
     "sweep-checkbit.csv": ["sweep", "--algorithm", "checkbit", "--instance", "single_one:1", "--n", "1", *_GRID],
     "sweep-noisycompare.csv": ["sweep", "--algorithm", "noisycompare", "--instance", "sorted", "--n", "2", *_GRID],
+    "sweep-tournament-max.json": [
+        "sweep", "--algorithm", "tournament-max", "--instance", "permuted:3", "--n", "8,16",
+        "--p", "0.1,0.3", "--delta", "0.05", "--trials", "100", "--seed", _SEED, "--format", "json",
+    ],
+    "bounds.txt": ["bounds", "--n", "1000", "--delta", "0.01", "--p", "0.25"],
+    "verify-mc200.txt": ["verify", "--mc-trials", "200"],
 }
 
 
@@ -55,6 +61,13 @@ def _output(argv: list[str]) -> str:
 def test_output_matches_golden_file(name):
     expected = (GOLDEN_DIR / name).read_text()
     assert _output(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("run-")))
+def test_run_across_workers_matches_golden_file(name):
+    # Trial records cross the worker pool and must come back unchanged.
+    expected = (GOLDEN_DIR / name).read_text()
+    assert _output([*CASES[name], "--workers", "2"]) == expected
 
 
 if __name__ == "__main__":

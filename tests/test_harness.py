@@ -15,7 +15,6 @@ from noisyquery.harness import (
     CSV_COLUMNS,
     AggregateStats,
     ExperimentConfig,
-    TrialStats,
     aggregate,
     mean_interval,
     parse_instance_spec,
@@ -62,6 +61,8 @@ class TestConfigValidation:
             {"instance": "literal:0,1"},           # wrong length for n=1
             {"algorithm": "noisycompare", "instance": "sorted"},  # n=1 too small
             {"algorithm": "noisy-max", "instance": "literal:nan,1", "n": 2},  # argmax undefined
+            {"algorithm": "noisy-or", "instance": "all_zero:7", "n": 3},  # all_zero takes no parameter
+            {"algorithm": "noisy-max", "instance": "sorted:abc", "n": 3},  # sorted takes no parameter
         ],
     )
     def test_rejects(self, overrides):
@@ -152,9 +153,28 @@ class TestTrials:
         assert run_trial(cfg, 0) == run_trial(cfg, 0)
         assert run_trial(cfg, 0) != run_trial(cfg, 1)
 
-    def test_phase_breakdown_invariant(self):
-        with pytest.raises(InvariantError):
-            TrialStats(trial_index=0, correct=True, queries=5, phase1_queries=3, subroutine_queries=1)
+    def test_misreported_phase_split_is_caught(self, monkeypatch):
+        model, runner, target = harness.ALGORITHMS["noisy-or"]
+
+        def misreporting(oracle, n, delta, p):
+            output, phase1, sub = runner(oracle, n, delta, p)
+            return output, phase1, sub + 1
+
+        monkeypatch.setitem(harness.ALGORITHMS, "noisy-or", (model, misreporting, target))
+        with pytest.raises(InvariantError, match="phase accounting"):
+            run_trial(_config(algorithm="noisy-or", instance="all_zero", n=4), 0)
+
+    def test_ledger_total_off_its_components_is_caught(self, monkeypatch):
+        model, runner, target = harness.ALGORITHMS["noisy-or"]
+
+        def bumping(oracle, n, delta, p):
+            output, phase1, sub = runner(oracle, n, delta, p)
+            oracle.ledger.total += 1
+            return output, phase1 + 1, sub
+
+        monkeypatch.setitem(harness.ALGORITHMS, "noisy-or", (model, bumping, target))
+        with pytest.raises(InvariantError, match="per-component sum"):
+            run_trial(_config(algorithm="noisy-or", instance="all_zero", n=4), 0)
 
     @pytest.mark.parametrize(
         "algorithm,instance,n",

@@ -311,7 +311,7 @@ def _loop_walk(oracle, i, j, k):
     d = t = 0
     while -k < d < k:
         t += 1
-        answer = oracle.read_bit(i) if j == 0 else oracle.compare(i, j)
+        answer = oracle.read_bit(i) if j is None else oracle.compare(i, j)
         d += 1 if answer else -1
     return d > 0, t
 
@@ -326,7 +326,7 @@ def _ledger(oracle):
 
 
 def _single(oracle, j):
-    return oracle.read_bit(1) if j == 0 else oracle.compare(1, 2)
+    return oracle.read_bit(1) if j is None else oracle.compare(1, 2)
 
 
 def _assert_walks_match(fast, slow, walks):
@@ -347,7 +347,7 @@ class TestWalkMatchesQueryLoop:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_bit_walks(self, k, seed):
         fast, slow = _twins(BIT_INSTANCE, 0.3, seed, 4)
-        _assert_walks_match(fast, slow, [(1 + w % 4, 0, k) for w in range(40)])
+        _assert_walks_match(fast, slow, [(1 + w % 4, None, k) for w in range(40)])
 
     @pytest.mark.parametrize("k", [1, 2, 5, 60])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -356,7 +356,7 @@ class TestWalkMatchesQueryLoop:
         fast, slow = _twins(VALUE_INSTANCE, 0.3, seed, 4)
         _assert_walks_match(fast, slow, [(*pairs[w % 5], k) for w in range(40)])
 
-    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 3)])
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 3)])
     def test_long_walks_straddle_every_refill(self, instance, j):
         # K = 150 at p = 0.4 takes ~750 queries a walk, so walks cross each boundary.
         fast, slow = _twins(instance, 0.4, 11, 2)
@@ -367,11 +367,11 @@ class TestWalkMatchesQueryLoop:
             assert any(s < boundary < e for s, e in zip(starts, totals)), boundary
 
     @pytest.mark.parametrize("boundary", REFILL_AT[:2])
-    @pytest.mark.parametrize("j", [0, 2])
+    @pytest.mark.parametrize("j", [None, 2])
     def test_walks_starting_and_ending_at_a_refill(self, boundary, j):
         # Single queries bring both twins to just before a boundary; short
         # walks then start at it, end on it, or cross it.
-        instance = BIT_INSTANCE if j == 0 else VALUE_INSTANCE
+        instance = BIT_INSTANCE if j is None else VALUE_INSTANCE
         ended_on_boundary = False
         for lead in range(12):
             fast, slow = _twins(instance, 0.25, 5, lead)
@@ -382,7 +382,7 @@ class TestWalkMatchesQueryLoop:
         assert ended_on_boundary
 
     @pytest.mark.parametrize("k, p", [(600, 0.02), (600, 0.05), (5000, 0.02), (5000, 0.05)])
-    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 3)])
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 3)])
     def test_walks_longer_than_a_buffer(self, k, p, instance, j):
         # One jump of k flips spans the whole 512-flip first buffer and, at
         # K = 5000, the 4096-flip second one too.
@@ -394,12 +394,12 @@ class TestWalkMatchesQueryLoop:
             assert totals[0] > REFILL_AT[1] and totals[-1] > REFILL_AT[2]
 
     @pytest.mark.parametrize("boundary", REFILL_AT[:2])
-    @pytest.mark.parametrize("j", [0, 2])
+    @pytest.mark.parametrize("j", [None, 2])
     def test_jump_landing_on_the_end_of_the_buffer(self, boundary, j):
         # From margin 0 the first jump takes k flips, so a walk started k
         # flips before a boundary lands exactly on it; it either stops there
         # (no refill) or goes on into the next buffer.
-        instance = BIT_INSTANCE if j == 0 else VALUE_INSTANCE
+        instance = BIT_INSTANCE if j is None else VALUE_INSTANCE
         k = 3
         outcomes = set()
         for trial in range(16):
@@ -419,7 +419,7 @@ class TestWalkMatchesQueryLoop:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_walk_sequences(self, p, seed, walks):
-        bit_walks = [(i, 0, k) for i, _, k in walks]
+        bit_walks = [(i, None, k) for i, _, k in walks]
         _assert_walks_match(*_twins(BIT_INSTANCE, p, seed), bit_walks)
         cmp_walks = [(i, j, k) for i, j, k in walks if j not in (0, i)]
         if cmp_walks:
@@ -427,7 +427,7 @@ class TestWalkMatchesQueryLoop:
 
 
 class TestWalkForcedAndNoiseless:
-    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 2)])
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 2)])
     def test_forced_walk_takes_exactly_its_answers(self, instance, j):
         script = [True, False, False, True, False, False, True, True, True]
         stream = ForcedResponseStream(script)
@@ -439,7 +439,7 @@ class TestWalkForcedAndNoiseless:
         assert _ledger(fast) == _ledger(slow)
         assert _single(fast, j) == _single(slow, j) == 1
 
-    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, 0), (VALUE_INSTANCE, 2)])
+    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 2)])
     def test_forced_exhaustion_raises_and_counts_like_the_loop(self, instance, j):
         fast = NoisyOracle(instance, 0.25, forced=ForcedResponseStream([True, False, True]))
         slow = NoisyOracle(instance, 0.25, forced=ForcedResponseStream([True, False, True]))
@@ -450,11 +450,11 @@ class TestWalkForcedAndNoiseless:
         assert _ledger(fast) == _ledger(slow)
         assert fast.ledger.total == 4
 
-    @pytest.mark.parametrize("k", [1, 9])
+    @pytest.mark.parametrize("k", [1, 9, 600])  # 600 > the first 512-flip buffer
     def test_noiseless_walk_takes_exactly_k(self, k):
         oracle = NoisyOracle(BIT_INSTANCE, 0.0, allow_noiseless=True)
-        assert oracle.walk(2, 0, k) == (True, k)
-        assert oracle.walk(1, 0, k) == (False, k)
+        assert oracle.walk(2, None, k) == (True, k)
+        assert oracle.walk(1, None, k) == (False, k)
         assert oracle.ledger.per_index == {1: k, 2: k}
         oracle = NoisyOracle(VALUE_INSTANCE, 0.0, allow_noiseless=True)
         assert oracle.walk(2, 4, k) == (True, k)
@@ -467,14 +467,16 @@ class TestWalkContracts:
     @pytest.mark.parametrize(
         "instance, i, j, k",
         [
-            (BIT_INSTANCE, 0, 0, 3),  # bit index below range
-            (BIT_INSTANCE, 5, 0, 3),  # bit index above range
+            (BIT_INSTANCE, 0, None, 3),  # bit index below range
+            (BIT_INSTANCE, 5, None, 3),  # bit index above range
             (BIT_INSTANCE, 1, 2, 3),  # comparison on a bit instance
-            (VALUE_INSTANCE, 1, 0, 3),  # bit read on a value instance
+            (BIT_INSTANCE, 1, 0, 3),  # 0 is an index out of range, not a bit read
+            (VALUE_INSTANCE, 1, None, 3),  # bit read on a value instance
+            (VALUE_INSTANCE, 1, 0, 3),  # pair out of range
             (VALUE_INSTANCE, 2, 2, 3),  # i == j
             (VALUE_INSTANCE, 1, 5, 3),  # pair out of range
             (VALUE_INSTANCE, -1, 2, 3),  # pair out of range
-            (BIT_INSTANCE, 1, 0, 0),  # vote threshold below 1
+            (BIT_INSTANCE, 1, None, 0),  # vote threshold below 1
             (VALUE_INSTANCE, 1, 2, 0),  # vote threshold below 1
         ],
     )
@@ -483,15 +485,16 @@ class TestWalkContracts:
         with pytest.raises(ContractViolation):
             oracle.walk(i, j, k)
         assert _ledger(oracle) == (0, {}, {})
-        j_ok = 0 if isinstance(instance, BitInstance) else 2
+        j_ok = None if isinstance(instance, BitInstance) else 2
         assert [_single(oracle, j_ok) for _ in range(5)] == [_single(fresh, j_ok) for _ in range(5)]
 
     def test_same_messages_as_single_queries(self):
         bits, values = NoisyOracle(BIT_INSTANCE, 0.25), NoisyOracle(VALUE_INSTANCE, 0.25)
         for walk, single in [
-            (lambda: bits.walk(9, 0, 2), lambda: bits.read_bit(9)),
+            (lambda: bits.walk(9, None, 2), lambda: bits.read_bit(9)),
             (lambda: bits.walk(1, 2, 2), lambda: bits.compare(1, 2)),
-            (lambda: values.walk(1, 0, 2), lambda: values.read_bit(1)),
+            (lambda: values.walk(1, None, 2), lambda: values.read_bit(1)),
+            (lambda: values.walk(1, 0, 2), lambda: values.compare(1, 0)),
             (lambda: values.walk(3, 3, 2), lambda: values.compare(3, 3)),
             (lambda: values.walk(1, 7, 2), lambda: values.compare(1, 7)),
         ]:

@@ -173,7 +173,7 @@ class TestNoisyCompareTraces:
 
     @pytest.mark.parametrize("instance", [BitInstance(bits=(1, 0)), ValueInstance(values=(1.0, 2.0))])
     def test_index_zero_is_out_of_range(self, instance):
-        # j = 0 must not reach the oracle's walk, where it would mean a bit read.
+        # j = 0 is an index out of range, not a bit read (that is j = None).
         oracle = NoisyOracle(instance, 0.25)
         with pytest.raises(ContractViolation, match="out of range"):
             noisy_compare(oracle, 1, 0, 0.01, 0.25)

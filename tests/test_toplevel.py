@@ -30,25 +30,19 @@ from noisyquery.toplevel import (
 
 class TestOrThreshold:
     def test_large_n_anchor(self):
-        th = or_threshold(1000, 0.01)
         # max(log 1000, 1000 * 0.01 * log 100) = max(6.9078, 46.0517)
-        assert th.value == pytest.approx(46.05170185988091, rel=1e-12)
-        assert th.dominant == "n_delta_log"
+        assert or_threshold(1000, 0.01) == pytest.approx(46.05170185988091, rel=1e-12)
 
     def test_small_n_anchor(self):
-        th = or_threshold(3, 0.01)
-        assert th.value == pytest.approx(math.log(3), rel=1e-12)
-        assert th.dominant == "log_n"
+        assert or_threshold(3, 0.01) == pytest.approx(math.log(3), rel=1e-12)
 
     def test_crossover_at_delta_one_over_n(self):
         # At delta = 1/n the two arguments coincide: n * (1/n) * log n = log n.
-        th = or_threshold(100, 0.01)
-        assert th.value == pytest.approx(math.log(100), rel=1e-12)
-        assert th.dominant == "n_delta_log"  # ties go to the count term
+        assert or_threshold(100, 0.01) == pytest.approx(math.log(100), rel=1e-12)
 
     @given(st.integers(min_value=2, max_value=10**6), st.floats(min_value=1e-9, max_value=0.49))
     def test_positive(self, n, delta):
-        assert or_threshold(n, delta).value > 0
+        assert or_threshold(n, delta) > 0
 
     def test_validation(self):
         with pytest.raises(ContractViolation):

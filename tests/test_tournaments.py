@@ -21,7 +21,7 @@ from noisyquery.tournaments import RoundSchedule, tournament_max, tournament_or
 class TestRoundSchedule:
     def test_first_round_is_delta_squared(self):
         schedule = RoundSchedule.for_size(8, 0.1)
-        assert schedule.round_error(1) == pytest.approx(0.01, rel=1e-12)
+        assert math.exp(schedule.log_round_error(1)) == pytest.approx(0.01, rel=1e-12)
 
     def test_exponent_progression(self):
         schedule = RoundSchedule.for_size(16, 0.1)
@@ -44,7 +44,7 @@ class TestRoundSchedule:
         # delta = 1e-12, but log-space thresholds stay finite and exact.
         schedule = RoundSchedule.for_size(1 << 20, 1e-12)
         log_tol = schedule.log_round_error(10)
-        assert schedule.round_error(10) == 0.0  # underflow is expected here
+        assert math.exp(log_tol) == 0.0  # underflow is expected here
         k = vote_threshold_log(0.25, log_tol)
         assert k == math.ceil(-log_tol / math.log(3.0))
 
