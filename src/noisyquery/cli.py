@@ -27,23 +27,37 @@ from .harness import (
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_INTERNAL = 3
+_GRID_CAP = 10_000
 
 
 def _parse_grid(text: str, kind: type[int] | type[float]) -> list:
-    """Comma list ("100,1000") or inclusive range ("100:1000:300") of ints or floats."""
+    """Comma list ("100,1000") or inclusive range ("100:1000:300") of ints or floats.
+
+    A range holds at most ``_GRID_CAP`` points, and its size is checked
+    before any point is built.
+    """
     if ":" not in text:
         return [kind(tok) for tok in text.split(",") if tok != ""]
     parts = text.split(":")
     if len(parts) != 3:
         raise ContractViolation(f"range grid must be start:stop:step, got {text!r}")
     start, stop, step = (kind(tok) for tok in parts)
-    if step <= 0 or stop < start:
+    if not (step > 0 and start <= stop):  # also refuses NaN
         raise ContractViolation(f"bad range grid {text!r}")
+    if start + step == start:
+        raise ContractViolation(f"range grid {text!r}: step {step!r} cannot move start {start!r}")
+    too_many = f"range grid {text!r} has more than {_GRID_CAP} points"
     if kind is int:
+        if (stop - start) // step >= _GRID_CAP:
+            raise ContractViolation(too_many)
         return list(range(start, stop + 1, step))
+    if not (stop + 1e-12 - start) / step < _GRID_CAP:
+        raise ContractViolation(too_many)
     out = []
     x = start
     while x <= stop + 1e-12:
+        if len(out) == _GRID_CAP:  # x + step can equal x further on, though not at start
+            raise ContractViolation(too_many)
         out.append(round(x, 12))
         x += step
     return out

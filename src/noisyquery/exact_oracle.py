@@ -85,8 +85,12 @@ def analyze_walk(p: float, threshold: int) -> WalkAnalysis:
     """
     _check_walk(p, threshold)
     lam = (1.0 - p) / p
-    error = 1.0 / (1.0 + lam**threshold)
-    win = 1.0 / (1.0 + lam**-threshold)
+    try:
+        power = lam**threshold
+    except OverflowError:  # (p = 0.25 from K = 647): the error is below float range
+        power = math.inf
+    error = 1.0 / (1.0 + power)
+    win = 1.0 / (1.0 + lam**-threshold)  # underflows to 0.0 where power overflows
     expected = (threshold - 2.0 * threshold * win) / (p - (1.0 - p))
     return WalkAnalysis(
         p=p, threshold=threshold, lam=lam, error_probability=error, expected_queries=expected

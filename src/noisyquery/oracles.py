@@ -30,8 +30,27 @@ __all__ = [
     "make_instance_or",
 ]
 
-_BUF_START = 64
+_BUF_START = 8
 _BUF_CAP = 16384
+_WORD = 0xFFFFFFFF
+
+
+def _seed(*keys: int) -> np.random.SeedSequence:
+    """``SeedSequence(keys)`` for non-negative int keys, in about half the time.
+
+    Each key is split into little-endian 32-bit words, as SeedSequence
+    does itself, and the words are passed as one uint32 array, which
+    SeedSequence takes as is; the state is the same for any key size.
+    """
+    words = []
+    for key in keys:
+        if key < 0:
+            raise ValueError(f"expected non-negative integer, got {key}")
+        words.append(key & _WORD)
+        while key > _WORD:
+            key >>= 32
+            words.append(key & _WORD)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -85,12 +104,14 @@ class ValueInstance:
 class QueryLedger:
     """Monotone query counters: total, per index (bit reads), per unordered pair (comparisons)."""
 
-    __slots__ = ("total", "_per_index", "_per_pair")
+    __slots__ = ("total", "_per_index", "_per_pair", "_stride")
 
     def __init__(self, n: int) -> None:
         self.total = 0
         self._per_index = [0] * (n + 1)
-        self._per_pair: dict[tuple[int, int], int] = {}
+        # Pair (i, j), i < j, is keyed by the int i * (n + 1) + j.
+        self._per_pair: dict[int, int] = {}
+        self._stride = n + 1
 
     @property
     def per_index(self) -> dict[int, int]:
@@ -100,7 +121,8 @@ class QueryLedger:
     @property
     def per_pair(self) -> dict[tuple[int, int], int]:
         """Comparison counts by unordered pair, keyed (min, max)."""
-        return dict(self._per_pair)
+        stride = self._stride
+        return {divmod(key, stride): c for key, c in self._per_pair.items()}
 
     def component_total(self) -> int:
         """Sum of the per-index and per-pair entries; always equals ``total``."""
@@ -192,7 +214,7 @@ class NoisyOracle:
             self._values = [0.0, *instance.values]
         self._forced = forced
         self._rng: np.random.Generator | None = None
-        self._buf = b""
+        self._buf = memoryview(b"")
         self._pos = 0
         self._bufsize = _BUF_START
         self._alg_rng: np.random.Generator | None = None
@@ -201,25 +223,24 @@ class NoisyOracle:
 
     def _refill(self) -> None:
         # Channel stream is lazily created so forced oracles never touch the
-        # RNG; buffer sizes follow a fixed growth schedule, making the flip
-        # sequence a pure function of (master_seed, trial_index).  Flips are
-        # kept as bytes (1 = flipped) so a walk can count a run of them with
-        # bytes.count; at p = 0 every byte is 0.
+        # RNG; chunk sizes follow a fixed growth schedule (64, 512, 4096,
+        # then 16384 flips), and the generator draws one double per flip
+        # whatever the chunk size, so the flip sequence is a pure function
+        # of (master_seed, trial_index).  A chunk is kept as its running
+        # margin: entry t is (unflipped - flipped) over flips 0..t of the
+        # chunk, so a walk reads the margin of any run of flips as the
+        # difference of two entries; at p = 0 entry t is t + 1.
         if self._rng is None:
-            self._rng = np.random.default_rng(
-                np.random.SeedSequence((self.master_seed, self.trial_index, 0))
-            )
+            self._rng = np.random.default_rng(_seed(self.master_seed, self.trial_index, 0))
         self._bufsize = size = min(self._bufsize * 8, _BUF_CAP)
-        self._buf = (self._rng.random(size) < self.p).tobytes()
+        self._buf = memoryview(np.add.accumulate(np.where(self._rng.random(size) < self.p, -1, 1)))
         self._pos = 0
 
     @property
     def algorithm_rng(self) -> np.random.Generator:
         """Deterministic stream for algorithm-level randomness (e.g. subsampling)."""
         if self._alg_rng is None:
-            self._alg_rng = np.random.default_rng(
-                np.random.SeedSequence((self.master_seed, self.trial_index, 1))
-            )
+            self._alg_rng = np.random.default_rng(_seed(self.master_seed, self.trial_index, 1))
         return self._alg_rng
 
     # -- queries ---------------------------------------------------------------
@@ -254,7 +275,9 @@ class NoisyOracle:
             self._refill()
             pos = 0
         self._pos = pos + 1
-        return truth != self._buf[pos]
+        buf = self._buf
+        unflipped = buf[pos] > (buf[pos - 1] if pos else 0)
+        return truth == unflipped
 
     def read_bit(self, i: int) -> int:
         """Read bit i through the channel; increments the ledger, then answers."""
@@ -277,11 +300,10 @@ class NoisyOracle:
         :meth:`compare` calls; the ledger is updated once per walk.
 
         A noisy walk costs O(jumps), not O(queries): while the margin
-        is m it skips k - |m| flips of the byte flip buffer at a time,
-        since the walk cannot stop sooner, and counts their flips with
-        ``bytes.count``, so a noiseless (p = 0) walk is one jump of
-        exactly k queries.  Forced walks take their scripted answers one
-        by one.
+        is m it skips k - |m| flips at a time, since the walk cannot stop
+        sooner, and reads their margin off the chunk's running-margin
+        table, so a noiseless (p = 0) walk is one jump of exactly k
+        queries.  Forced walks take their scripted answers one by one.
         """
         truth = self._truth(i, j)
         if k < 1:
@@ -301,23 +323,25 @@ class NoisyOracle:
         # Track the margin m = (answers equal to the truth) - (flipped answers);
         # the net vote is m when the truth is 1, else -m.  From margin m the
         # walk cannot stop within k - |m| queries, so it takes them in one
-        # jump and counts their flips at once.  A jump stops short at the end
-        # of the buffer, which is refilled only if the walk goes on, exactly
-        # where a loop of single queries would refill it.
+        # jump: m is the table entry at the jump's last flip less base, the
+        # entry before the walk's first flip.  A jump stops short at the end
+        # of the chunk, which is refilled only if the walk goes on, exactly
+        # where a loop of single queries would refill it; the new chunk's
+        # entries then count from 0, so base becomes -m.
         buf, pos = self._buf, self._pos
         end = len(buf)
+        base = buf[pos - 1] if pos else 0
         t = m = 0
         while -k < m < k:
             if pos == end:
                 self._refill()
-                buf, pos = self._buf, 0
+                buf, pos, base = self._buf, 0, -m
                 end = len(buf)
             nxt = pos + k - (m if m > 0 else -m)
             if nxt > end:
                 nxt = end
-            steps = nxt - pos
-            m += steps - 2 * buf.count(1, pos, nxt)
-            t += steps
+            m = buf[nxt - 1] - base
+            t += nxt - pos
             pos = nxt
         self._pos = pos
         self._count(i, j, t)
@@ -329,7 +353,7 @@ class NoisyOracle:
         if j is None:
             ledger._per_index[i] += t
         else:
-            key = (i, j) if i < j else (j, i)
+            key = i * ledger._stride + j if i < j else j * ledger._stride + i
             pairs = ledger._per_pair
             pairs[key] = pairs.get(key, 0) + t
 

@@ -78,15 +78,6 @@ class StopReport(NamedTuple):
 _report = tuple.__new__
 
 
-def _bit_walk(oracle: NoisyOracle, i: int, k: int) -> StopReport:
-    up, t = oracle.walk(i, None, k)
-    return _report(StopReport, (1 if up else 0, t))
-
-
-def _compare_walk(oracle: NoisyOracle, i: int, j: int, k: int) -> StopReport:
-    return _report(StopReport, oracle.walk(i, j, k))
-
-
 def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:
     """Estimate bit i by repeated reads; error probability at most delta.
 
@@ -94,12 +85,14 @@ def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport
     +K) and 0 at delta (net votes -K).  Expected queries are at most
     K / (1 - 2p).
     """
-    return _bit_walk(oracle, i, vote_threshold(p, delta))
+    up, t = oracle.walk(i, None, vote_threshold(p, delta))
+    return _report(StopReport, (1 if up else 0, t))
 
 
 def check_bit_log(oracle: NoisyOracle, i: int, log_delta: float, p: float) -> StopReport:
     """As :func:`check_bit` with the tolerance given as log(delta)."""
-    return _bit_walk(oracle, i, vote_threshold_log(p, log_delta))
+    up, t = oracle.walk(i, None, vote_threshold_log(p, log_delta))
+    return _report(StopReport, (1 if up else 0, t))
 
 
 def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -> StopReport:
@@ -108,9 +101,9 @@ def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -
     Identical walk to :func:`check_bit` on comparison answers; decision
     True means "less than".
     """
-    return _compare_walk(oracle, i, j, vote_threshold(p, delta))
+    return _report(StopReport, oracle.walk(i, j, vote_threshold(p, delta)))
 
 
 def noisy_compare_log(oracle: NoisyOracle, i: int, j: int, log_delta: float, p: float) -> StopReport:
     """As :func:`noisy_compare` with the tolerance given as log(delta)."""
-    return _compare_walk(oracle, i, j, vote_threshold_log(p, log_delta))
+    return _report(StopReport, oracle.walk(i, j, vote_threshold_log(p, log_delta)))

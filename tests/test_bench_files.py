@@ -1,0 +1,70 @@
+"""Committed benchmark records (``BENCH_*.json`` at the repository root) are sound.
+
+A BENCH file banks a performance claim: the ``perfbench/run.py`` result
+lines of the parent commit and of the change, run in alternating pairs
+on one machine, plus that machine and its core count.  Its ``runs`` are
+the end-to-end runs (``--trace 0``), its ``trace_runs`` any ``--trace 1``
+runs, and its ``summary`` is read off ``runs``.
+"""
+
+import json
+import statistics
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+SIDES = ("parent", "change")
+
+
+@pytest.fixture(params=BENCH_FILES, ids=lambda path: path.name)
+def bench(request):
+    return json.loads(request.param.read_text())
+
+
+def _lines(bench):
+    return bench["runs"] + bench.get("trace_runs", [])
+
+
+def test_names_its_machine_and_core_count(bench):
+    cores = bench["machine"]["cores"]
+    assert type(cores) is int and cores >= 1
+    assert bench["machine"]["cpu"]
+
+
+def test_both_sides_cover_the_same_workloads_and_seeds(bench):
+    expected = {(w, s) for w in bench["workloads"] for s in bench["seeds"]}
+    assert expected
+    for side in SIDES:
+        runs = [(r["workload"], r["seed"]) for r in bench["runs"] if r["side"] == side]
+        assert sorted(runs) == sorted(expected), side
+    assert {r["side"] for r in _lines(bench)} <= set(SIDES)
+    traced = {side: set() for side in SIDES}
+    for r in bench.get("trace_runs", []):
+        traced[r["side"]].add((r["workload"], r["seed"]))
+    assert traced["parent"] == traced["change"]
+
+
+def test_every_line_is_correct_with_no_failed_operation(bench):
+    for run in _lines(bench):
+        result = run["result"]
+        assert result["correct"] is True, run
+        assert result["failed"] == 0 and result["attempted"] > 0, run
+
+
+def test_every_run_has_the_same_length(bench):
+    assert {r["seconds"] for r in bench["runs"]} == {bench["seconds"]}
+
+
+def test_summary_is_read_off_the_runs(bench):
+    assert set(bench["summary"]) == set(bench["workloads"])
+    for workload, metrics in bench["summary"].items():
+        for name, by_side in metrics.items():
+            for side in SIDES:
+                values = [
+                    r["result"]["metrics"][name]["value"]
+                    for r in bench["runs"]
+                    if r["workload"] == workload and r["side"] == side
+                ]
+                assert by_side[side]["median"] == pytest.approx(statistics.median(values)), (workload, name)

@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisyquery.cli import main
+from noisyquery.cli import _parse_grid, main
+from noisyquery.errors import ContractViolation
 
 
 class TestBoundsCommand:
@@ -174,6 +176,10 @@ class TestSweepCommand:
             ["--p", "0.25,x"],
             ["--delta", "1:x:2"],
             ["--seed", "-1"],
+            ["--p", "nan:0.3:0.1"],
+            ["--p", "0:inf:0.1"],
+            # moves its start, but x + 0.75 == x once x passes 2**53
+            ["--p", "9007199254740980:9007199254740999:0.75"],
         ],
     )
     def test_bad_grid_exits_two(self, broken, capsys):
@@ -186,6 +192,38 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, grid, reason",
+        [
+            ("--p", "0.1:0.2:1e-20", "cannot move start"),  # 0.1 + 1e-20 == 0.1: never ended
+            ("--n", "1:10000000000:1", "more than 10000 points"),  # a list of 10**10 ints
+        ],
+    )
+    def test_runaway_range_refused_before_any_point_is_built(self, flag, grid, reason, capsys):
+        args = [
+            "sweep", "--algorithm", "checkbit", "--instance", "single_one:1",
+            "--n", "1", "--p", "0.25", "--delta", "0.05", "--trials", "5", "--seed", "0",
+        ]  # fmt: skip
+        args[args.index(flag) + 1] = grid
+        tracemalloc.start()
+        try:
+            code = main(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 100_000  # bytes; 10,000 floats in a list alone take more
+        err = capsys.readouterr().err
+        assert "configuration error" in err and reason in err
+        assert "Traceback" not in err
+
+    def test_range_cap_is_inclusive(self):
+        assert _parse_grid("1:10000:1", int) == list(range(1, 10001))
+        assert len(_parse_grid("0:0.9999:0.0001", float)) == 10_000
+        for text, kind in [("1:10001:1", int), ("0:1:0.0001", float)]:
+            with pytest.raises(ContractViolation, match="more than 10000 points"):
+                _parse_grid(text, kind)
 
 
 class TestVerifyCommand:

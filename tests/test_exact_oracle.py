@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from noisyquery.bounds import upper_budget
 from noisyquery.errors import ContractViolation, EnumerationCapError
 from noisyquery.exact_oracle import (
     analyze_walk,
@@ -37,6 +38,23 @@ class TestWalkClosedForm:
         w = analyze_walk(0.1, 4)
         assert w.error_probability == pytest.approx(1.0 / (1.0 + 9.0**4), rel=1e-14)
         assert w.expected_queries == pytest.approx(4.99847607436757, rel=1e-14)
+
+    @pytest.mark.parametrize("p, k", [(0.25, 647), (0.25, 700), (0.1, 400), (0.45, 100_000)])
+    def test_threshold_beyond_float_range(self, p, k):
+        # lambda**K overflows a float: the error is below float range and
+        # the walk goes straight to +K, at K / (1 - 2p) queries.
+        w = analyze_walk(p, k)
+        assert w.error_probability == 0.0
+        assert w.expected_queries == pytest.approx(k / (1.0 - 2.0 * p), rel=1e-15)
+
+    def test_last_finite_power_is_unchanged(self):
+        w = analyze_walk(0.25, 646)
+        assert w.error_probability == 1.0 / (1.0 + 3.0**646) > 0.0
+
+    def test_noisy_max_predictor_at_small_delta(self):
+        # The round-11 tournament threshold here is 705, past the overflow.
+        pred = expected_queries_noisy_max(10_000, 1e-8, 0.25)
+        assert 1.0 < pred / upper_budget(10_000, 1e-8, 0.25) < 2.0
 
     def test_validation(self):
         with pytest.raises(ContractViolation):

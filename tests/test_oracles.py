@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisyquery.errors import ContractViolation
 from noisyquery.oracles import (
+    _seed,
     BitInstance,
     ForcedResponseStream,
     NoisyOracle,
@@ -197,6 +198,23 @@ class TestLedger:
         assert oracle.ledger.per_pair == {(1, 2): 2, (1, 3): 1}
         assert oracle.ledger.component_total() == 3
 
+    @pytest.mark.parametrize("n", [4, 1000])
+    def test_pair_counts_after_mixed_walks(self, n):
+        # Walks in both orders of a pair, then one single comparison:
+        # per_pair adds up each unordered pair's queries, at n = 1000 too.
+        rng = np.random.default_rng(n)
+        oracle = NoisyOracle(make_instance_max("permuted", n, seed=1), 0.3, master_seed=2)
+        expected: dict[tuple[int, int], int] = {}
+        for _ in range(200):
+            i, j = (int(v) for v in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+            _, t = oracle.walk(i, j, int(rng.integers(1, 8)))
+            key = (min(i, j), max(i, j))
+            expected[key] = expected.get(key, 0) + t
+        oracle.compare(n, 1)
+        expected[(1, n)] = expected.get((1, n), 0) + 1
+        assert oracle.ledger.per_pair == expected
+        assert oracle.ledger.component_total() == oracle.ledger.total == sum(expected.values())
+
     def test_ledger_incremented_even_when_forced(self):
         oracle = NoisyOracle(BitInstance(bits=(0,)), 0.25, forced=ForcedResponseStream([True, True]))
         oracle.read_bit(1)
@@ -275,6 +293,30 @@ class TestDeterminism:
         draws_after = oracle_b.algorithm_rng.random(5).tolist()
         assert draws_before == draws_after
 
+    @pytest.mark.parametrize(
+        "keys",
+        [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (0, 0, 0), (7, 2**32 - 1, 1), (2**40 + 3, 0, 2**33), (5, 2**70, 0)],
+    )
+    def test_seed_matches_seed_sequence(self, keys):
+        expected = np.random.SeedSequence(keys).generate_state(4)
+        assert (_seed(*keys).generate_state(4) == expected).all()
+
+    def test_seed_refuses_a_negative_key(self):
+        for keys in [(-1,), (3, -2, 0), (0, 0, -(2**40))]:
+            with pytest.raises(ValueError):
+                np.random.SeedSequence(keys)
+            with pytest.raises(ValueError):
+                _seed(*keys)
+
+    @pytest.mark.parametrize("seed, trial, p", [(0, 0, 0.25), (9, 4, 0.1), (2**33, 7, 0.45)])
+    def test_flip_stream_is_the_generator_stream(self, seed, trial, p):
+        # Pins the channel independently of its chunking: answer t of a
+        # 0-bit is flip t of one uninterrupted draw of doubles.
+        n = 40_000
+        oracle = NoisyOracle(BitInstance(bits=(0,)), p, master_seed=seed, trial_index=trial)
+        flips = np.random.default_rng(np.random.SeedSequence((seed, trial, 0))).random(n) < p
+        assert [oracle.read_bit(1) for _ in range(n)] == flips.astype(int).tolist()
+
     def test_flip_rate_unaffected_by_buffer_boundaries(self):
         # The growth schedule of the internal noise buffer must not skew
         # flips near refill points; compare two read counts bracketing one.
@@ -302,8 +344,8 @@ def test_noiseless_channel_reads_truth(bits, seed):
 
 BIT_INSTANCE = BitInstance(bits=(0, 1, 0, 1))
 VALUE_INSTANCE = ValueInstance(values=(3.0, 1.0, 4.0, 2.0))
-# Refill boundaries of the flip stream: buffers of 512, 4096, then 16384 flips.
-REFILL_AT = (512, 512 + 4096, 512 + 4096 + 16384, 512 + 4096 + 2 * 16384)
+# Refill boundaries of the flip stream: chunks of 64, 512, 4096, then 16384 flips.
+REFILL_AT = (64, 64 + 512, 64 + 512 + 4096, 64 + 512 + 4096 + 16384)
 
 
 def _loop_walk(oracle, i, j, k):
@@ -384,14 +426,14 @@ class TestWalkMatchesQueryLoop:
     @pytest.mark.parametrize("k, p", [(600, 0.02), (600, 0.05), (5000, 0.02), (5000, 0.05)])
     @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 3)])
     def test_walks_longer_than_a_buffer(self, k, p, instance, j):
-        # One jump of k flips spans the whole 512-flip first buffer and, at
-        # K = 5000, the 4096-flip second one too.
+        # One jump of k flips spans the 64- and 512-flip first chunks and, at
+        # K = 5000, the 4096-flip third one too.
         fast, slow = _twins(instance, p, 13, 6)
         walks = [(1, j, k)] * (2 if k == 600 else 5)
         totals = _assert_walks_match(fast, slow, walks)
         assert totals[0] >= k
         if k == 5000:
-            assert totals[0] > REFILL_AT[1] and totals[-1] > REFILL_AT[2]
+            assert totals[0] > REFILL_AT[2] and totals[-1] > REFILL_AT[3]
 
     @pytest.mark.parametrize("boundary", REFILL_AT[:2])
     @pytest.mark.parametrize("j", [None, 2])
@@ -450,7 +492,7 @@ class TestWalkForcedAndNoiseless:
         assert _ledger(fast) == _ledger(slow)
         assert fast.ledger.total == 4
 
-    @pytest.mark.parametrize("k", [1, 9, 600])  # 600 > the first 512-flip buffer
+    @pytest.mark.parametrize("k", [1, 9, 600])  # 600 > the 64- and 512-flip first chunks
     def test_noiseless_walk_takes_exactly_k(self, k):
         oracle = NoisyOracle(BIT_INSTANCE, 0.0, allow_noiseless=True)
         assert oracle.walk(2, None, k) == (True, k)
