@@ -21,6 +21,7 @@ __all__ = [
     "kl_pq",
     "lecam_budget",
     "lecam_floor",
+    "log_inverse",
     "make_bound_report",
     "regime_label",
     "regime_ratio",
@@ -39,6 +40,12 @@ DEFAULT_TOURNAMENT_CONSTANT = 4.0
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ContractViolation(message)
+
+
+def log_inverse(x: float) -> float:
+    """log(1/x) for x > 0; taken as -log(x) where 1/x overflows (x below 2**-1024, subnormal)."""
+    inverse = 1.0 / x
+    return math.log(inverse) if inverse < math.inf else -math.log(x)
 
 
 def kl_pq(p: float) -> float:
@@ -79,7 +86,7 @@ def upper_budget(n: int, delta: float, p: float) -> float:
     _require(n >= 1, f"n must be >= 1, got {n}")
     _require(0.0 < delta <= 1.0, f"delta must lie in (0, 1], got {delta}")
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
-    return n * math.log(1.0 / delta) / kl_pq(p)
+    return n * log_inverse(delta) / kl_pq(p)
 
 
 def lecam_budget(n: int, delta: float, p: float) -> float:
@@ -92,7 +99,7 @@ def lecam_budget(n: int, delta: float, p: float) -> float:
     _require(n >= 1, f"n must be >= 1, got {n}")
     _require(0.0 < delta < 0.5, f"delta must lie in (0, 1/2), got {delta}")
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
-    return max(0.0, n * math.log(1.0 / (4.0 * delta)) / kl_pq(p))
+    return max(0.0, n * log_inverse(4.0 * delta) / kl_pq(p))
 
 
 def checkbit_budget(delta: float, p: float) -> float:
@@ -113,14 +120,14 @@ def tournament_budget(r: int, delta: float, p: float, c: float = DEFAULT_TOURNAM
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
     _require(c > 0.0, f"c must be positive, got {c}")
     capacity = 1.0 - binary_entropy(p) / math.log(2.0)
-    return c * (r / capacity + r * math.log(1.0 / delta) / kl_pq(p))
+    return c * (r / capacity + r * log_inverse(delta) / kl_pq(p))
 
 
 def regime_ratio(delta: float, p: float) -> float:
     """The ratio log(1/delta)/log(1/p) that separates the varying-p regimes."""
     _require(0.0 < delta < 1.0, f"delta must lie in (0, 1), got {delta}")
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
-    return math.log(1.0 / delta) / math.log(1.0 / p)
+    return log_inverse(delta) / math.log(1.0 / p)
 
 
 def regime_label(ratio: float) -> str:

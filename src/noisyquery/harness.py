@@ -243,9 +243,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
     return TrialStats(trial_index, output == target, total, phase1, sub)
 
 
-def _run_block(config: ExperimentConfig, start: int, stop: int) -> list[TrialStats]:
-    """Trials start..stop-1 of a campaign: the unit of work a worker process gets."""
-    return [run_trial(config, t) for t in range(start, stop)]
+def _run_block(config: ExperimentConfig, start: int, stop: int) -> list[tuple]:
+    """Trials start..stop-1 as plain tuples (they pickle ~10x faster): a worker process's unit of work."""
+    return [tuple(run_trial(config, t)) for t in range(start, stop)]
 
 
 @contextmanager
@@ -262,7 +262,7 @@ def _trial_runner(workers: int, trials: int) -> Iterator[Callable[[ExperimentCon
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, cpus)
     if workers == 1 or trials < 4:
-        yield lambda config: _run_block(config, 0, config.trials)
+        yield lambda config: [run_trial(config, t) for t in range(config.trials)]
         return
     with get_context("fork").Pool(workers) as pool:
 
@@ -271,7 +271,9 @@ def _trial_runner(workers: int, trials: int) -> Iterator[Callable[[ExperimentCon
             # map returns the blocks in job order, so trials stay in index order.
             size = max(1, config.trials // (workers * 8))
             blocks = [(config, t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
-            return [stats for block in pool.starmap(_run_block, blocks, chunksize=1) for stats in block]
+            blocks = pool.starmap(_run_block, blocks, chunksize=1)
+            new = tuple.__new__  # TrialStats from a tuple, without its Python-level __new__
+            return [new(TrialStats, stats) for block in blocks for stats in block]
 
         yield run
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +31,18 @@ __all__ = [
     "make_instance_or",
 ]
 
-_BUF_START = 8
-_BUF_CAP = 16384
+_BUF_CAP = 4096
+_SCAN_MIN = 256
+_SCAN_MAX_K = 100
 _WORD = 0xFFFFFFFF
+
+
+@lru_cache(maxsize=256)
+def _lattice(k: int) -> np.ndarray:
+    """Mask over the margin offsets -_BUF_CAP.._BUF_CAP, from index 0: True at multiples of k."""
+    mask = np.zeros(2 * _BUF_CAP + 1, dtype=bool)
+    mask[_BUF_CAP % k :: k] = True
+    return mask
 
 
 def _seed(*keys: int) -> np.random.SeedSequence:
@@ -167,21 +177,12 @@ class NoisyOracle:
     """
 
     __slots__ = (
-        "instance",
-        "p",
-        "master_seed",
-        "trial_index",
-        "ledger",
-        "_bits",
-        "_values",
-        "_n",
-        "_forced",
-        "_rng",
-        "_buf",
-        "_pos",
-        "_bufsize",
+        "instance", "p", "master_seed", "trial_index", "ledger",
+        "_bits", "_values", "_n", "_forced",  # the hidden instance, and the script if forced
+        "_rng", "_buf", "_pos",  # the channel's generator, its current chunk, and the next flip
+        "_run_k", "_run_from", "_stops",  # the current run of walks at one threshold
         "_alg_rng",
-    )
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -207,7 +208,7 @@ class NoisyOracle:
         self._n = instance.n
         self.ledger = QueryLedger(self._n)
         if isinstance(instance, BitInstance):
-            self._bits: list[int] | None = [0, *instance.bits]
+            self._bits: list[bool] | None = [False, *map(bool, instance.bits)]
             self._values: list[float] | None = None
         else:
             self._bits = None
@@ -216,23 +217,28 @@ class NoisyOracle:
         self._rng: np.random.Generator | None = None
         self._buf = memoryview(b"")
         self._pos = 0
-        self._bufsize = _BUF_START
+        # The current run: its threshold, the position of its first walk in
+        # this chunk (negative if in an earlier one), and the stops of its
+        # next walks, last first.
+        self._run_k = self._run_from = 0
+        self._stops: list[int] = []
         self._alg_rng: np.random.Generator | None = None
 
     # -- randomness plumbing -------------------------------------------------
 
     def _refill(self) -> None:
         # Channel stream is lazily created so forced oracles never touch the
-        # RNG; chunk sizes follow a fixed growth schedule (64, 512, 4096,
-        # then 16384 flips), and the generator draws one double per flip
-        # whatever the chunk size, so the flip sequence is a pure function
-        # of (master_seed, trial_index).  A chunk is kept as its running
+        # RNG; chunk sizes follow a fixed growth schedule (64, 512, then
+        # 4096 flips), and the generator draws one double per flip whatever
+        # the chunk size, so the flip sequence is a pure function of
+        # (master_seed, trial_index).  A chunk is kept as its running
         # margin: entry t is (unflipped - flipped) over flips 0..t of the
         # chunk, so a walk reads the margin of any run of flips as the
         # difference of two entries; at p = 0 entry t is t + 1.
         if self._rng is None:
             self._rng = np.random.default_rng(_seed(self.master_seed, self.trial_index, 0))
-        self._bufsize = size = min(self._bufsize * 8, _BUF_CAP)
+        self._run_from -= len(self._buf)
+        size = min(max(8 * len(self._buf), 64), _BUF_CAP)
         self._buf = memoryview(np.add.accumulate(np.where(self._rng.random(size) < self.p, -1, 1)))
         self._pos = 0
 
@@ -245,11 +251,27 @@ class NoisyOracle:
 
     # -- queries ---------------------------------------------------------------
 
-    def _truth(self, i: int, j: int | None) -> bool:
-        """The noiseless answer to a query, once its arguments are checked.
+    def read_bit(self, i: int) -> int:
+        """Read bit i through the channel; increments the ledger, then answers."""
+        return int(self.walk(i, None, 1)[0])
 
-        ``j is None`` asks for bit i, anything else whether
-        values[i] < values[j].  Raises before anything is counted or drawn.
+    def compare(self, i: int, j: int) -> bool:
+        """Ask whether values[i] < values[j] through the channel."""
+        return self.walk(i, j, 1)[0]
+
+    def walk(self, i: int, j: int | None, k: int) -> tuple[bool, int]:
+        """Repeat one query until the net vote reaches +k or -k: (net vote > 0, queries).
+
+        ``j is None`` reads bit i; otherwise each query asks whether
+        values[i] < values[j]; a single query is a walk with k = 1.
+        Answers, flip stream and ledger end up exactly as after a loop of
+        single queries; arguments are checked before anything moves.
+
+        A noisy walk jumps k - |margin| flips at a time over the chunk's
+        running-margin table, since it cannot stop sooner, so it costs
+        O(jumps); a noiseless (p = 0) walk is one jump.  Consecutive walks
+        at one k form a run, whose later walks may each be one read of a
+        stop list (:meth:`_scan`).  Forced walks take their answers one by one.
         """
         n = self._n
         if j is None:
@@ -257,105 +279,99 @@ class NoisyOracle:
                 raise ContractViolation("read_bit requires an oracle over a BitInstance")
             if not 1 <= i <= n:
                 raise ContractViolation(f"index {i} out of range 1..{n}")
-            return self._bits[i] == 1
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ContractViolation(f"pair ({i}, {j}) out of range 1..{n}")
-        if self._values is None:
-            raise ContractViolation("compare requires an oracle over a ValueInstance")
-        if i == j:
-            raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
-        return self._values[i] < self._values[j]
-
-    def _answer(self, truth: bool) -> bool:
-        """One answer through the channel, or the next scripted one."""
-        if self._forced is not None:
-            return self._forced.take()
-        pos = self._pos
-        if pos >= len(self._buf):
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        buf = self._buf
-        unflipped = buf[pos] > (buf[pos - 1] if pos else 0)
-        return truth == unflipped
-
-    def read_bit(self, i: int) -> int:
-        """Read bit i through the channel; increments the ledger, then answers."""
-        truth = self._truth(i, None)
-        self._count(i, None, 1)
-        return int(self._answer(truth))
-
-    def compare(self, i: int, j: int) -> bool:
-        """Ask whether values[i] < values[j] through the channel."""
-        truth = self._truth(i, j)
-        self._count(i, j, 1)
-        return self._answer(truth)
-
-    def walk(self, i: int, j: int | None, k: int) -> tuple[bool, int]:
-        """Repeat one query until the net vote reaches +k or -k: (net vote > 0, queries).
-
-        ``j is None`` reads bit i; otherwise each query asks whether
-        values[i] < values[j].  Answers, flip stream and ledger end up
-        exactly as after the same loop of :meth:`read_bit` or
-        :meth:`compare` calls; the ledger is updated once per walk.
-
-        A noisy walk costs O(jumps), not O(queries): while the margin
-        is m it skips k - |m| flips at a time, since the walk cannot stop
-        sooner, and reads their margin off the chunk's running-margin
-        table, so a noiseless (p = 0) walk is one jump of exactly k
-        queries.  Forced walks take their scripted answers one by one.
-        """
-        truth = self._truth(i, j)
+            truth = self._bits[i]
+        else:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ContractViolation(f"pair ({i}, {j}) out of range 1..{n}")
+            if self._values is None:
+                raise ContractViolation("compare requires an oracle over a ValueInstance")
+            if i == j:
+                raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
+            truth = self._values[i] < self._values[j]
         if k < 1:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
 
-        if self._forced is not None:
-            take = self._forced.take
-            d = t = 0
-            try:
+        t = 0
+        try:
+            if self._forced is not None:
+                take = self._forced.take
+                d = 0
                 while -k < d < k:
                     t += 1
                     d += 1 if take() else -1
-            finally:  # an exhausted script still counts the query it failed to answer
-                self._count(i, j, t)
-            return d > 0, t
+                return d > 0, t
 
-        # Track the margin m = (answers equal to the truth) - (flipped answers);
-        # the net vote is m when the truth is 1, else -m.  From margin m the
-        # walk cannot stop within k - |m| queries, so it takes them in one
-        # jump: m is the table entry at the jump's last flip less base, the
-        # entry before the walk's first flip.  A jump stops short at the end
-        # of the chunk, which is refilled only if the walk goes on, exactly
-        # where a loop of single queries would refill it; the new chunk's
-        # entries then count from 0, so base becomes -m.
-        buf, pos = self._buf, self._pos
-        end = len(buf)
-        base = buf[pos - 1] if pos else 0
-        t = m = 0
-        while -k < m < k:
-            if pos == end:
-                self._refill()
-                buf, pos, base = self._buf, 0, -m
-                end = len(buf)
-            nxt = pos + k - (m if m > 0 else -m)
-            if nxt > end:
-                nxt = end
-            m = buf[nxt - 1] - base
-            t += nxt - pos
-            pos = nxt
-        self._pos = pos
-        self._count(i, j, t)
-        return truth == (m > 0), t
+            buf, pos = self._buf, self._pos
+            stops = self._stops
+            if k != self._run_k:
+                # A new run: its first walk takes the jump loop.
+                self._run_k, self._run_from = k, pos
+                stops = self._stops = []
+            elif not stops and 1 < k <= _SCAN_MAX_K:
+                stops = self._scan(pos, k)
+            end = stops.pop() if stops else 0
+            if end:
+                # The walk stops at the listed flip, one lattice step from
+                # the run's level, the entry before the walk.
+                t = end - pos
+                self._pos = end
+                return truth == (buf[end - 1] > buf[pos - 1]), t
 
-    def _count(self, i: int, j: int | None, t: int) -> None:
-        ledger = self.ledger
-        ledger.total += t
-        if j is None:
-            ledger._per_index[i] += t
-        else:
-            key = i * ledger._stride + j if i < j else j * ledger._stride + i
-            pairs = ledger._per_pair
-            pairs[key] = pairs.get(key, 0) + t
+            # The margin m = (answers equal to the truth) - (flipped answers)
+            # is the net vote when the truth is 1, else its negative.  It is
+            # the table entry at a jump's last flip less base, the entry before
+            # the walk.  A jump stops short at the end of the chunk, which is
+            # refilled only if the walk goes on, exactly where single queries
+            # would refill it; the new entries count from 0, so base becomes -m.
+            end = len(buf)
+            base = buf[pos - 1] if pos else 0
+            m = 0
+            while -k < m < k:
+                if pos == end:
+                    self._refill()
+                    buf, pos, base = self._buf, 0, -m
+                    end = len(buf)
+                nxt = pos + k - (m if m > 0 else -m)
+                if nxt > end:
+                    nxt = end
+                m = buf[nxt - 1] - base
+                t += nxt - pos
+                pos = nxt
+            self._pos = pos
+            return truth == (m > 0), t
+        finally:  # one ledger update a walk; an exhausted script still counts the query it failed
+            ledger = self.ledger
+            ledger.total += t
+            if j is None:
+                ledger._per_index[i] += t
+            else:
+                key = i * ledger._stride + j if i < j else j * ledger._stride + i
+                pairs = ledger._per_pair
+                pairs[key] = pairs.get(key, 0) + t
+
+    def _scan(self, pos: int, k: int) -> list[int]:
+        """The stops of the run's next walks in one pass, last first; [] if not worth it.
+
+        The margin moves by one a flip, so from the run's level L (the
+        entry before ``pos``) each walk stops at the next flip where the
+        margin hits a point of L + kZ other than the last one it hit.
+        The pass covers twice the flips the run has used, up to the chunk's
+        end, once the run has used 4k / (1 - 2p) flips (four walks) and if
+        it covers _SCAN_MIN flips; walk calls it for 1 < k <= _SCAN_MAX_K,
+        and p = 0 never scans.
+        """
+        used = pos - self._run_from
+        hi = min(len(self._buf), pos + 2 * used)
+        if hi - pos < _SCAN_MIN or not self.p or used * (1 - 2 * self.p) < 4 * k:
+            return self._stops
+        seg = self._buf.obj[pos - 1 : hi]
+        hits = _lattice(k)[seg - (seg[0] - _BUF_CAP)].nonzero()[0]
+        levels = seg[hits]
+        stops = hits[1:][(levels[1:] != levels[:-1]).nonzero()[0]] + pos
+        # A 0 under the stops marks a pass that reached the end of the chunk:
+        # the walk after the last stop crosses it, so it takes the jump loop.
+        self._stops = ([0] if hi == len(self._buf) else []) + stops[::-1].tolist()
+        return self._stops
 
 
 def make_instance_or(

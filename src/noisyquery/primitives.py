@@ -43,7 +43,9 @@ def vote_threshold(p: float, delta: float) -> int:
         raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
     if not 0.0 < delta < 0.5:
         raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
-    return math.ceil(math.log((1.0 - delta) / delta) / math.log((1.0 - p) / p))
+    ratio = (1.0 - delta) / delta  # overflows for subnormal delta, where its log is -log(delta)
+    numerator = math.log(ratio) if ratio < math.inf else -math.log(delta)
+    return math.ceil(numerator / math.log((1.0 - p) / p))
 
 
 @lru_cache(maxsize=1024)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import log_inverse
 from .errors import ContractViolation
 from .oracles import NoisyOracle
 from .primitives import check_bit, noisy_compare
@@ -38,7 +39,7 @@ def or_threshold(n: int, delta: float) -> float:
         raise ContractViolation(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 0.5:
         raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
-    return max(math.log(n), n * delta * math.log(1.0 / delta))
+    return max(math.log(n), n * delta * log_inverse(delta))
 
 
 def sampling_probability(n: int) -> float:

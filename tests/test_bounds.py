@@ -12,6 +12,7 @@ from noisyquery.bounds import (
     kl_pq,
     lecam_budget,
     lecam_floor,
+    log_inverse,
     make_bound_report,
     regime_label,
     regime_ratio,
@@ -119,6 +120,28 @@ class TestUpperBudget:
         assert upper_budget(1000, 0.01, 0.25) == pytest.approx(8383.62, rel=1e-5)
         assert lecam_budget(1000, 0.01, 0.25) == pytest.approx(5859.93, rel=1e-5)
         assert lecam_floor(100, 100, 0.1) == pytest.approx(0.043096, rel=3e-4)
+
+
+class TestSubnormalDelta:
+    """Below 2**-1024, 1/delta overflows; log(1/delta) is then taken as -log(delta)."""
+
+    @given(st.floats(min_value=2.0**-1022, max_value=1.0))
+    def test_unchanged_where_the_reciprocal_is_finite(self, x):
+        assert log_inverse(x) == math.log(1.0 / x)
+
+    @pytest.mark.parametrize("x", [5.56e-309, 1e-309, 1e-310, 5e-324])
+    def test_negative_log_where_the_reciprocal_overflows(self, x):
+        assert 1.0 / x == math.inf
+        assert log_inverse(x) == -math.log(x)
+
+    @pytest.mark.parametrize("delta", [1e-309, 1e-310, 5e-324])
+    def test_bounds_are_finite(self, delta):
+        assert upper_budget(1000, delta, 0.25) == 1000 * -math.log(delta) / kl_pq(0.25)
+        assert lecam_budget(1000, delta, 0.25) == pytest.approx(1000 * -math.log(4 * delta) / kl_pq(0.25))
+        assert regime_ratio(delta, 0.25) == -math.log(delta) / math.log(4.0)
+        assert math.isfinite(tournament_budget(10, delta, 0.25))
+        report = make_bound_report(1000, delta, 0.25)
+        assert report.checkbit_budget == math.ceil(-math.log(delta) / math.log(3.0)) / 0.5
 
 
 class TestPerPrimitiveBudgets:

@@ -25,6 +25,12 @@ class TestBoundsCommand:
         assert "5859.894082871708" in out        # floor-matching budget
         assert "nats" in out.splitlines()[0]     # convention header
 
+    def test_subnormal_delta(self, capsys):
+        assert main(["bounds", "--n", "1000", "--delta", "1e-309", "--p", "0.25"]) == 0
+        assert "upper_budget             1295268.2235108397" in capsys.readouterr().out
+        argv = ["run", "--algorithm", "checkbit", "--instance", "single_one:1", "--n", "1", "--p", "0.25"]
+        assert main(argv + ["--delta", "1e-310", "--trials", "2"]) == 0
+
     def test_rejects_half_p(self, capsys):
         assert main(["bounds", "--n", "10", "--delta", "0.01", "--p", "0.5"]) == 2
         err = capsys.readouterr().err
@@ -273,7 +279,7 @@ class TestVerifyCommand:
 
 # A drawn argv is valid, or valid but for one flag set to a bad value.
 _GOOD_FLOATS = ["0.1", "0.25", "0.4", "0.05", "0.01"]
-_BAD_FLOATS = ["0", "0.5", "-0.1", "1", "nan", "inf", "-inf", "x", "", "1e-400"]
+_BAD_FLOATS = ["0", "0.5", "-0.1", "1", "nan", "inf", "-inf", "x", "", "1e-400", "1e-309", "5e-324"]
 _BAD = {
     "--algorithm": ["bogus", ""],
     "--instance": [

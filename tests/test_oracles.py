@@ -344,8 +344,8 @@ def test_noiseless_channel_reads_truth(bits, seed):
 
 BIT_INSTANCE = BitInstance(bits=(0, 1, 0, 1))
 VALUE_INSTANCE = ValueInstance(values=(3.0, 1.0, 4.0, 2.0))
-# Refill boundaries of the flip stream: chunks of 64, 512, 4096, then 16384 flips.
-REFILL_AT = (64, 64 + 512, 64 + 512 + 4096, 64 + 512 + 4096 + 16384)
+# Refill boundaries of the flip stream: chunks of 64, 512, then 4096 flips.
+REFILL_AT = (64, 64 + 512, 64 + 512 + 4096, 64 + 512 + 2 * 4096)
 
 
 def _loop_walk(oracle, i, j, k):
@@ -427,7 +427,7 @@ class TestWalkMatchesQueryLoop:
     @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 3)])
     def test_walks_longer_than_a_buffer(self, k, p, instance, j):
         # One jump of k flips spans the 64- and 512-flip first chunks and, at
-        # K = 5000, the 4096-flip third one too.
+        # K = 5000, a 4096-flip one too.
         fast, slow = _twins(instance, p, 13, 6)
         walks = [(1, j, k)] * (2 if k == 600 else 5)
         totals = _assert_walks_match(fast, slow, walks)
@@ -545,3 +545,160 @@ class TestWalkContracts:
             with pytest.raises(ContractViolation) as from_single:
                 single()
             assert str(from_walk.value) == str(from_single.value)
+
+
+# ---------------------------------------------------------------------------
+# Runs of walks at one threshold against an independent referee
+# ---------------------------------------------------------------------------
+
+PAIRS = [(1, 2), (2, 1), (3, 4), (4, 1), (2, 3)]
+
+
+def _referee(instance, p, seed, trial, ops):
+    """Expected (decision, queries) of each op, and the ledger after them; uses no oracle code.
+
+    An op is (i, j, k): a walk, or a single query when k is None.  Flip t
+    of the channel is draw t of default_rng(SeedSequence((seed, trial, 0)))
+    .random(...) < p, and a walk takes answers one at a time until its
+    net vote reaches +k or -k.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 0)))
+    flips: list[bool] = []
+    pos = 0
+    results, per_index, per_pair = [], {}, {}
+    for i, j, k in ops:
+        if j is None:
+            truth = instance.bits[i - 1] == 1
+        else:
+            truth = instance.values[i - 1] < instance.values[j - 1]
+        d = t = 0
+        while -(k or 1) < d < (k or 1):
+            if pos == len(flips):
+                flips.extend((rng.random(1 << 16) < p).tolist())  # the same stream drawn in blocks
+            d += 1 if truth != flips[pos] else -1
+            pos += 1
+            t += 1
+        results.append((d > 0, t))
+        counts, key = (per_index, i) if j is None else (per_pair, (min(i, j), max(i, j)))
+        counts[key] = counts.get(key, 0) + t
+    return results, (pos, per_index, per_pair)
+
+
+def _assert_matches_referee(instance, p, seed, trial, ops):
+    """Runs ``ops`` on a fresh oracle, single queries through read_bit/compare; returns the referee's results."""
+    oracle = NoisyOracle(instance, p, seed, trial)
+    ops = list(ops) + [(1, None if isinstance(instance, BitInstance) else 2, None)] * 3  # where the stream is left
+    expected, ledger = _referee(instance, p, seed, trial, ops)
+    for n, ((i, j, k), want) in enumerate(zip(ops, expected)):
+        if k is None:
+            got = (bool(oracle.read_bit(i) if j is None else oracle.compare(i, j)), 1)
+        else:
+            got = oracle.walk(i, j, k)
+        assert got == want, (n, (i, j, k))
+    assert _ledger(oracle) == ledger
+    assert oracle.ledger.component_total() == ledger[0]
+    return expected
+
+
+def _run(instance, k, count, start=0):
+    """``count`` walks at threshold k over varying indices (or pairs)."""
+    if isinstance(instance, BitInstance):
+        return [(1 + (start + w) % 4, None, k) for w in range(count)]
+    return [(*PAIRS[(start + w) % 5], k) for w in range(count)]
+
+
+def _single_op(instance):
+    return (2, None, None) if isinstance(instance, BitInstance) else (3, 4, None)
+
+
+_CHANNELS = [BIT_INSTANCE, VALUE_INSTANCE]
+
+
+_SEGMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["run", "single", "walk"]),
+        st.one_of(st.sampled_from([2, 3, 5, 9, 20, 60, 100]), st.integers(1, 600)),
+        st.one_of(st.integers(1, 400), st.sampled_from([100, 400])),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _ops(instance, p, segments):
+    """Runs of up to 400 walks at one k, broken by single queries and by walks at other thresholds."""
+    ops: list = []
+    for kind, k, count in segments:
+        if kind == "single":
+            ops.append(_single_op(instance))
+        else:
+            # About 12,000 flips a run at most; a lone walk is one walk.
+            count = 1 if kind == "walk" else min(count, max(1, int(12_000 * (1 - 2 * p) / k)))
+            ops += _run(instance, k, count, start=len(ops))
+    return ops
+
+
+class TestRunsMatchReferee:
+    @given(
+        segments=_SEGMENTS,
+        instance=st.sampled_from(_CHANNELS),
+        p=st.sampled_from([0.02, 0.1, 0.25, 0.33, 0.45]),
+        seed=st.integers(0, 2**20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_run_sequences(self, segments, instance, p, seed):
+        _assert_matches_referee(instance, p, seed, 3, _ops(instance, p, segments))
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    @pytest.mark.parametrize("k, p", [(2, 0.02), (5, 0.25), (9, 0.45), (20, 0.25), (60, 0.1), (100, 0.33)])
+    def test_long_runs_across_every_refill(self, instance, k, p):
+        count = int(2.2 * REFILL_AT[3] * (1 - 2 * p) / k) + 1
+        results = _assert_matches_referee(instance, p, 8, 1, _run(instance, k, count))
+        assert sum(t for _, t in results) > REFILL_AT[3]
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_runs_broken_by_single_queries_and_other_thresholds(self, instance, k):
+        single = _single_op(instance)
+        ops = _run(instance, k, 300)
+        for w in range(1, 12):
+            ops += [single] * (w % 3) + _run(instance, k, 40 * w) + _run(instance, k + w, w % 2)
+        _assert_matches_referee(instance, 0.25, 4, 2, ops)
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    @pytest.mark.parametrize("breaker", ["single", "walk"])
+    def test_runs_broken_across_a_refill(self, instance, breaker):
+        # A run is under way when single queries or long walks at another
+        # threshold cross the refill at REFILL_AT[2]; the run then resumes.
+        ops = _run(instance, 5, 200)
+        results, _ = _referee(instance, 0.25, 6, 0, ops)
+        before = REFILL_AT[2] - sum(t for _, t in results)
+        if breaker == "single":
+            ops += [_single_op(instance)] * before
+        else:
+            ops += _run(instance, 700, 2)
+        ops += _run(instance, 5, 400)
+        results = _assert_matches_referee(instance, 0.25, 6, 0, ops)
+        ends = np.cumsum([t for _, t in results])
+        assert ends[199] < REFILL_AT[2] <= ends[-404]
+
+    @pytest.mark.parametrize("boundary", REFILL_AT)
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_runs_starting_on_a_chunk_boundary(self, boundary, instance):
+        ops = [_single_op(instance)] * boundary + _run(instance, 5, 300)
+        _assert_matches_referee(instance, 0.25, 2, 5, ops)
+
+    @pytest.mark.parametrize("boundary", REFILL_AT[1:])
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_runs_ending_on_a_chunk_boundary(self, boundary, instance):
+        # A run of K = 3 walks starts 300 flips before the boundary; over
+        # trials, one of its late walks (one a pass may list) ends exactly on it.
+        ops = [_single_op(instance)] * (boundary - 300) + _run(instance, 3, 160)
+        hits = 0
+        for trial in range(30):
+            results, _ = _referee(instance, 0.25, 1, trial, ops)
+            ends = np.cumsum([t for _, t in results])[boundary - 300 + 40 :].tolist()
+            if boundary in ends:
+                hits += 1
+                _assert_matches_referee(instance, 0.25, 1, trial, ops + _run(instance, 3, 100))
+        assert hits >= 3

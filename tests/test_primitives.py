@@ -75,6 +75,12 @@ class TestVoteThreshold:
         k = vote_threshold_log(0.25, log_delta)
         assert k == math.ceil(-log_delta / math.log(3.0))
 
+    @pytest.mark.parametrize("delta", [5.56e-309, 1e-310, 5e-324])
+    def test_subnormal_delta(self, delta):
+        # (1 - delta)/delta overflows here; the threshold is read off -log(delta).
+        k = vote_threshold(0.25, delta)
+        assert k == math.ceil(-math.log(delta) / math.log(3.0)) == vote_threshold_log(0.25, math.log(delta))
+
     def test_log_form_rejects_large_tolerance(self):
         with pytest.raises(ContractViolation):
             vote_threshold_log(0.25, math.log(0.6))

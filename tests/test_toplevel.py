@@ -36,6 +36,10 @@ class TestOrThreshold:
     def test_small_n_anchor(self):
         assert or_threshold(3, 0.01) == pytest.approx(math.log(3), rel=1e-12)
 
+    def test_subnormal_delta(self):
+        # n delta log(1/delta) is tiny, not delta times an overflowed infinity.
+        assert or_threshold(1000, 1e-310) == math.log(1000)
+
     def test_crossover_at_delta_one_over_n(self):
         # At delta = 1/n the two arguments coincide: n * (1/n) * log n = log n.
         assert or_threshold(100, 0.01) == pytest.approx(math.log(100), rel=1e-12)
