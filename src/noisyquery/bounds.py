@@ -22,6 +22,7 @@ __all__ = [
     "lecam_budget",
     "lecam_floor",
     "log_inverse",
+    "log_odds",
     "make_bound_report",
     "regime_label",
     "regime_ratio",
@@ -30,10 +31,14 @@ __all__ = [
     "DEFAULT_TOURNAMENT_CONSTANT",
 ]
 
-# Fitted from Monte Carlo runs of the knockout tournaments over the
-# acceptance grid (see tests/test_acceptance.py); the schedule's true
-# per-element cost is ~6x a single stopped walk, so the budget constant
-# must absorb it.
+# The exact knockout cost over the budget at c = 1,
+# exact_oracle.tournament_max_cost / tournament_budget(c=1.0), at its
+# largest over r = 2..2^16 and p in {0.1, 0.25, 0.4}, is 0.81, 0.91,
+# 0.92, 0.94 and 0.96 at delta = 0.05, 0.01, 1e-3, 1e-4 and 1e-8: under
+# the halving schedule an element's matches cost about one stopped walk.
+# The constant stays at 4.0, fitted to the earlier delta^(2(2i-1))
+# schedule (3.76 at delta = 0.01, tending to 6 walks as delta -> 0), so
+# the budgets the bounds report do not move.
 DEFAULT_TOURNAMENT_CONSTANT = 4.0
 
 
@@ -48,6 +53,12 @@ def log_inverse(x: float) -> float:
     return math.log(inverse) if inverse < math.inf else -math.log(x)
 
 
+def log_odds(p: float) -> float:
+    """log((1-p)/p) for 0 < p < 1; taken as log1p(-p) - log(p) where (1-p)/p overflows (p below 2**-1024)."""
+    ratio = (1.0 - p) / p
+    return math.log(ratio) if ratio < math.inf else math.log1p(-p) - math.log(p)
+
+
 def kl_pq(p: float) -> float:
     """KL divergence D(Bern(p) || Bern(1-p)) = (1-2p) log((1-p)/p), in nats.
 
@@ -56,7 +67,7 @@ def kl_pq(p: float) -> float:
     _require(0.0 < p < 1.0, f"p must lie in (0, 1), got {p} (divergence diverges at 0 and 1)")
     if p == 0.5:
         return 0.0
-    return (1.0 - 2.0 * p) * math.log((1.0 - p) / p)
+    return (1.0 - 2.0 * p) * log_odds(p)
 
 
 def binary_entropy(p: float) -> float:
@@ -104,7 +115,7 @@ def lecam_budget(n: int, delta: float, p: float) -> float:
 
 def checkbit_budget(delta: float, p: float) -> float:
     """Expected-query bound (1/(1-2p)) ceil(log((1-delta)/delta) / log((1-p)/p)) for one stopped walk."""
-    from .primitives import vote_threshold  # local import: primitives depends on bounds-free code only
+    from .primitives import vote_threshold  # local import: primitives imports this module
 
     return vote_threshold(p, delta) / (1.0 - 2.0 * p)
 
@@ -127,7 +138,7 @@ def regime_ratio(delta: float, p: float) -> float:
     """The ratio log(1/delta)/log(1/p) that separates the varying-p regimes."""
     _require(0.0 < delta < 1.0, f"delta must lie in (0, 1), got {delta}")
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
-    return log_inverse(delta) / math.log(1.0 / p)
+    return log_inverse(delta) / log_inverse(p)
 
 
 def regime_label(ratio: float) -> str:

@@ -251,7 +251,9 @@ def tournament_max_cost(r: int, delta: float, p: float) -> float:
 
 def tournament_or_cost(r: int, delta: float, p: float) -> float:
     """Exact expected reads of an OR knockout over r entrants (final check included)."""
-    return tournament_max_cost(r, delta, p) + analyze_walk(p, vote_threshold(p, delta)).expected_queries
+    bracket, final = RoundSchedule.or_split(delta)
+    final_check = analyze_walk(p, vote_threshold(p, final)).expected_queries
+    return tournament_max_cost(r, bracket, p) + final_check
 
 
 def _binom_pmf_window(n: int, q: float) -> tuple[int, np.ndarray]:
@@ -287,6 +289,8 @@ def noisy_or_error_all_zero(n: int, delta: float, p: float) -> float:
     check does, independent of the bracket path.
     """
     err = analyze_walk(p, vote_threshold(p, delta)).error_probability
+    _, final = RoundSchedule.or_split(delta)
+    final_err = analyze_walk(p, vote_threshold(p, final)).error_probability
     theta = or_threshold(n, delta)
     lo, pmf = _binom_pmf_window(n, err)
     error = 0.0
@@ -294,7 +298,7 @@ def noisy_or_error_all_zero(n: int, delta: float, p: float) -> float:
         s = lo + offset
         if s == 0:
             continue
-        error += mass * (1.0 if s >= theta else err)
+        error += mass * (1.0 if s >= theta else final_err)
     return error
 
 
@@ -448,15 +452,26 @@ def _enum_knockout(
     return [(prob, eq, survivors[0]) for prob, eq, survivors in leaves]
 
 
+def _enum_or_decisions(
+    entrants: list[tuple[int, float]], delta: float, p: float
+) -> list[tuple[float, float, bool]]:
+    """All (prob, expected queries, decision) leaves of an OR tournament, final check included."""
+    bracket, final = RoundSchedule.or_split(delta)
+    final_stats = walk_branch_stats(p, vote_threshold(p, final))
+    return [
+        (prob * pr, eq + cost, dec)
+        for prob, eq, (_idx, bit) in _enum_knockout(entrants, bracket, p, is_max=False)
+        for dec, pr, cost in _decision_branches(bit == 1.0, final_stats)
+    ]
+
+
 def _enum_tournament_or(instance: BitInstance, delta: float, p: float) -> EnumerationResult:
     entrants = [(i + 1, float(b)) for i, b in enumerate(instance.bits)]
-    final_stats = walk_branch_stats(p, vote_threshold(p, delta))
     out = {0: 0.0, 1: 0.0}
     eq_total = 0.0
-    for prob, eq, (idx, bit) in _enum_knockout(entrants, delta, p, is_max=False):
-        for dec, pr, cost in _decision_branches(bit == 1.0, final_stats):
-            out[1 if dec else 0] += prob * pr
-            eq_total += prob * pr * (eq + cost)
+    for prob, eq, dec in _enum_or_decisions(entrants, delta, p):
+        out[1 if dec else 0] += prob
+        eq_total += prob * eq
     truth = instance.truth()
     return EnumerationResult(
         error_probability=out[1 - truth], expected_queries=eq_total, outcome_probs=out
@@ -498,11 +513,9 @@ def _enum_noisy_or(instance: BitInstance, delta: float, p: float) -> Enumeration
             out[1] += prob
             eq_total += prob * eq
         else:
-            final_stats = stats
-            for pr2, eq2, (idx, bit) in _enum_knockout(survivors, delta, p, is_max=False):
-                for dec, pr3, cost in _decision_branches(bit == 1.0, final_stats):
-                    out[1 if dec else 0] += prob * pr2 * pr3
-                    eq_total += prob * pr2 * pr3 * (eq + eq2 + cost)
+            for pr2, eq2, dec in _enum_or_decisions(survivors, delta, p):
+                out[1 if dec else 0] += prob * pr2
+                eq_total += prob * pr2 * (eq + eq2)
     truth = instance.truth()
     return EnumerationResult(
         error_probability=out[1 - truth], expected_queries=eq_total, outcome_probs=out
@@ -556,10 +569,13 @@ def _reachable_thresholds(algorithm: str, n: int, delta: float, p: float) -> lis
     """
     if algorithm == "noisy-or":
         theta = or_threshold(n, delta)
-        bracket = max(min(n, math.ceil(theta) - 1), 1)
+        size = max(min(n, math.ceil(theta) - 1), 1)
+        bracket, final = RoundSchedule.or_split(delta)
+        checks = [vote_threshold(p, delta), vote_threshold(p, final)]
     else:
-        bracket = n
-    return [vote_threshold(p, delta), *RoundSchedule.for_size(bracket, delta).vote_thresholds(p)]
+        size, bracket = n, delta
+        checks = [vote_threshold(p, delta)]
+    return [*checks, *RoundSchedule.for_size(size, bracket).vote_thresholds(p)]
 
 
 # name -> (instance type, enumerator, largest input, largest reachable vote
@@ -624,7 +640,8 @@ class VerifyConfig:
     cleared for boundary configurations where the vote-threshold ceiling
     makes a single check's error land exactly on delta, so the union of
     round errors provably exceeds it; those stay in the registry for
-    agreement checks only.
+    agreement checks only.  No configuration needs it under the halving
+    schedule.
     """
 
     name: str
@@ -642,7 +659,7 @@ def verify_registry() -> list[VerifyConfig]:
     v = lambda *vals: ValueInstance(values=tuple(float(x) for x in vals))
     return [
         # Single tournaments (n <= 8).
-        VerifyConfig("tor-n2-hot", "tournament-or", b(1, 0), 0.1, 0.25, 1, assert_domination=False),
+        VerifyConfig("tor-n2-hot", "tournament-or", b(1, 0), 0.1, 0.25, 1),
         VerifyConfig("tor-n2-zero", "tournament-or", b(0, 0), 0.1, 0.25, 1),
         VerifyConfig("tor-n3-mid", "tournament-or", b(0, 1, 0), 0.05, 0.25, 1),
         VerifyConfig("tor-n4-zero", "tournament-or", b(0, 0, 0, 0), 0.05, 0.25, 1),
@@ -715,7 +732,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
 
     # Enumeration agrees with hand-derivable structure.
     single = enumerate_tournament(BitInstance(bits=(0,)), "tournament-or", 0.25, 0.25)
-    cf1 = analyze_walk(0.25, vote_threshold(0.25, 0.25))
+    cf1 = analyze_walk(0.25, vote_threshold(0.25, RoundSchedule.or_split(0.25)[1]))
     ok = (
         _rel_err(single.error_probability, cf1.error_probability) < 1e-12
         and _rel_err(single.expected_queries, cf1.expected_queries) < 1e-12
@@ -729,7 +746,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
         _rel_err(pair.error_probability, cf2.error_probability) < 1e-12
         and _rel_err(pair.expected_queries, cf2.expected_queries) < 1e-12
     )
-    checks.append(("enumeration: two-entrant MAX = one squared-tolerance walk", ok, ""))
+    checks.append(("enumeration: two-entrant MAX = one half-tolerance walk", ok, ""))
 
     inst22 = BitInstance(bits=(0, 0))
     enum22 = enumerate_tournament(inst22, "noisy-or", 0.2, 0.25)

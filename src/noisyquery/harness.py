@@ -23,7 +23,7 @@ from .errors import ContractViolation, InvariantError
 from .oracles import BitInstance, NoisyOracle, ValueInstance, make_instance_max, make_instance_or
 from .primitives import check_bit, noisy_compare
 from .toplevel import noisy_max_report, noisy_or_report
-from .tournaments import tournament_max, tournament_or
+from .tournaments import RoundSchedule, tournament_max, tournament_or
 
 __all__ = [
     "AggregateStats",
@@ -123,6 +123,8 @@ class ExperimentConfig:
             raise ContractViolation(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ContractViolation(f"seed must be >= 0, got {self.seed}")
+        if self.algorithm in ("tournament-or", "noisy-or"):
+            RoundSchedule.or_split(self.delta)
         if self.algorithm in ("noisycompare",) and self.n < 2:
             raise ContractViolation("noisycompare needs n >= 2")
         parse_instance_spec(self.instance, self.n, self.algorithm)

@@ -19,6 +19,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
+from .bounds import log_odds
 from .errors import ContractViolation
 from .oracles import NoisyOracle
 
@@ -45,7 +46,7 @@ def vote_threshold(p: float, delta: float) -> int:
         raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
     ratio = (1.0 - delta) / delta  # overflows for subnormal delta, where its log is -log(delta)
     numerator = math.log(ratio) if ratio < math.inf else -math.log(delta)
-    return math.ceil(numerator / math.log((1.0 - p) / p))
+    return math.ceil(numerator / log_odds(p))
 
 
 @lru_cache(maxsize=1024)
@@ -64,7 +65,7 @@ def vote_threshold_log(p: float, log_delta: float) -> int:
         raise ContractViolation(f"log_delta must be below log(1/2), got {log_delta}")
     delta = math.exp(log_delta)  # underflows harmlessly to 0.0 for tiny tolerances
     numerator = math.log1p(-delta) - log_delta
-    return math.ceil(numerator / math.log((1.0 - p) / p))
+    return math.ceil(numerator / log_odds(p))
 
 
 class StopReport(NamedTuple):

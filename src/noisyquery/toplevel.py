@@ -16,7 +16,7 @@ from .bounds import log_inverse
 from .errors import ContractViolation
 from .oracles import NoisyOracle
 from .primitives import check_bit, noisy_compare
-from .tournaments import tournament_max, tournament_or
+from .tournaments import RoundSchedule, tournament_max, tournament_or
 
 __all__ = [
     "MaxRunReport",
@@ -90,10 +90,12 @@ def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRu
     max(log n, n delta log(1/delta)) survivors means 1 outright (that
     many simultaneous false positives is overwhelmingly unlikely);
     anything between goes to a tournament at tolerance delta.  Worst-case
-    error is at most 2 delta.
+    error is at most 2 delta.  A delta the tournament cannot split is
+    refused before any query, whatever the bits turn out to be.
     """
     if n < 1:
         raise ContractViolation(f"n must be >= 1, got {n}")
+    RoundSchedule.or_split(delta)
     if oracle.instance.n < n:
         raise ContractViolation(f"oracle instance has {oracle.instance.n} bits, need {n}")
     ledger = oracle.ledger

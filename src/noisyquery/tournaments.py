@@ -1,12 +1,17 @@
-"""Knockout tournaments with a per-round shrinking error schedule.
+"""Knockout tournaments with a per-round halving error schedule.
 
 Round i of a tournament over r entrants plays floor(r/2) positional
-matches at tolerance delta^(2(2i-1)); an odd last entrant gets a bye and
-is appended after the winners.  After ceil(log2 r) rounds one survivor
-remains.  The OR variant decides each match by checking only the first
-element of the pair (keeping it on a 1, else keeping the second) and
-finishes with one more check of the survivor at the full tolerance; the
-MAX variant decides each match with a noisy comparison and returns the
+matches at tolerance delta 2^-i, after Feige, Raghavan, Peleg and Upfal,
+"Computing with Noisy Information" (1994); an odd last entrant gets a bye
+and is appended after the winners.  After ceil(log2 r) rounds one
+survivor remains.  The true maximum, or any 1-bit, plays at most one
+match a round, so its round errors sum to less than delta.
+
+The OR variant decides each match by checking only the first element of
+the pair (keeping it on a 1, else keeping the second) and finishes with
+one more check of the survivor; it gives delta/2 to its bracket and
+delta/2 to its final check, so it too errs at most delta.  The MAX
+variant decides each match with a noisy comparison and returns the
 survivor directly.
 
 Round tolerances underflow any float for deep brackets and small delta,
@@ -32,7 +37,7 @@ MatchHook = Callable[[int, float, int, int, int], None]
 
 @dataclass(frozen=True)
 class RoundSchedule:
-    """The per-round error budget delta^(2(2i-1)), held in log space."""
+    """The per-round error budget delta 2^-i of one bracket, held in log space."""
 
     delta: float
     rounds: int
@@ -49,11 +54,21 @@ class RoundSchedule:
             raise ContractViolation(f"tournament size must be >= 1, got {r}")
         return cls(delta=delta, rounds=math.ceil(math.log2(r)))
 
+    @staticmethod
+    def or_split(delta: float) -> tuple[float, float]:
+        """(bracket, final check) tolerances of an OR tournament that may err with probability delta."""
+        if not 0.0 < delta < 0.5:
+            raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
+        half = delta / 2.0
+        if half == 0.0:
+            raise ContractViolation(f"delta {delta!r} is too small to split in half")
+        return half, half
+
     def log_round_error(self, i: int) -> float:
         """log of the round-i tolerance; exact where the tolerance itself underflows."""
         if not 1 <= i <= max(self.rounds, 1):
             raise ContractViolation(f"round index {i} outside 1..{self.rounds}")
-        return 2 * (2 * i - 1) * math.log(self.delta)
+        return math.log(self.delta) - i * math.log(2.0)
 
     def vote_thresholds(self, p: float) -> list[int]:
         """The vote threshold of rounds 1..rounds at crossover probability p."""
@@ -100,14 +115,17 @@ def tournament_or(
     """Estimate the OR of the bits at ``indices``; error probability at most delta.
 
     Matches check only the first element of each pair: a 1 keeps it, a 0
-    advances the second.  The last survivor is checked once more at the
-    full tolerance and that decision is returned.
+    advances the second.  The bracket plays at delta/2 and the last
+    survivor is checked once more at delta/2; that decision is returned.
+    A delta too small to halve is refused before any match is played.
     """
+    bracket_delta, final_delta = RoundSchedule.or_split(delta)
+
     def winner_of(first: int, second: int, log_tol: float) -> int:
         return first if check_bit_log(oracle, first, log_tol, p).decision == 1 else second
 
-    last = _play_rounds(indices, delta, p, winner_of, match_hook)
-    return check_bit(oracle, last, delta, p).decision
+    last = _play_rounds(indices, bracket_delta, p, winner_of, match_hook)
+    return check_bit(oracle, last, final_delta, p).decision
 
 
 def tournament_max(

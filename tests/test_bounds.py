@@ -13,6 +13,7 @@ from noisyquery.bounds import (
     lecam_budget,
     lecam_floor,
     log_inverse,
+    log_odds,
     make_bound_report,
     regime_label,
     regime_ratio,
@@ -20,6 +21,7 @@ from noisyquery.bounds import (
     upper_budget,
 )
 from noisyquery.errors import ContractViolation
+from noisyquery.primitives import vote_threshold, vote_threshold_log
 
 
 class TestKlDivergence:
@@ -142,6 +144,31 @@ class TestSubnormalDelta:
         assert math.isfinite(tournament_budget(10, delta, 0.25))
         report = make_bound_report(1000, delta, 0.25)
         assert report.checkbit_budget == math.ceil(-math.log(delta) / math.log(3.0)) / 0.5
+
+
+class TestSubnormalP:
+    """Below 2**-1024, (1-p)/p overflows; log((1-p)/p) is then taken as log1p(-p) - log(p)."""
+
+    @given(st.floats(min_value=2.0**-1022, max_value=0.5, exclude_max=True))
+    def test_unchanged_for_normal_p(self, p):
+        ratio = math.log((1.0 - p) / p)
+        assert log_odds(p) == ratio
+        assert kl_pq(p) == (1.0 - 2.0 * p) * ratio
+        assert vote_threshold(p, 0.01) == math.ceil(math.log(99.0) / ratio)
+        assert vote_threshold_log(p, math.log(0.01)) == math.ceil((math.log1p(-0.01) - math.log(0.01)) / ratio)
+
+    @pytest.mark.parametrize("p", [5.56e-309, 1e-310, 5e-324])
+    def test_finite_where_the_ratio_overflows(self, p):
+        assert (1.0 - p) / p == math.inf
+        assert log_odds(p) == -math.log(p)
+        assert kl_pq(p) == -math.log(p)
+        assert vote_threshold(p, 0.01) == 1  # a single read decides at odds beyond 1e308
+        assert vote_threshold_log(p, math.log(0.01)) == 1
+        report = make_bound_report(10, 0.01, p)
+        assert report.checkbit_budget == 1.0
+        assert report.lecam_floor(0.0) == 0.25
+        assert all(math.isfinite(x) for x in (report.d_kl, report.upper_budget, report.regime_ratio))
+        assert report.regime_ratio == log_inverse(0.01) / -math.log(p)
 
 
 class TestPerPrimitiveBudgets:

@@ -31,6 +31,30 @@ class TestBoundsCommand:
         argv = ["run", "--algorithm", "checkbit", "--instance", "single_one:1", "--n", "1", "--p", "0.25"]
         assert main(argv + ["--delta", "1e-310", "--trials", "2"]) == 0
 
+    def test_subnormal_p(self, capsys):
+        # (1 - p)/p overflows here; the bounds and the vote threshold stay finite.
+        assert main(["bounds", "--n", "10", "--delta", "0.01", "--p", "1e-310"]) == 0
+        out = capsys.readouterr().out
+        assert "d_kl_nats                713.8013788281542" in out
+        assert "checkbit_budget_per_bit  1.0" in out
+        assert "lecam_floor_at_m0        0.25" in out
+        assert "inf" not in out and "nan" not in out
+        argv = ["run", "--algorithm", "checkbit", "--instance", "single_one:1", "--n", "1", "--p", "1e-310"]
+        assert main(argv + ["--delta", "0.01", "--trials", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[11] == "1.0"  # one read a trial
+
+    @pytest.mark.parametrize("algorithm", ["tournament-or", "noisy-or"])
+    @pytest.mark.parametrize("instance", ["all_zero", "single_one:1"])
+    def test_delta_too_small_to_halve_is_refused_up_front(self, capsys, algorithm, instance):
+        # The OR tournament splits delta in half; 5e-324 / 2 is 0.  The
+        # refusal must not depend on whether a tournament is reached.
+        argv = ["run", "--algorithm", algorithm, "--instance", instance, "--n", "5", "--p", "0.25"]
+        assert main(argv + ["--delta", "5e-324", "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "too small to split in half" in captured.err
+        assert "running" not in captured.err
+        assert captured.out == ""
+
     def test_rejects_half_p(self, capsys):
         assert main(["bounds", "--n", "10", "--delta", "0.01", "--p", "0.5"]) == 2
         err = capsys.readouterr().err

@@ -98,12 +98,17 @@ class TestTournamentCosts:
         assert tournament_max_cost(1, 0.01, 0.25) == 0.0
 
     def test_two_entrants_decompose(self):
-        k_sq = vote_threshold_log(0.25, 2 * math.log(0.1))
-        k_full = vote_threshold(0.25, 0.1)
-        expected = analyze_walk(0.25, k_sq).expected_queries
-        assert tournament_max_cost(2, 0.1, 0.25) == pytest.approx(expected, rel=1e-14)
+        # MAX plays its one round at delta/2; OR plays it at delta/4 and
+        # checks the survivor at delta/2.
+        k_max = vote_threshold_log(0.25, math.log(0.05))
+        k_or = vote_threshold_log(0.25, math.log(0.025))
+        k_final = vote_threshold(0.25, 0.05)
+        assert tournament_max_cost(2, 0.1, 0.25) == pytest.approx(
+            analyze_walk(0.25, k_max).expected_queries, rel=1e-14
+        )
         assert tournament_or_cost(2, 0.1, 0.25) == pytest.approx(
-            expected + analyze_walk(0.25, k_full).expected_queries, rel=1e-14
+            analyze_walk(0.25, k_or).expected_queries + analyze_walk(0.25, k_final).expected_queries,
+            rel=1e-14,
         )
 
     def test_cost_grows_with_entrants(self):
@@ -113,14 +118,14 @@ class TestTournamentCosts:
 
 class TestEnumeration:
     def test_single_entrant_or_equals_walk(self):
+        # K(0.125) = 2 at p = 0.25: error 1/(1 + 3^2), (2 - 4 * 0.9) / (0.25 - 0.75) queries.
         result = enumerate_tournament(BitInstance(bits=(0,)), "tournament-or", 0.25, 0.25)
-        assert result.error_probability == pytest.approx(0.25, rel=1e-14)
-        assert result.expected_queries == pytest.approx(1.0, rel=1e-14)
+        assert result.error_probability == pytest.approx(0.1, rel=1e-14)
+        assert result.expected_queries == pytest.approx(3.2, rel=1e-14)
 
-    def test_two_entrant_max_is_one_squared_tolerance_walk(self):
+    def test_two_entrant_max_is_one_half_tolerance_walk(self):
         result = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "tournament-max", 0.1, 0.25)
-        k = vote_threshold_log(0.25, 2 * math.log(0.1))
-        w = analyze_walk(0.25, k)
+        w = analyze_walk(0.25, vote_threshold(0.25, 0.05))
         assert result.error_probability == pytest.approx(w.error_probability, rel=1e-13)
         assert result.expected_queries == pytest.approx(w.expected_queries, rel=1e-13)
 
@@ -138,19 +143,25 @@ class TestEnumeration:
             assert sum(result.outcome_probs.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_guarantee_domination_over_registry(self):
+        # delta for the tournaments, 2 delta for OR, 3 delta for MAX.
         for cfg in verify_registry():
             if not cfg.assert_domination:
                 continue
             result = enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
             assert result.error_probability <= cfg.error_bound_multiplier * cfg.delta + 1e-12, cfg.name
 
+    def test_every_config_asserts_domination(self):
+        assert all(cfg.assert_domination for cfg in verify_registry())
+
     def test_threshold_ceiling_boundary_case(self):
-        # At (p, delta) = (0.25, 0.1) the final check's exact error is
-        # exactly delta, so the bracket round pushes the total above it;
-        # kept as a documented property of the as-written schedule.
+        # At (p, delta) = (0.25, 0.1) a check at the full delta errs exactly
+        # delta, so a final check there would push the total above it.  The
+        # final check gets delta/2 instead: round one at K(0.025) = 4 errs
+        # 1/82 and the final check at K(0.05) = 3 errs 1/28, so the total is
+        # (81 + 27) / (82 * 28).
         result = enumerate_tournament(BitInstance(bits=(1, 0)), "tournament-or", 0.1, 0.25)
-        assert result.error_probability == pytest.approx(0.10327868852459016, rel=1e-12)
-        assert result.error_probability > 0.1
+        assert result.error_probability == pytest.approx(108 / (82 * 28), rel=1e-12)
+        assert result.error_probability <= 0.1
 
     def test_structural_or_predictors_match_enumeration(self):
         inst = BitInstance(bits=(0, 0, 0))
@@ -161,6 +172,14 @@ class TestEnumeration:
         assert expected_queries_noisy_or(inst, 0.1, 0.25) == pytest.approx(
             enum.expected_queries, rel=1e-9
         )
+
+    def test_or_error_predictor_uses_the_final_check_tolerance(self):
+        # n = 3, delta = 0.1, cutoff log 3: phase-1 walks at K(0.1) = 2 err
+        # with 1/10.  One false positive goes to a one-entrant tournament,
+        # which errs when its final check at K(0.05) = 3 does: 1/28, not the
+        # phase-1 walk's 1/10.  Two or more declare 1 outright.
+        one, more = 3 * 0.1 * 0.9**2, 3 * 0.1**2 * 0.9 + 0.1**3
+        assert noisy_or_error_all_zero(3, 0.1, 0.25) == pytest.approx(one / 28 + more, rel=1e-12)
 
     def test_or_predictor_handles_mixed_bits(self):
         inst = BitInstance(bits=(0, 1, 0))
@@ -181,6 +200,14 @@ class TestEnumeration:
             enum.expected_queries, rel=1e-12
         )
 
+    def test_predictors_at_the_benchmark_point(self):
+        # n = 1000, delta = 0.01, p = 0.25: MAX at 1.22x and OR at 1.19x
+        # the leading-order budget.
+        budget = upper_budget(1000, 0.01, 0.25)
+        assert expected_queries_noisy_max(1000, 0.01, 0.25) / budget == pytest.approx(1.223, abs=1e-3)
+        all_zero = make_instance_or("all_zero", 1000)
+        assert expected_queries_noisy_or(all_zero, 0.01, 0.25) / budget == pytest.approx(1.189, abs=1e-3)
+
 
 class TestEnumerationCaps:
     def test_tournament_size_cap(self):
@@ -194,11 +221,13 @@ class TestEnumerationCaps:
             enumerate_tournament(inst, "noisy-or", 0.1, 0.25)
 
     def test_threshold_cap(self):
-        # delta = 0.2 at p = 0.25 makes the deepest reachable MAX round
-        # need a vote threshold of 9, above the cap of 8.
+        # delta = 0.2 stays enumerable.  At delta = 3e-4 the phase-1 walks
+        # need K = 8, but round two at delta/4 needs K = 9, above the cap.
         inst = ValueInstance(values=(1.0, 2.0, 3.0))
-        with pytest.raises(EnumerationCapError):
-            enumerate_tournament(inst, "noisy-max", 0.2, 0.25)
+        enumerate_tournament(inst, "noisy-max", 0.2, 0.25)
+        assert vote_threshold(0.25, 3e-4) == 8
+        with pytest.raises(EnumerationCapError, match="vote thresholds <= 8, got 9"):
+            enumerate_tournament(inst, "noisy-max", 3e-4, 0.25)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ContractViolation):
@@ -220,6 +249,7 @@ class TestVerifyChecks:
         checks = run_verify_checks()
         failures = [name for name, ok, _ in checks if not ok]
         assert failures == []
+        assert len(checks) == 25
 
     def test_registry_is_enumerable(self):
         for cfg in verify_registry():

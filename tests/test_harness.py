@@ -63,11 +63,17 @@ class TestConfigValidation:
             {"algorithm": "noisy-max", "instance": "literal:nan,1", "n": 2},  # argmax undefined
             {"algorithm": "noisy-or", "instance": "all_zero:7", "n": 3},  # all_zero takes no parameter
             {"algorithm": "noisy-max", "instance": "sorted:abc", "n": 3},  # sorted takes no parameter
+            {"algorithm": "noisy-or", "instance": "all_zero", "delta": 5e-324},  # too small to halve
+            {"algorithm": "tournament-or", "delta": 5e-324},  # too small to halve
         ],
     )
     def test_rejects(self, overrides):
         with pytest.raises(ContractViolation):
             _config(**overrides).validate()
+
+    def test_smallest_delta_is_valid_where_no_tournament_splits_it(self):
+        _config(delta=5e-324).validate()
+        _config(algorithm="noisy-max", instance="sorted", n=3, delta=5e-324).validate()
 
     def test_instance_spec_families(self):
         assert parse_instance_spec("all_zero", 3, "noisy-or").bits == (0, 0, 0)

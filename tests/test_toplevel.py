@@ -84,13 +84,20 @@ class TestNoisyOrTraces:
 
     def test_single_one_goes_through_tournament(self):
         # One survivor < threshold log(3): the singleton tournament is one
-        # more full-tolerance check of that bit.
+        # more check of that bit, at half the tolerance.  Phase 1 runs at
+        # K(0.05) = 3, the final check at K(0.025) = 4.
         oracle = _noiseless(make_instance_or("single_one", 3, index=1))
-        report = noisy_or_report(oracle, 3, 0.01, 0.25)
+        report = noisy_or_report(oracle, 3, 0.05, 0.25)
         assert report.output == 1
         assert report.survivors == (1,)
-        assert report.phase1_queries == 15
-        assert report.subroutine_queries == 5
+        assert report.phase1_queries == 9
+        assert report.subroutine_queries == 4
+
+    def test_delta_too_small_to_halve_is_refused_before_any_query(self):
+        oracle = _noiseless(make_instance_or("all_zero", 3))
+        with pytest.raises(ContractViolation, match="too small to split in half"):
+            noisy_or_report(oracle, 3, 5e-324, 0.25)
+        assert oracle.ledger.total == 0
 
     def test_many_survivors_short_circuit(self):
         # All-ones with n = 8: eight survivors >= max(log 8, ...) ~ 2.08,

@@ -19,14 +19,34 @@ from noisyquery.tournaments import RoundSchedule, tournament_max, tournament_or
 
 
 class TestRoundSchedule:
-    def test_first_round_is_delta_squared(self):
+    def test_first_round_is_half_delta(self):
         schedule = RoundSchedule.for_size(8, 0.1)
-        assert math.exp(schedule.log_round_error(1)) == pytest.approx(0.01, rel=1e-12)
+        assert math.exp(schedule.log_round_error(1)) == pytest.approx(0.05, rel=1e-12)
 
     def test_exponent_progression(self):
         schedule = RoundSchedule.for_size(16, 0.1)
         for i in range(1, 5):
-            assert schedule.log_round_error(i) == 2 * (2 * i - 1) * math.log(0.1)
+            assert schedule.log_round_error(i) == math.log(0.1) - i * math.log(2.0)
+
+    @pytest.mark.parametrize("delta", [0.4, 0.1, 1e-3, 1e-12])
+    def test_round_tolerances_sum_below_delta(self, delta):
+        # The true maximum plays at most one match a round, so its error is
+        # at most the sum of the round tolerances.
+        schedule = RoundSchedule.for_size(1 << 30, delta)
+        total = sum(math.exp(schedule.log_round_error(i)) for i in range(1, schedule.rounds + 1))
+        assert total <= delta
+
+    def test_or_split(self):
+        # delta/2 to the bracket and delta/2 to the final check, so the
+        # bracket's rounds and the final check together stay within delta.
+        assert RoundSchedule.or_split(0.1) == (0.05, 0.05)
+        assert sum(RoundSchedule.or_split(0.1)) == 0.1
+
+    def test_or_split_refuses_what_it_cannot_halve(self):
+        with pytest.raises(ContractViolation, match="too small"):
+            RoundSchedule.or_split(5e-324)
+        with pytest.raises(ContractViolation, match="delta must lie"):
+            RoundSchedule.or_split(0.6)
 
     def test_strictly_decreasing(self):
         schedule = RoundSchedule.for_size(64, 0.2)
@@ -40,10 +60,11 @@ class TestRoundSchedule:
         assert RoundSchedule.for_size(1 << 20, 0.1).rounds == 20
 
     def test_deep_rounds_survive_underflow(self):
-        # delta^(2(2i-1)) underflows floats long before round 10 at
-        # delta = 1e-12, but log-space thresholds stay finite and exact.
-        schedule = RoundSchedule.for_size(1 << 20, 1e-12)
-        log_tol = schedule.log_round_error(10)
+        # 1e-300 * 2^-90 is below the smallest subnormal float, but
+        # log-space thresholds stay finite and exact.
+        schedule = RoundSchedule.for_size(1 << 90, 1e-300)
+        log_tol = schedule.log_round_error(90)
+        assert math.isfinite(log_tol)
         assert math.exp(log_tol) == 0.0  # underflow is expected here
         k = vote_threshold_log(0.25, log_tol)
         assert k == math.ceil(-log_tol / math.log(3.0))
@@ -63,16 +84,17 @@ def _noiseless(instance):
 
 class TestTournamentOrTraces:
     def test_truthful_all_zero_query_count(self):
-        # Two round-one checks at K(delta^2) = 5, one round-two check at
-        # K(delta^6) = 13, final check at K(delta) = 2: 25 reads total.
+        # The bracket gets delta/2 = 0.05: two round-one checks at
+        # K(0.025) = 4, one round-two check at K(0.0125) = 4, then the
+        # final check at K(0.05) = 3: 15 reads total.
         oracle = _noiseless(make_instance_or("all_zero", 4))
         assert tournament_or(oracle, [1, 2, 3, 4], 0.1, 0.25) == 0
-        assert oracle.ledger.total == 25
+        assert oracle.ledger.total == 15
 
     def test_single_index_degenerates_to_final_check(self):
         oracle = _noiseless(make_instance_or("literal", bits=(1,)))
-        assert tournament_or(oracle, [1], 0.01, 0.25) == 1
-        assert oracle.ledger.total == 5  # K(0.01) at p = 0.25
+        assert tournament_or(oracle, [1], 0.1, 0.25) == 1
+        assert oracle.ledger.total == 3  # K(0.05) at p = 0.25; K(0.1) would be 2
 
     def test_first_element_asymmetry(self):
         # Matches query only the first element of each pair: a truthful
@@ -81,8 +103,8 @@ class TestTournamentOrTraces:
         oracle = _noiseless(make_instance_or("literal", bits=(0, 1)))
         assert tournament_or(oracle, [1, 2], 0.1, 0.25) == 1
         per_index = oracle.ledger.per_index
-        assert per_index[1] == 5      # K(0.01), decided 0, second advances
-        assert per_index[2] == 2      # final K(0.1) on the survivor
+        assert per_index[1] == 4      # K(0.025), decided 0, second advances
+        assert per_index[2] == 3      # final K(0.05) on the survivor
 
     def test_empty_indices_rejected(self):
         oracle = _noiseless(make_instance_or("all_zero", 2))
@@ -99,9 +121,10 @@ class TestTournamentMaxTraces:
     def test_truthful_odd_bracket_with_bye(self):
         # (1,2,3): round one plays (1,2) and gives 3 a bye; round two
         # plays (2,3); truthful comparisons crown index 3.
+        # Round one at K(0.05) = 3, round two at K(0.025) = 4.
         oracle = _noiseless(ValueInstance(values=(1.0, 2.0, 3.0)))
         assert tournament_max(oracle, [1, 2, 3], 0.1, 0.25) == 3
-        assert oracle.ledger.per_pair == {(1, 2): 5, (2, 3): 13}
+        assert oracle.ledger.per_pair == {(1, 2): 3, (2, 3): 4}
 
     def test_single_index_returns_without_queries(self):
         oracle = _noiseless(ValueInstance(values=(4.0,)))
@@ -136,7 +159,7 @@ class TestScheduleFidelity:
         for rnd, entries in by_round.items():
             assert len(entries) == 1
             log_tol, k = next(iter(entries))
-            assert log_tol == 2 * (2 * rnd - 1) * math.log(0.05)
+            assert log_tol == math.log(0.025) - rnd * math.log(2.0)  # the OR bracket plays at delta/2
             assert k == vote_threshold_log(0.25, log_tol)
 
     def test_match_counts_halve(self):
