@@ -17,7 +17,6 @@ from .bounds import (
     lecam_budget,
     lecam_floor,
     make_bound_report,
-    tournament_budget,
     upper_budget,
 )
 from .errors import ContractViolation, EnumerationCapError, InvariantError
@@ -34,7 +33,6 @@ from .oracles import (
     BitInstance,
     ForcedResponseStream,
     NoisyOracle,
-    QueryLedger,
     ValueInstance,
     make_instance_max,
     make_instance_or,
@@ -50,9 +48,7 @@ from .tournaments import RoundSchedule, tournament_max, tournament_or
 from .toplevel import (
     MaxRunReport,
     OrRunReport,
-    noisy_max,
     noisy_max_report,
-    noisy_or,
     noisy_or_report,
     or_threshold,
     sampling_probability,
@@ -71,7 +67,6 @@ __all__ = [
     "MaxRunReport",
     "NoisyOracle",
     "OrRunReport",
-    "QueryLedger",
     "RoundSchedule",
     "StopReport",
     "ValueInstance",
@@ -90,13 +85,10 @@ __all__ = [
     "make_instance_max",
     "make_instance_or",
     "noisy_compare",
-    "noisy_max",
     "noisy_max_report",
-    "noisy_or",
     "noisy_or_report",
     "or_threshold",
     "sampling_probability",
-    "tournament_budget",
     "tournament_max",
     "tournament_or",
     "upper_budget",

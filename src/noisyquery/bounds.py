@@ -1,10 +1,8 @@
 """Closed-form query-complexity bounds for noisy OR/MAX computation.
 
 All divergences and logarithms are natural (nats) unless a name says
-otherwise.  The channel-capacity denominator ``1 - H(p)`` is the one
-exception: it is only meaningful with the binary entropy in bits, so
-:func:`tournament_budget` converts internally and reports both
-conventions through :class:`BoundReport`.
+otherwise; :class:`BoundReport` gives the binary entropy in nats and in
+bits.
 """
 
 from __future__ import annotations
@@ -26,21 +24,8 @@ __all__ = [
     "make_bound_report",
     "regime_label",
     "regime_ratio",
-    "tournament_budget",
     "upper_budget",
-    "DEFAULT_TOURNAMENT_CONSTANT",
 ]
-
-# The exact knockout cost over the budget at c = 1,
-# exact_oracle.tournament_max_cost / tournament_budget(c=1.0), at its
-# largest over r = 2..2^16 and p in {0.1, 0.25, 0.4}, is 0.81, 0.91,
-# 0.92, 0.94 and 0.96 at delta = 0.05, 0.01, 1e-3, 1e-4 and 1e-8: under
-# the halving schedule an element's matches cost about one stopped walk.
-# The constant stays at 4.0, fitted to the earlier delta^(2(2i-1))
-# schedule (3.76 at delta = 0.01, tending to 6 walks as delta -> 0), so
-# the budgets the bounds report do not move.
-DEFAULT_TOURNAMENT_CONSTANT = 4.0
-
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -118,20 +103,6 @@ def checkbit_budget(delta: float, p: float) -> float:
     from .primitives import vote_threshold  # local import: primitives imports this module
 
     return vote_threshold(p, delta) / (1.0 - 2.0 * p)
-
-
-def tournament_budget(r: int, delta: float, p: float, c: float = DEFAULT_TOURNAMENT_CONSTANT) -> float:
-    """Knockout-tournament budget C (r/(1 - H_bits(p)) + r log(1/delta)/D).
-
-    ``c`` is the absolute constant left unspecified by the guarantee; the
-    default is the empirically fitted value from the acceptance runs.
-    """
-    _require(r >= 1, f"r must be >= 1, got {r}")
-    _require(0.0 < delta < 1.0, f"delta must lie in (0, 1), got {delta}")
-    _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
-    _require(c > 0.0, f"c must be positive, got {c}")
-    capacity = 1.0 - binary_entropy(p) / math.log(2.0)
-    return c * (r / capacity + r * log_inverse(delta) / kl_pq(p))
 
 
 def regime_ratio(delta: float, p: float) -> float:

@@ -107,6 +107,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.raw_trials and args.format == "csv":
+        raise ContractViolation("--raw-trials needs --format json")
     config = ExperimentConfig(
         algorithm=args.algorithm,
         instance=args.instance,

@@ -636,12 +636,7 @@ class VerifyConfig:
     """One enumerable configuration with its applicable error guarantee.
 
     ``error_bound_multiplier`` scales delta (1 for the tournaments, 2 for
-    the OR algorithm, 3 for the MAX algorithm).  ``assert_domination`` is
-    cleared for boundary configurations where the vote-threshold ceiling
-    makes a single check's error land exactly on delta, so the union of
-    round errors provably exceeds it; those stay in the registry for
-    agreement checks only.  No configuration needs it under the halving
-    schedule.
+    the OR algorithm, 3 for the MAX algorithm).
     """
 
     name: str
@@ -650,7 +645,6 @@ class VerifyConfig:
     delta: float
     p: float
     error_bound_multiplier: int
-    assert_domination: bool = True
 
 
 def verify_registry() -> list[VerifyConfig]:
@@ -748,19 +742,19 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     )
     checks.append(("enumeration: two-entrant MAX = one half-tolerance walk", ok, ""))
 
-    inst22 = BitInstance(bits=(0, 0))
-    enum22 = enumerate_tournament(inst22, "noisy-or", 0.2, 0.25)
-    err_struct = noisy_or_error_all_zero(2, 0.2, 0.25)
-    eq_struct = expected_queries_noisy_or(inst22, 0.2, 0.25)
+    # Three zeros at delta = 0.1: a lone survivor is below the cutoff log 3,
+    # so it goes to the tournament and its final check at delta/2.
+    zeros = BitInstance(bits=(0, 0, 0))
+    enum_zeros = enumerate_tournament(zeros, "noisy-or", 0.1, 0.25)
     ok = (
-        _rel_err(enum22.error_probability, err_struct) < 1e-9
-        and _rel_err(enum22.expected_queries, eq_struct) < 1e-9
+        _rel_err(enum_zeros.error_probability, noisy_or_error_all_zero(3, 0.1, 0.25)) < 1e-9
+        and _rel_err(enum_zeros.expected_queries, expected_queries_noisy_or(zeros, 0.1, 0.25)) < 1e-9
     )
     checks.append(
         (
             "enumeration vs structural OR predictor",
             ok,
-            f"error {enum22.error_probability:.6f}, mean {enum22.expected_queries:.4f}",
+            f"error {enum_zeros.error_probability:.6f}, mean {enum_zeros.expected_queries:.4f}",
         )
     )
 
@@ -768,22 +762,13 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     for cfg in verify_registry():
         result = enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
         bound = cfg.error_bound_multiplier * cfg.delta
-        if cfg.assert_domination:
-            checks.append(
-                (
-                    f"bound {cfg.name}",
-                    result.error_probability <= bound + 1e-12,
-                    f"exact {result.error_probability:.6f} <= {bound}",
-                )
+        checks.append(
+            (
+                f"bound {cfg.name}",
+                result.error_probability <= bound + 1e-12,
+                f"exact {result.error_probability:.6f} <= {bound}",
             )
-        else:
-            checks.append(
-                (
-                    f"bound {cfg.name} (boundary case, informational)",
-                    True,
-                    f"exact {result.error_probability:.6f} vs nominal {bound}",
-                )
-            )
+        )
 
     if mc_trials > 0:
         from .harness import ExperimentConfig, run_experiment

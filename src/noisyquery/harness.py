@@ -57,11 +57,11 @@ def _run_noisycompare(oracle: NoisyOracle, n: int, delta: float, p: float) -> tu
 
 
 def _run_tournament_or(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
-    return tournament_or(oracle, list(range(1, n + 1)), delta, p), 0, oracle.ledger.total
+    return tournament_or(oracle, list(range(1, n + 1)), delta, p), 0, oracle.queries
 
 
 def _run_tournament_max(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
-    return tournament_max(oracle, list(range(1, n + 1)), delta, p), 0, oracle.ledger.total
+    return tournament_max(oracle, list(range(1, n + 1)), delta, p), 0, oracle.queries
 
 
 def _run_noisy_or(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
@@ -235,12 +235,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
     instance, target = _cached_instance(config.instance, config.n, config.algorithm)
     oracle = NoisyOracle(instance, config.p, config.seed, trial_index)
     output, phase1, sub = ALGORITHMS[config.algorithm][1](oracle, config.n, config.delta, config.p)
-    total = oracle.ledger.total
-    if total != oracle.ledger.component_total():
-        raise InvariantError("ledger total does not match its per-component sum")
+    total = oracle.queries
     if phase1 + sub != total:
         raise InvariantError(
-            f"phase accounting {phase1} + {sub} != ledger total {total} for {config.algorithm}"
+            f"phase accounting {phase1} + {sub} != query count {total} for {config.algorithm}"
         )
     return TrialStats(trial_index, output == target, total, phase1, sub)
 

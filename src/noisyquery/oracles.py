@@ -2,8 +2,8 @@
 
 A :class:`NoisyOracle` wraps one hidden instance for one trial.  Every
 answered query passes through a binary symmetric channel with crossover
-probability ``p`` and is counted in a :class:`QueryLedger` before the
-answer is returned.  Randomness is fully determined by
+probability ``p`` and is counted in :attr:`NoisyOracle.queries` before
+the answer is returned.  Randomness is fully determined by
 ``(master_seed, trial_index)``, so trials replay bit-identically and can
 be scheduled in any order.
 
@@ -25,7 +25,6 @@ __all__ = [
     "BitInstance",
     "ForcedResponseStream",
     "NoisyOracle",
-    "QueryLedger",
     "ValueInstance",
     "make_instance_max",
     "make_instance_or",
@@ -111,40 +110,12 @@ class ValueInstance:
         return best + 1
 
 
-class QueryLedger:
-    """Monotone query counters: total, per index (bit reads), per unordered pair (comparisons)."""
-
-    __slots__ = ("total", "_per_index", "_per_pair", "_stride")
-
-    def __init__(self, n: int) -> None:
-        self.total = 0
-        self._per_index = [0] * (n + 1)
-        # Pair (i, j), i < j, is keyed by the int i * (n + 1) + j.
-        self._per_pair: dict[int, int] = {}
-        self._stride = n + 1
-
-    @property
-    def per_index(self) -> dict[int, int]:
-        """Read counts by index (indices with zero reads omitted)."""
-        return {i: c for i, c in enumerate(self._per_index) if c > 0}
-
-    @property
-    def per_pair(self) -> dict[tuple[int, int], int]:
-        """Comparison counts by unordered pair, keyed (min, max)."""
-        stride = self._stride
-        return {divmod(key, stride): c for key, c in self._per_pair.items()}
-
-    def component_total(self) -> int:
-        """Sum of the per-index and per-pair entries; always equals ``total``."""
-        return sum(self._per_index) + sum(self._per_pair.values())
-
-
 @dataclass
 class ForcedResponseStream:
     """Scripted answers consumed in order, replacing the random channel in tests.
 
     Each entry is the literal answer the oracle will return (``True``/1
-    for a bit read of 1 or a "less-than" comparison).  The ledger still
+    for a bit read of 1 or a "less-than" comparison).  The oracle still
     counts every answer.  Exhausting the script is a contract
     violation: scripted traces must cover every query they provoke.
     """
@@ -173,11 +144,11 @@ class NoisyOracle:
     distinct trials get distinct oracles and may run fully in parallel.
     Channel noise and algorithm-level randomness come from separate
     streams keyed by ``(master_seed, trial_index)``, so consuming one
-    never perturbs the other.
+    never perturbs the other.  ``queries`` counts every query asked.
     """
 
     __slots__ = (
-        "instance", "p", "master_seed", "trial_index", "ledger",
+        "instance", "p", "master_seed", "trial_index", "queries",
         "_bits", "_values", "_n", "_forced",  # the hidden instance, and the script if forced
         "_rng", "_buf", "_pos",  # the channel's generator, its current chunk, and the next flip
         "_run_k", "_run_from", "_stops",  # the current run of walks at one threshold
@@ -206,7 +177,7 @@ class NoisyOracle:
         self.master_seed = master_seed
         self.trial_index = trial_index
         self._n = instance.n
-        self.ledger = QueryLedger(self._n)
+        self.queries = 0
         if isinstance(instance, BitInstance):
             self._bits: list[bool] | None = [False, *map(bool, instance.bits)]
             self._values: list[float] | None = None
@@ -252,7 +223,7 @@ class NoisyOracle:
     # -- queries ---------------------------------------------------------------
 
     def read_bit(self, i: int) -> int:
-        """Read bit i through the channel; increments the ledger, then answers."""
+        """Read bit i through the channel; counts the query, then answers."""
         return int(self.walk(i, None, 1)[0])
 
     def compare(self, i: int, j: int) -> bool:
@@ -264,7 +235,7 @@ class NoisyOracle:
 
         ``j is None`` reads bit i; otherwise each query asks whether
         values[i] < values[j]; a single query is a walk with k = 1.
-        Answers, flip stream and ledger end up exactly as after a loop of
+        Answers, flip stream and query count end up exactly as after a loop of
         single queries; arguments are checked before anything moves.
 
         A noisy walk jumps k - |margin| flips at a time over the chunk's
@@ -339,15 +310,8 @@ class NoisyOracle:
                 pos = nxt
             self._pos = pos
             return truth == (m > 0), t
-        finally:  # one ledger update a walk; an exhausted script still counts the query it failed
-            ledger = self.ledger
-            ledger.total += t
-            if j is None:
-                ledger._per_index[i] += t
-            else:
-                key = i * ledger._stride + j if i < j else j * ledger._stride + i
-                pairs = ledger._per_pair
-                pairs[key] = pairs.get(key, 0) + t
+        finally:  # one count a walk; an exhausted script still counts the query it failed
+            self.queries += t
 
     def _scan(self, pos: int, k: int) -> list[int]:
         """The stops of the run's next walks in one pass, last first; [] if not worth it.

@@ -21,9 +21,7 @@ from .tournaments import RoundSchedule, tournament_max, tournament_or
 __all__ = [
     "MaxRunReport",
     "OrRunReport",
-    "noisy_max",
     "noisy_max_report",
-    "noisy_or",
     "noisy_or_report",
     "or_threshold",
     "sampling_probability",
@@ -59,11 +57,6 @@ class OrRunReport:
     phase1_queries: int       # the n individual bit checks
     subroutine_queries: int   # the shortlist tournament, if it ran
     survivors: tuple[int, ...]
-    threshold: float
-
-    @property
-    def total_queries(self) -> int:
-        return self.phase1_queries + self.subroutine_queries
 
 
 @dataclass(frozen=True)
@@ -76,10 +69,6 @@ class MaxRunReport:
     sample: tuple[int, ...]
     champion: int             # winner of the sample tournament
     shortlist: tuple[int, ...]
-
-    @property
-    def total_queries(self) -> int:
-        return self.phase1_queries + self.subroutine_queries
 
 
 def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRunReport:
@@ -98,23 +87,15 @@ def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRu
     RoundSchedule.or_split(delta)
     if oracle.instance.n < n:
         raise ContractViolation(f"oracle instance has {oracle.instance.n} bits, need {n}")
-    ledger = oracle.ledger
-    start = ledger.total
+    start = oracle.queries
     survivors = [i for i in range(1, n + 1) if check_bit(oracle, i, delta, p).decision == 1]
-    phase1 = ledger.total - start
-    threshold = or_threshold(n, delta)
+    phase1 = oracle.queries - start
     if not survivors:
-        return OrRunReport(0, phase1, 0, (), threshold)
-    if len(survivors) >= threshold:
-        return OrRunReport(1, phase1, 0, tuple(survivors), threshold)
+        return OrRunReport(0, phase1, 0, ())
+    if len(survivors) >= or_threshold(n, delta):
+        return OrRunReport(1, phase1, 0, tuple(survivors))
     output = tournament_or(oracle, survivors, delta, p)
-    sub = ledger.total - start - phase1
-    return OrRunReport(output, phase1, sub, tuple(survivors), threshold)
-
-
-def noisy_or(oracle: NoisyOracle, n: int, delta: float, p: float) -> int:
-    """Estimate the OR of n bits; worst-case error at most 2 delta."""
-    return noisy_or_report(oracle, n, delta, p).output
+    return OrRunReport(output, phase1, oracle.queries - start - phase1, tuple(survivors))
 
 
 def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> MaxRunReport:
@@ -144,25 +125,22 @@ def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> Max
             if mask.any():
                 break
         sample = [i + 1 for i in range(n) if mask[i]]
-    ledger = oracle.ledger
-    start = ledger.total
+    start = oracle.queries
 
     champion = tournament_max(oracle, sample, delta, p)
-    sub = ledger.total - start
+    before_compares = oracle.queries
 
     in_sample = set(sample)
     shortlist = [champion]
-    before_compares = ledger.total
     for u in range(1, n + 1):
         if u in in_sample:
             continue
         if noisy_compare(oracle, champion, u, delta, p).decision:
             shortlist.append(u)
-    phase1 = ledger.total - before_compares
+    phase1 = oracle.queries - before_compares
 
-    before_final = ledger.total
     output = tournament_max(oracle, shortlist, delta, p)
-    sub += ledger.total - before_final
+    sub = oracle.queries - start - phase1
     return MaxRunReport(
         output=output,
         phase1_queries=phase1,
@@ -172,7 +150,3 @@ def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> Max
         shortlist=tuple(shortlist),
     )
 
-
-def noisy_max(oracle: NoisyOracle, n: int, delta: float, p: float) -> int:
-    """Estimate the argmax of n values; worst-case error at most 3 delta."""
-    return noisy_max_report(oracle, n, delta, p).output

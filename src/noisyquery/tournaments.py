@@ -31,10 +31,6 @@ from .primitives import check_bit, check_bit_log, noisy_compare_log, vote_thresh
 
 __all__ = ["RoundSchedule", "tournament_max", "tournament_or"]
 
-# Observer signature: (round_index, log_tolerance, vote_threshold, first, second)
-MatchHook = Callable[[int, float, int, int, int], None]
-
-
 @dataclass(frozen=True)
 class RoundSchedule:
     """The per-round error budget delta 2^-i of one bracket, held in log space."""
@@ -75,13 +71,7 @@ class RoundSchedule:
         return [vote_threshold_log(p, self.log_round_error(i)) for i in range(1, self.rounds + 1)]
 
 
-def _play_rounds(
-    entrants: Sequence[int],
-    delta: float,
-    p: float,
-    winner_of: Callable[[int, int, float], int],
-    match_hook: MatchHook | None,
-) -> int:
+def _play_rounds(entrants: Sequence[int], delta: float, winner_of: Callable[[int, int, float], int]) -> int:
     """Run the bracket to a single survivor; ``winner_of(a, b, log_tol)`` decides a match.
 
     The schedule refuses an empty bracket and a delta outside (0, 1/2)
@@ -92,26 +82,14 @@ def _play_rounds(
     for i in range(1, schedule.rounds + 1):
         log_tol = schedule.log_round_error(i)
         r = len(survivors)
-        nxt = []
-        for j in range(r // 2):
-            first, second = survivors[2 * j], survivors[2 * j + 1]
-            if match_hook is not None:
-                match_hook(i, log_tol, vote_threshold_log(p, log_tol), first, second)
-            nxt.append(winner_of(first, second, log_tol))
+        nxt = [winner_of(survivors[2 * j], survivors[2 * j + 1], log_tol) for j in range(r // 2)]
         if r % 2 == 1:
             nxt.append(survivors[-1])
         survivors = nxt
     return survivors[0]
 
 
-def tournament_or(
-    oracle: NoisyOracle,
-    indices: Sequence[int],
-    delta: float,
-    p: float,
-    *,
-    match_hook: MatchHook | None = None,
-) -> int:
+def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: float) -> int:
     """Estimate the OR of the bits at ``indices``; error probability at most delta.
 
     Matches check only the first element of each pair: a 1 keeps it, a 0
@@ -124,18 +102,11 @@ def tournament_or(
     def winner_of(first: int, second: int, log_tol: float) -> int:
         return first if check_bit_log(oracle, first, log_tol, p).decision == 1 else second
 
-    last = _play_rounds(indices, bracket_delta, p, winner_of, match_hook)
+    last = _play_rounds(indices, bracket_delta, winner_of)
     return check_bit(oracle, last, final_delta, p).decision
 
 
-def tournament_max(
-    oracle: NoisyOracle,
-    indices: Sequence[int],
-    delta: float,
-    p: float,
-    *,
-    match_hook: MatchHook | None = None,
-) -> int:
+def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: float) -> int:
     """Return the index of the (estimated) maximum among ``indices``.
 
     Each match compares the pair once through the stopping primitive: a
@@ -145,4 +116,4 @@ def tournament_max(
     def winner_of(first: int, second: int, log_tol: float) -> int:
         return second if noisy_compare_log(oracle, first, second, log_tol, p).decision else first
 
-    return _play_rounds(indices, delta, p, winner_of, match_hook)
+    return _play_rounds(indices, delta, winner_of)

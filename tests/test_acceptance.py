@@ -89,10 +89,9 @@ def test_criterion_3_small_instance_oracle_equivalence():
     failures = []
     for cfg in verify_registry():
         exact = enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
-        if cfg.assert_domination:
-            bound = cfg.error_bound_multiplier * cfg.delta
-            if exact.error_probability > bound + 1e-12:
-                failures.append(f"{cfg.name}: enumerated error exceeds {bound}")
+        bound = cfg.error_bound_multiplier * cfg.delta
+        if exact.error_probability > bound + 1e-12:
+            failures.append(f"{cfg.name}: enumerated error exceeds {bound}")
         if hasattr(cfg.instance, "bits"):
             spec = "literal:" + ",".join(str(b) for b in cfg.instance.bits)
         else:

@@ -17,7 +17,6 @@ from noisyquery.bounds import (
     make_bound_report,
     regime_label,
     regime_ratio,
-    tournament_budget,
     upper_budget,
 )
 from noisyquery.errors import ContractViolation
@@ -141,7 +140,6 @@ class TestSubnormalDelta:
         assert upper_budget(1000, delta, 0.25) == 1000 * -math.log(delta) / kl_pq(0.25)
         assert lecam_budget(1000, delta, 0.25) == pytest.approx(1000 * -math.log(4 * delta) / kl_pq(0.25))
         assert regime_ratio(delta, 0.25) == -math.log(delta) / math.log(4.0)
-        assert math.isfinite(tournament_budget(10, delta, 0.25))
         report = make_bound_report(1000, delta, 0.25)
         assert report.checkbit_budget == math.ceil(-math.log(delta) / math.log(3.0)) / 0.5
 
@@ -178,20 +176,6 @@ class TestPerPrimitiveBudgets:
     )
     def test_checkbit_budget(self, p, delta, expected):
         assert checkbit_budget(delta, p) == pytest.approx(expected, rel=1e-12)
-
-    def test_tournament_budget_anchor(self):
-        # capacity term 100/(1 - H_bits(0.25)) = 529.880..., KL term 838.361...
-        assert tournament_budget(100, 0.01, 0.25, 1.0) == pytest.approx(
-            1368.2415883713425, rel=1e-13
-        )
-
-    def test_tournament_budget_monotone_in_log_delta(self):
-        lo = tournament_budget(1, 0.1, 0.25, 1.0)
-        hi = tournament_budget(1, 0.01, 0.25, 1.0)
-        assert hi > lo
-
-    def test_tournament_budget_default_constant_positive(self):
-        assert tournament_budget(10, 0.01, 0.25) > tournament_budget(10, 0.01, 0.25, 1.0)
 
 
 class TestConsistencyAcrossBounds:

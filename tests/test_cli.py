@@ -94,6 +94,15 @@ class TestRunCommand:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload[0]["trials_raw"]) == 40
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+    def test_raw_trials_with_csv_refused_before_any_trial(self, fmt, tmp_path, capsys):
+        out = tmp_path / "result.csv"
+        assert main(self.ARGS + fmt + ["--raw-trials", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: --raw-trials needs --format json" in err
+        assert "running" not in err
+        assert not out.exists()
+
     def test_byte_identical_across_workers(self, tmp_path, capsys):
         args = [
             "run", "--algorithm", "noisy-or", "--instance", "all_zero",

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from noisyquery import exact_oracle
 from noisyquery.bounds import upper_budget
 from noisyquery.errors import ContractViolation, EnumerationCapError
 from noisyquery.exact_oracle import (
@@ -21,6 +22,7 @@ from noisyquery.exact_oracle import (
 )
 from noisyquery.oracles import BitInstance, ValueInstance, make_instance_or
 from noisyquery.primitives import vote_threshold, vote_threshold_log
+from noisyquery.toplevel import or_threshold
 
 
 class TestWalkClosedForm:
@@ -145,13 +147,8 @@ class TestEnumeration:
     def test_guarantee_domination_over_registry(self):
         # delta for the tournaments, 2 delta for OR, 3 delta for MAX.
         for cfg in verify_registry():
-            if not cfg.assert_domination:
-                continue
             result = enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
             assert result.error_probability <= cfg.error_bound_multiplier * cfg.delta + 1e-12, cfg.name
-
-    def test_every_config_asserts_domination(self):
-        assert all(cfg.assert_domination for cfg in verify_registry())
 
     def test_threshold_ceiling_boundary_case(self):
         # At (p, delta) = (0.25, 0.1) a check at the full delta errs exactly
@@ -250,6 +247,23 @@ class TestVerifyChecks:
         failures = [name for name, ok, _ in checks if not ok]
         assert failures == []
         assert len(checks) == 25
+
+    def test_structural_or_check_catches_a_wrong_final_check_error(self, monkeypatch):
+        # A predictor that prices the final check at the phase-1 walk error
+        # instead of the walk at delta/2: 0.0523 against 0.0367 on three zeros.
+        def reusing_walk_error(n, delta, p):
+            err = analyze_walk(p, vote_threshold(p, delta)).error_probability
+            theta = or_threshold(n, delta)
+            return sum(
+                math.comb(n, s) * err**s * (1.0 - err) ** (n - s) * (1.0 if s >= theta else err)
+                for s in range(1, n + 1)
+            )
+
+        assert reusing_walk_error(3, 0.1, 0.25) == pytest.approx(0.0523, abs=1e-4)
+        assert noisy_or_error_all_zero(3, 0.1, 0.25) == pytest.approx(0.0366786, abs=1e-7)
+        monkeypatch.setattr(exact_oracle, "noisy_or_error_all_zero", reusing_walk_error)
+        failures = [name for name, ok, _ in run_verify_checks() if not ok]
+        assert failures == ["enumeration vs structural OR predictor"]
 
     def test_registry_is_enumerable(self):
         for cfg in verify_registry():

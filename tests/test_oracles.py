@@ -16,6 +16,7 @@ from noisyquery.oracles import (
     make_instance_max,
     make_instance_or,
 )
+from recording import RecordingOracle
 
 
 class TestInstances:
@@ -158,7 +159,7 @@ class TestForcedResponses:
             BitInstance(bits=(0,)), 0.25, forced=ForcedResponseStream([True])
         )
         assert oracle.read_bit(1) == 1
-        assert oracle.ledger.total == 1
+        assert oracle.queries == 1
 
     def test_scripted_compare(self):
         oracle = NoisyOracle(
@@ -179,47 +180,38 @@ class TestForcedResponses:
             oracle.read_bit(1)
 
 
-class TestLedger:
-    def test_counts_and_conservation(self):
-        oracle = NoisyOracle(BitInstance(bits=(0, 1, 0)), 0.25, master_seed=5)
+class TestQueryCount:
+    def test_every_query_counted_once(self):
+        oracle = RecordingOracle(BitInstance(bits=(0, 1, 0)), 0.25, master_seed=5)
         for _ in range(4):
             oracle.read_bit(1)
         oracle.read_bit(3)
-        ledger = oracle.ledger
-        assert ledger.total == 5
-        assert ledger.per_index == {1: 4, 3: 1}
-        assert ledger.component_total() == ledger.total
-
-    def test_pair_keys_unordered(self):
-        oracle = NoisyOracle(ValueInstance(values=(1.0, 2.0, 3.0)), 0.25, master_seed=5)
+        assert oracle.walks == [(1, None, 1, 1)] * 4 + [(3, None, 1, 1)]
+        assert oracle.queries == 5
+        oracle = RecordingOracle(ValueInstance(values=(1.0, 2.0, 3.0)), 0.25, master_seed=5)
         oracle.compare(1, 2)
         oracle.compare(2, 1)
         oracle.compare(3, 1)
-        assert oracle.ledger.per_pair == {(1, 2): 2, (1, 3): 1}
-        assert oracle.ledger.component_total() == 3
+        assert oracle.walks == [(1, 2, 1, 1), (2, 1, 1, 1), (3, 1, 1, 1)]
+        assert oracle.queries == 3
 
     @pytest.mark.parametrize("n", [4, 1000])
-    def test_pair_counts_after_mixed_walks(self, n):
-        # Walks in both orders of a pair, then one single comparison:
-        # per_pair adds up each unordered pair's queries, at n = 1000 too.
+    def test_count_after_mixed_walks(self, n):
+        # Walks in both orders of a pair, then one single comparison, at n = 1000 too.
         rng = np.random.default_rng(n)
         oracle = NoisyOracle(make_instance_max("permuted", n, seed=1), 0.3, master_seed=2)
-        expected: dict[tuple[int, int], int] = {}
+        expected = 0
         for _ in range(200):
             i, j = (int(v) for v in rng.choice(np.arange(1, n + 1), size=2, replace=False))
-            _, t = oracle.walk(i, j, int(rng.integers(1, 8)))
-            key = (min(i, j), max(i, j))
-            expected[key] = expected.get(key, 0) + t
+            expected += oracle.walk(i, j, int(rng.integers(1, 8)))[1]
         oracle.compare(n, 1)
-        expected[(1, n)] = expected.get((1, n), 0) + 1
-        assert oracle.ledger.per_pair == expected
-        assert oracle.ledger.component_total() == oracle.ledger.total == sum(expected.values())
+        assert oracle.queries == expected + 1
 
-    def test_ledger_incremented_even_when_forced(self):
+    def test_counted_even_when_forced(self):
         oracle = NoisyOracle(BitInstance(bits=(0,)), 0.25, forced=ForcedResponseStream([True, True]))
         oracle.read_bit(1)
         oracle.read_bit(1)
-        assert oracle.ledger.per_index == {1: 2}
+        assert oracle.queries == 2
 
 
 class TestChannelStatistics:
@@ -362,22 +354,17 @@ def _twins(instance, p=0.25, seed=0, trial=0, **kwargs):
     return (NoisyOracle(instance, p, seed, trial, **kwargs), NoisyOracle(instance, p, seed, trial, **kwargs))
 
 
-def _ledger(oracle):
-    ledger = oracle.ledger
-    return ledger.total, ledger.per_index, ledger.per_pair
-
-
 def _single(oracle, j):
     return oracle.read_bit(1) if j is None else oracle.compare(1, 2)
 
 
 def _assert_walks_match(fast, slow, walks):
-    """Run the same (i, j, k) walks on both twins; returns the ledger total after each."""
+    """Run the same (i, j, k) walks on both twins; returns the query count after each."""
     totals = []
     for i, j, k in walks:
         assert fast.walk(i, j, k) == _loop_walk(slow, i, j, k)
-        assert _ledger(fast) == _ledger(slow)
-        totals.append(fast.ledger.total)
+        assert fast.queries == slow.queries
+        totals.append(fast.queries)
     # Both twins left the flip stream at the same position.
     j = walks[-1][1]
     assert [_single(fast, j) for _ in range(3)] == [_single(slow, j) for _ in range(3)]
@@ -478,7 +465,7 @@ class TestWalkForcedAndNoiseless:
         # Net votes +1 0 -1 0 -1 -2: absorbed at -2 after six answers.
         assert fast.walk(1, j, 2) == _loop_walk(slow, 1, j, 2) == (False, 6)
         assert stream.remaining == 3
-        assert _ledger(fast) == _ledger(slow)
+        assert fast.queries == slow.queries == 6
         assert _single(fast, j) == _single(slow, j) == 1
 
     @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 2)])
@@ -489,20 +476,18 @@ class TestWalkForcedAndNoiseless:
             fast.walk(1, j, 3)
         with pytest.raises(ContractViolation, match="exhausted"):
             _loop_walk(slow, 1, j, 3)
-        assert _ledger(fast) == _ledger(slow)
-        assert fast.ledger.total == 4
+        assert fast.queries == slow.queries == 4
 
     @pytest.mark.parametrize("k", [1, 9, 600])  # 600 > the 64- and 512-flip first chunks
     def test_noiseless_walk_takes_exactly_k(self, k):
         oracle = NoisyOracle(BIT_INSTANCE, 0.0, allow_noiseless=True)
         assert oracle.walk(2, None, k) == (True, k)
         assert oracle.walk(1, None, k) == (False, k)
-        assert oracle.ledger.per_index == {1: k, 2: k}
+        assert oracle.queries == 2 * k
         oracle = NoisyOracle(VALUE_INSTANCE, 0.0, allow_noiseless=True)
         assert oracle.walk(2, 4, k) == (True, k)
         assert oracle.walk(4, 2, k) == (False, k)
-        assert oracle.ledger.per_pair == {(2, 4): 2 * k}
-        assert oracle.ledger.total == 2 * k
+        assert oracle.queries == 2 * k
 
 
 class TestWalkContracts:
@@ -526,7 +511,7 @@ class TestWalkContracts:
         oracle, fresh = _twins(instance, 0.25, 3, 1)
         with pytest.raises(ContractViolation):
             oracle.walk(i, j, k)
-        assert _ledger(oracle) == (0, {}, {})
+        assert oracle.queries == 0
         j_ok = None if isinstance(instance, BitInstance) else 2
         assert [_single(oracle, j_ok) for _ in range(5)] == [_single(fresh, j_ok) for _ in range(5)]
 
@@ -555,7 +540,7 @@ PAIRS = [(1, 2), (2, 1), (3, 4), (4, 1), (2, 3)]
 
 
 def _referee(instance, p, seed, trial, ops):
-    """Expected (decision, queries) of each op, and the ledger after them; uses no oracle code.
+    """Expected (decision, queries) of each op, and the queries of all of them; uses no oracle code.
 
     An op is (i, j, k): a walk, or a single query when k is None.  Flip t
     of the channel is draw t of default_rng(SeedSequence((seed, trial, 0)))
@@ -565,7 +550,7 @@ def _referee(instance, p, seed, trial, ops):
     rng = np.random.default_rng(np.random.SeedSequence((seed, trial, 0)))
     flips: list[bool] = []
     pos = 0
-    results, per_index, per_pair = [], {}, {}
+    results = []
     for i, j, k in ops:
         if j is None:
             truth = instance.bits[i - 1] == 1
@@ -579,24 +564,21 @@ def _referee(instance, p, seed, trial, ops):
             pos += 1
             t += 1
         results.append((d > 0, t))
-        counts, key = (per_index, i) if j is None else (per_pair, (min(i, j), max(i, j)))
-        counts[key] = counts.get(key, 0) + t
-    return results, (pos, per_index, per_pair)
+    return results, pos
 
 
 def _assert_matches_referee(instance, p, seed, trial, ops):
     """Runs ``ops`` on a fresh oracle, single queries through read_bit/compare; returns the referee's results."""
     oracle = NoisyOracle(instance, p, seed, trial)
     ops = list(ops) + [(1, None if isinstance(instance, BitInstance) else 2, None)] * 3  # where the stream is left
-    expected, ledger = _referee(instance, p, seed, trial, ops)
+    expected, queries = _referee(instance, p, seed, trial, ops)
     for n, ((i, j, k), want) in enumerate(zip(ops, expected)):
         if k is None:
             got = (bool(oracle.read_bit(i) if j is None else oracle.compare(i, j)), 1)
         else:
             got = oracle.walk(i, j, k)
         assert got == want, (n, (i, j, k))
-    assert _ledger(oracle) == ledger
-    assert oracle.ledger.component_total() == ledger[0]
+    assert oracle.queries == queries
     return expected
 
 

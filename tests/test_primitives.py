@@ -96,7 +96,7 @@ class TestCheckBitTraces:
         report = check_bit(oracle, 1, 0.01, 0.25)
         assert report.decision == 1 and type(report.decision) is int
         assert report.queries_used == 5
-        assert oracle.ledger.total == 5
+        assert oracle.queries == 5
 
     def test_truthful_zero_bit_symmetric(self):
         oracle = _truthful_oracle((0,))
@@ -142,7 +142,7 @@ class TestStopReport:
         assert isinstance(report, StopReport)
         decision, queries = report
         assert (decision, queries) == (report.decision, report.queries_used)
-        assert queries == oracle.ledger.total
+        assert queries == oracle.queries
         with pytest.raises(AttributeError):
             report.decision = 1 - decision
         with pytest.raises(AttributeError):
@@ -185,7 +185,7 @@ class TestNoisyCompareTraces:
             noisy_compare(oracle, 1, 0, 0.01, 0.25)
         with pytest.raises(ContractViolation, match="out of range"):
             noisy_compare_log(oracle, 2, 0, math.log(0.01), 0.25)
-        assert oracle.ledger.total == 0
+        assert oracle.queries == 0
 
 
 def _float_posterior_run(p, delta, answers):
@@ -295,9 +295,9 @@ class TestStoppingStatistics:
 
 @given(st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=30, deadline=None)
-def test_queries_equal_ledger_delta(seed):
+def test_queries_equal_count_delta(seed):
     oracle = NoisyOracle(BitInstance(bits=(0, 1)), 0.3, master_seed=seed)
-    before = oracle.ledger.total
+    before = oracle.queries
     report = check_bit(oracle, 2, 0.05, 0.3)
-    assert report.queries_used == oracle.ledger.total - before
+    assert report.queries_used == oracle.queries - before
     assert report.queries_used >= vote_threshold(0.3, 0.05)

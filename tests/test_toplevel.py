@@ -19,13 +19,12 @@ from noisyquery.oracles import (
     make_instance_or,
 )
 from noisyquery.toplevel import (
-    noisy_max,
     noisy_max_report,
-    noisy_or,
     noisy_or_report,
     or_threshold,
     sampling_probability,
 )
+from recording import RecordingOracle
 
 
 class TestOrThreshold:
@@ -70,7 +69,7 @@ class TestSamplingProbability:
 
 
 def _noiseless(instance):
-    return NoisyOracle(instance, 0.0, allow_noiseless=True)
+    return RecordingOracle(instance, 0.0, allow_noiseless=True)
 
 
 class TestNoisyOrTraces:
@@ -78,7 +77,8 @@ class TestNoisyOrTraces:
         oracle = _noiseless(make_instance_or("all_zero", 3))
         report = noisy_or_report(oracle, 3, 0.01, 0.25)
         assert report.output == 0
-        assert report.total_queries == 15  # three truthful K=5 walks
+        assert oracle.walks == [(i, None, 5, 5) for i in (1, 2, 3)]  # three truthful K=5 walks
+        assert report.phase1_queries == oracle.queries == 15
         assert report.subroutine_queries == 0
         assert report.survivors == ()
 
@@ -90,6 +90,7 @@ class TestNoisyOrTraces:
         report = noisy_or_report(oracle, 3, 0.05, 0.25)
         assert report.output == 1
         assert report.survivors == (1,)
+        assert oracle.walks == [(1, None, 3, 3), (2, None, 3, 3), (3, None, 3, 3), (1, None, 4, 4)]
         assert report.phase1_queries == 9
         assert report.subroutine_queries == 4
 
@@ -97,7 +98,7 @@ class TestNoisyOrTraces:
         oracle = _noiseless(make_instance_or("all_zero", 3))
         with pytest.raises(ContractViolation, match="too small to split in half"):
             noisy_or_report(oracle, 3, 5e-324, 0.25)
-        assert oracle.ledger.total == 0
+        assert oracle.queries == 0
 
     def test_many_survivors_short_circuit(self):
         # All-ones with n = 8: eight survivors >= max(log 8, ...) ~ 2.08,
@@ -115,15 +116,14 @@ class TestNoisyOrTraces:
         assert report.output == 0
         assert report.subroutine_queries == 0
 
-    def test_phase_accounting_matches_ledger(self):
+    def test_phase_accounting_matches_query_count(self):
         oracle = NoisyOracle(make_instance_or("single_one", 20, index=7), 0.25, master_seed=3)
         report = noisy_or_report(oracle, 20, 0.05, 0.25)
-        assert report.phase1_queries + report.subroutine_queries == oracle.ledger.total
-        assert oracle.ledger.component_total() == oracle.ledger.total
+        assert report.phase1_queries + report.subroutine_queries == oracle.queries
 
     def test_n_one(self):
         oracle = _noiseless(make_instance_or("literal", bits=(1,)))
-        assert noisy_or(oracle, 1, 0.01, 0.25) == 1
+        assert noisy_or_report(oracle, 1, 0.01, 0.25).output == 1
 
 
 class TestNoisyMaxTraces:
@@ -131,7 +131,7 @@ class TestNoisyMaxTraces:
         oracle = _noiseless(ValueInstance(values=(3.0,)))
         report = noisy_max_report(oracle, 1, 0.01, 0.25)
         assert report.output == 1
-        assert report.total_queries == 0
+        assert oracle.queries == 0
         assert report.sample == (1,)
 
     def test_n_two_samples_everything(self):
@@ -150,14 +150,14 @@ class TestNoisyMaxTraces:
         assert all(u not in sample or u == report.champion for u in report.shortlist)
         assert report.champion in sample
 
-    def test_phase_accounting_matches_ledger(self):
+    def test_phase_accounting_matches_query_count(self):
         oracle = NoisyOracle(make_instance_max("sorted", 30), 0.2, master_seed=4)
         report = noisy_max_report(oracle, 30, 0.05, 0.2)
-        assert report.phase1_queries + report.subroutine_queries == oracle.ledger.total
+        assert report.phase1_queries + report.subroutine_queries == oracle.queries
 
     def test_noiseless_returns_argmax(self):
         oracle = _noiseless(make_instance_max("relocated", 25, index=9))
-        assert noisy_max(oracle, 25, 0.05, 0.25) == 9
+        assert noisy_max_report(oracle, 25, 0.05, 0.25).output == 9
 
     def test_determinism(self):
         a = noisy_max_report(
@@ -185,7 +185,7 @@ class TestStatisticalContracts:
             oracle = NoisyOracle(instance, p, master_seed=21, trial_index=t)
             rep = noisy_or_report(oracle, n, delta, p)
             wrong += rep.output != 0
-            queries += rep.total_queries
+            queries += oracle.queries
         sigma = math.sqrt(exact_err * (1 - exact_err) / trials)
         assert abs(wrong / trials - exact_err) <= 4 * sigma
         assert wrong / trials <= 2 * delta
@@ -201,7 +201,7 @@ class TestStatisticalContracts:
             oracle = NoisyOracle(instance, p, master_seed=22, trial_index=t)
             rep = noisy_max_report(oracle, n, delta, p)
             wrong += rep.output != n
-            queries += rep.total_queries
+            queries += oracle.queries
         assert wrong / trials <= 3 * delta
         assert queries / trials == pytest.approx(predictor, rel=0.04)
 
@@ -210,4 +210,4 @@ class TestStatisticalContracts:
 @settings(max_examples=20, deadline=None)
 def test_or_output_is_bit(seed):
     oracle = NoisyOracle(BitInstance(bits=(0, 1, 0, 0)), 0.3, master_seed=seed)
-    assert noisy_or(oracle, 4, 0.1, 0.3) in (0, 1)
+    assert noisy_or_report(oracle, 4, 0.1, 0.3).output in (0, 1)

@@ -16,6 +16,7 @@ from noisyquery.oracles import (
 )
 from noisyquery.primitives import vote_threshold_log
 from noisyquery.tournaments import RoundSchedule, tournament_max, tournament_or
+from recording import RecordingOracle
 
 
 class TestRoundSchedule:
@@ -79,7 +80,11 @@ class TestRoundSchedule:
 
 
 def _noiseless(instance):
-    return NoisyOracle(instance, 0.0, allow_noiseless=True)
+    return RecordingOracle(instance, 0.0, allow_noiseless=True)
+
+
+def _k(log_tol):
+    return vote_threshold_log(0.25, log_tol)
 
 
 class TestTournamentOrTraces:
@@ -89,12 +94,12 @@ class TestTournamentOrTraces:
         # final check at K(0.05) = 3: 15 reads total.
         oracle = _noiseless(make_instance_or("all_zero", 4))
         assert tournament_or(oracle, [1, 2, 3, 4], 0.1, 0.25) == 0
-        assert oracle.ledger.total == 15
+        assert oracle.queries == 15
 
     def test_single_index_degenerates_to_final_check(self):
         oracle = _noiseless(make_instance_or("literal", bits=(1,)))
         assert tournament_or(oracle, [1], 0.1, 0.25) == 1
-        assert oracle.ledger.total == 3  # K(0.05) at p = 0.25; K(0.1) would be 2
+        assert oracle.walks == [(1, None, 3, 3)]  # K(0.05) at p = 0.25; K(0.1) would be 2
 
     def test_first_element_asymmetry(self):
         # Matches query only the first element of each pair: a truthful
@@ -102,9 +107,8 @@ class TestTournamentOrTraces:
         # the final check, never reading 1 again.
         oracle = _noiseless(make_instance_or("literal", bits=(0, 1)))
         assert tournament_or(oracle, [1, 2], 0.1, 0.25) == 1
-        per_index = oracle.ledger.per_index
-        assert per_index[1] == 4      # K(0.025), decided 0, second advances
-        assert per_index[2] == 3      # final K(0.05) on the survivor
+        # K(0.025) on index 1, decided 0, so 2 advances; then the final K(0.05) on 2.
+        assert oracle.walks == [(1, None, 4, 4), (2, None, 3, 3)]
 
     def test_empty_indices_rejected(self):
         oracle = _noiseless(make_instance_or("all_zero", 2))
@@ -124,22 +128,21 @@ class TestTournamentMaxTraces:
         # Round one at K(0.05) = 3, round two at K(0.025) = 4.
         oracle = _noiseless(ValueInstance(values=(1.0, 2.0, 3.0)))
         assert tournament_max(oracle, [1, 2, 3], 0.1, 0.25) == 3
-        assert oracle.ledger.per_pair == {(1, 2): 3, (2, 3): 4}
+        assert oracle.walks == [(1, 2, 3, 3), (2, 3, 4, 4)]
 
     def test_single_index_returns_without_queries(self):
         oracle = _noiseless(ValueInstance(values=(4.0,)))
         assert tournament_max(oracle, [1], 0.1, 0.25) == 1
-        assert oracle.ledger.total == 0
+        assert oracle.walks == [] and oracle.queries == 0
 
     def test_bye_carries_last_entrant(self):
         # With 5 entrants the odd one out joins the winners *after* them:
         # round 1 plays (1,2) and (3,4) and carries 5; winners 1 and 4 meet
         # in round 2 with 5 carried again; round 3 plays (1,5).
         oracle = _noiseless(ValueInstance(values=(5.0, 1.0, 2.0, 3.0, 4.0)))
-        seen_pairs = []
-        hook = lambda rnd, lt, k, a, b: seen_pairs.append((rnd, a, b))
-        assert tournament_max(oracle, [1, 2, 3, 4, 5], 0.1, 0.25, match_hook=hook) == 1
-        assert seen_pairs == [(1, 1, 2), (1, 3, 4), (2, 1, 4), (3, 1, 5)]
+        assert tournament_max(oracle, [1, 2, 3, 4, 5], 0.1, 0.25) == 1
+        k1, k2, k3 = (_k(math.log(0.1) - rnd * math.log(2.0)) for rnd in (1, 2, 3))
+        assert oracle.walks == [(1, 2, k1, k1), (3, 4, k1, k1), (1, 4, k2, k2), (1, 5, k3, k3)]
 
     def test_subset_of_indices(self):
         oracle = _noiseless(ValueInstance(values=(9.0, 1.0, 7.0, 3.0)))
@@ -147,27 +150,32 @@ class TestTournamentMaxTraces:
 
 
 class TestScheduleFidelity:
-    def test_match_tolerances_follow_schedule(self):
+    def test_or_walks_follow_schedule(self):
+        # Every round-one check of a zero advances the second entrant, and the
+        # bracket plays round i at (delta/2) 2^-i; the final check is at delta/2.
         oracle = _noiseless(make_instance_or("all_zero", 8))
-        observed = []
-        hook = lambda rnd, log_tol, k, a, b: observed.append((rnd, log_tol, k))
-        tournament_or(oracle, list(range(1, 9)), 0.05, 0.25, match_hook=hook)
-        by_round = {}
-        for rnd, log_tol, k in observed:
-            by_round.setdefault(rnd, set()).add((log_tol, k))
-        assert set(by_round) == {1, 2, 3}
-        for rnd, entries in by_round.items():
-            assert len(entries) == 1
-            log_tol, k = next(iter(entries))
-            assert log_tol == math.log(0.025) - rnd * math.log(2.0)  # the OR bracket plays at delta/2
-            assert k == vote_threshold_log(0.25, log_tol)
+        assert tournament_or(oracle, list(range(1, 9)), 0.05, 0.25) == 0
+        k = {rnd: _k(math.log(0.025) - rnd * math.log(2.0)) for rnd in (1, 2, 3)}
+        final = _k(math.log(0.025))
+        assert oracle.walks == [
+            (1, None, k[1], k[1]), (3, None, k[1], k[1]), (5, None, k[1], k[1]), (7, None, k[1], k[1]),
+            (2, None, k[2], k[2]), (6, None, k[2], k[2]),
+            (4, None, k[3], k[3]),
+            (8, None, final, final),
+        ]  # fmt: skip
 
-    def test_match_counts_halve(self):
+    def test_max_matches_halve(self):
+        # 11 -> 6 -> 3 -> 2 -> 1: the larger value wins every noiseless match,
+        # and the odd entrant out is carried after the winners.
         oracle = _noiseless(ValueInstance(values=tuple(float(v) for v in range(1, 12))))
-        counts = {}
-        hook = lambda rnd, lt, k, a, b: counts.update({rnd: counts.get(rnd, 0) + 1})
-        tournament_max(oracle, list(range(1, 12)), 0.1, 0.25, match_hook=hook)
-        assert counts == {1: 5, 2: 3, 3: 1, 4: 1}  # 11 -> 6 -> 3 -> 2 -> 1
+        assert tournament_max(oracle, list(range(1, 12)), 0.1, 0.25) == 11
+        k = {rnd: _k(math.log(0.1) - rnd * math.log(2.0)) for rnd in (1, 2, 3, 4)}
+        assert oracle.walks == [
+            *((a, a + 1, k[1], k[1]) for a in (1, 3, 5, 7, 9)),
+            (2, 4, k[2], k[2]), (6, 8, k[2], k[2]), (10, 11, k[2], k[2]),
+            (4, 8, k[3], k[3]),
+            (8, 11, k[4], k[4]),
+        ]  # fmt: skip
 
 
 class TestNoiselessCorrectness:
@@ -228,7 +236,7 @@ class TestStatisticalAgreement:
             oracle = NoisyOracle(instance, p, master_seed=808, trial_index=t)
             out = tournament_or(oracle, list(range(1, len(bits) + 1)), delta, p)
             wrong += out != instance.truth()
-            queries += oracle.ledger.total
+            queries += oracle.queries
         sigma = math.sqrt(exact.error_probability * (1 - exact.error_probability) / trials)
         assert abs(wrong / trials - exact.error_probability) <= 4 * sigma
         assert queries / trials == pytest.approx(exact.expected_queries, rel=0.02)
@@ -242,7 +250,7 @@ class TestStatisticalAgreement:
         for t in range(trials):
             oracle = NoisyOracle(instance, 0.3, master_seed=809, trial_index=t)
             wrong += tournament_max(oracle, [1, 2, 3], 0.05, 0.3) != 3
-            queries += oracle.ledger.total
+            queries += oracle.queries
         sigma = math.sqrt(exact.error_probability * (1 - exact.error_probability) / trials)
         assert abs(wrong / trials - exact.error_probability) <= 4 * sigma
         assert queries / trials == pytest.approx(exact.expected_queries, rel=0.02)
