@@ -18,10 +18,12 @@ from .harness import (
     ALGORITHMS,
     ExperimentConfig,
     aggregate,
+    check_workers,
     render_csv,
     render_json,
     run_sweep,
     run_trials,
+    sweep_configs,
 )
 
 _EXIT_OK = 0
@@ -119,6 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     config.validate()
+    check_workers(args.workers)
     print(f"running {config.trials} trials of {config.algorithm} ...", file=sys.stderr)
     trials = run_trials(config, workers=args.workers)
     stats = aggregate(config, trials)
@@ -145,10 +148,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         delta_grid = _parse_grid(args.delta, float)
     except ValueError as exc:  # int()/float() parse failures
         raise ContractViolation(f"bad grid value: {exc}") from exc
-    total = len(n_grid) * len(p_grid) * len(delta_grid)
-    if total == 0:
-        raise ContractViolation("sweep grid is empty")
-    print(f"sweeping {total} grid points ...", file=sys.stderr)
+    configs = sweep_configs(base, n_grid, p_grid, delta_grid)  # every row is checked before the progress line
+    check_workers(args.workers)
+    print(f"sweeping {len(configs)} grid points ...", file=sys.stderr)
     rows = run_sweep(base, n_grid, p_grid, delta_grid, workers=args.workers)
     if args.format == "csv":
         _emit(render_csv(rows), args.out)

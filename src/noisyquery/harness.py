@@ -31,6 +31,7 @@ __all__ = [
     "ExperimentConfig",
     "TrialStats",
     "aggregate",
+    "check_workers",
     "mean_interval",
     "parse_instance_spec",
     "render_csv",
@@ -39,6 +40,7 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "run_trials",
+    "sweep_configs",
     "wilson_interval",
 ]
 
@@ -248,6 +250,12 @@ def _run_block(config: ExperimentConfig, start: int, stop: int) -> list[tuple]:
     return [tuple(run_trial(config, t)) for t in range(start, stop)]
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below one."""
+    if workers < 1:
+        raise ContractViolation(f"workers must be >= 1, got {workers}")
+
+
 @contextmanager
 def _trial_runner(workers: int, trials: int) -> Iterator[Callable[[ExperimentConfig], list[TrialStats]]]:
     """A function from a validated config to its trials, in trial order.
@@ -256,8 +264,7 @@ def _trial_runner(workers: int, trials: int) -> Iterator[Callable[[ExperimentCon
     closed on exit, of at most as many processes as this process has
     CPUs; campaigns of fewer than 4 trials run in this process.
     """
-    if workers < 1:
-        raise ContractViolation(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     # Outputs do not depend on the worker count, so more workers than usable CPUs only cost.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, cpus)
@@ -318,6 +325,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> AggregateStats
     return aggregate(config, run_trials(config, workers))
 
 
+def sweep_configs(
+    base: ExperimentConfig,
+    n_grid: Sequence[int],
+    p_grid: Sequence[float],
+    delta_grid: Sequence[float],
+) -> list[ExperimentConfig]:
+    """The validated config of every (n, p, delta) grid point, in row order."""
+    if not n_grid or not p_grid or not delta_grid:
+        raise ContractViolation("sweep grids must be nonempty")
+    configs = [replace(base, n=n, p=p, delta=delta) for n in n_grid for p in p_grid for delta in delta_grid]
+    for cfg in configs:
+        cfg.validate()
+    return configs
+
+
 def run_sweep(
     base: ExperimentConfig,
     n_grid: Sequence[int],
@@ -331,11 +353,7 @@ def run_sweep(
     standalone run of its configuration.  Every row is validated before
     any trial runs, and all rows share one worker pool.
     """
-    if not n_grid or not p_grid or not delta_grid:
-        raise ContractViolation("sweep grids must be nonempty")
-    configs = [replace(base, n=n, p=p, delta=delta) for n in n_grid for p in p_grid for delta in delta_grid]
-    for cfg in configs:
-        cfg.validate()
+    configs = sweep_configs(base, n_grid, p_grid, delta_grid)
     # Each row's trials are dropped once aggregated, so a sweep holds one row at a time.
     with _trial_runner(workers, base.trials) as run:
         return [aggregate(cfg, run(cfg)) for cfg in configs]

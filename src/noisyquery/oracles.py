@@ -7,6 +7,13 @@ the answer is returned.  Randomness is fully determined by
 ``(master_seed, trial_index)``, so trials replay bit-identically and can
 be scheduled in any order.
 
+Each trial's two streams, the channel (stream 0) and the algorithm's own
+draws (stream 1), are the PCG64 generators of
+``SeedSequence((master_seed, trial_index, stream))``.  Their seed states
+are hashed for a block of 1024 trial indices in one numpy pass and kept
+for the last few blocks, so a stream costs a table row, not a
+SeedSequence.
+
 Indices are 1-based throughout, matching the usual [n] convention.
 """
 
@@ -34,6 +41,7 @@ _BUF_CAP = 4096
 _SCAN_MIN = 256
 _SCAN_MAX_K = 100
 _WORD = 0xFFFFFFFF
+_BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
 
 
 @lru_cache(maxsize=256)
@@ -44,22 +52,97 @@ def _lattice(k: int) -> np.ndarray:
     return mask
 
 
-def _seed(*keys: int) -> np.random.SeedSequence:
-    """``SeedSequence(keys)`` for non-negative int keys, in about half the time.
-
-    Each key is split into little-endian 32-bit words, as SeedSequence
-    does itself, and the words are passed as one uint32 array, which
-    SeedSequence takes as is; the state is the same for any key size.
-    """
-    words = []
-    for key in keys:
-        if key < 0:
-            raise ValueError(f"expected non-negative integer, got {key}")
+def _words(key: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    if key < 0:
+        raise ValueError(f"expected non-negative integer, got {key}")
+    words = [key & _WORD]
+    while key > _WORD:
+        key >>= 32
         words.append(key & _WORD)
-        while key > _WORD:
-            key >>= 32
-            words.append(key & _WORD)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return words
+
+
+@lru_cache(maxsize=4)  # both streams of two blocks: 128 KiB
+def _block_states(master_seed: int, stream: int, block: int) -> np.ndarray:
+    """Row b is ``SeedSequence((master_seed, block * _BLOCK + b, stream)).generate_state(4, np.uint64)``.
+
+    The (_BLOCK, 4) uint64 table mirrors numpy's SeedSequence hash over
+    all of a block's trial indices at once, in uint32 arithmetic that
+    wraps.  _BLOCK divides 2**32, so the indices of a block differ only in
+    their lowest word.
+    """
+    first = block * _BLOCK
+    high = _words(first >> 32) if first >> 32 else []
+    columns = [*_words(master_seed), (first & _WORD) + np.arange(_BLOCK, dtype=np.uint32), *high, *_words(stream)]
+    entropy = [np.broadcast_to(np.uint32(c), (_BLOCK,)) for c in columns]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x931E8875 & _WORD
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return result ^ (result >> 16)
+
+    # SeedSequence.mix_entropy: the first four words (zeros past the last)
+    # fill a pool of four, every pool word is mixed into every other, then
+    # each later word into each pool word; hashmix's constant runs on
+    # through all of it.
+    zero = np.zeros(_BLOCK, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # SeedSequence.generate_state(4, np.uint64): eight uint32 words hashed
+    # off the pool in turn, paired little-endian into uint64.
+    state = np.empty((_BLOCK, 8), dtype="<u4")
+    hash_const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x58F38DED & _WORD
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> 16)
+    table = state.view("<u8").astype(np.uint64, copy=False)
+    table.flags.writeable = False  # the cache hands the same table to every caller
+    return table
+
+
+class _RowSeed:
+    """A seed sequence whose state is one row of :func:`_block_states`."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.row  # PCG64 asks for 4 uint64 words, all it ever asks for
+
+
+@lru_cache(maxsize=1)
+def _row_seed() -> type[_RowSeed]:
+    """:class:`_RowSeed`, registered as an ISeedSequence, which PCG64 requires; imports numpy.random at first use."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_RowSeed)
+    return _RowSeed
+
+
+def _generator(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
+    """``default_rng(SeedSequence((master_seed, trial_index, stream)))``, its state read off a block table."""
+    if master_seed < 0 or trial_index < 0:
+        raise ValueError(f"expected non-negative seed and trial, got {master_seed} and {trial_index}")
+    block, row = divmod(trial_index, _BLOCK)
+    return np.random.Generator(np.random.PCG64(_row_seed()(_block_states(master_seed, stream, block)[row])))
 
 
 @dataclass(frozen=True)
@@ -207,7 +290,7 @@ class NoisyOracle:
         # chunk, so a walk reads the margin of any run of flips as the
         # difference of two entries; at p = 0 entry t is t + 1.
         if self._rng is None:
-            self._rng = np.random.default_rng(_seed(self.master_seed, self.trial_index, 0))
+            self._rng = _generator(self.master_seed, self.trial_index, 0)
         self._run_from -= len(self._buf)
         size = min(max(8 * len(self._buf), 64), _BUF_CAP)
         self._buf = memoryview(np.add.accumulate(np.where(self._rng.random(size) < self.p, -1, 1)))
@@ -217,7 +300,7 @@ class NoisyOracle:
     def algorithm_rng(self) -> np.random.Generator:
         """Deterministic stream for algorithm-level randomness (e.g. subsampling)."""
         if self._alg_rng is None:
-            self._alg_rng = np.random.default_rng(_seed(self.master_seed, self.trial_index, 1))
+            self._alg_rng = _generator(self.master_seed, self.trial_index, 1)
         return self._alg_rng
 
     # -- queries ---------------------------------------------------------------

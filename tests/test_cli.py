@@ -139,6 +139,7 @@ class TestRunCommand:
 
 class TestOutputPath:
     RUN = TestRunCommand.ARGS
+    SWEEP = ["sweep", "--algorithm", "checkbit", "--instance", "single_one:1", "--n", "1", "--delta", "0.05"]
 
     @pytest.mark.parametrize("command", ["run", "sweep", "bounds", "verify"])
     def test_missing_directory_exits_two_before_any_work(self, command, tmp_path, capsys):
@@ -153,6 +154,23 @@ class TestOutputPath:
         assert "configuration error" in captured.err and "does not exist" in captured.err
         assert "running" not in captured.err and "sweeping" not in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            RUN + ["--workers", "0"],
+            SWEEP + ["--p", "0.25", "--trials", "0"],
+            SWEEP + ["--p", "0.25,0.6", "--trials", "4"],
+            SWEEP + ["--p", "0.25", "--trials", "4", "--workers", "0"],
+        ],
+        ids=["run-workers-0", "sweep-trials-0", "sweep-bad-second-row", "sweep-workers-0"],
+    )
+    def test_refused_configuration_prints_no_progress_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert "running" not in captured.err and "sweeping" not in captured.err
         assert captured.out == ""
 
     def test_directory_as_output_exits_two(self, tmp_path, capsys):
@@ -396,3 +414,15 @@ def test_any_argv_exits_cleanly(fuzz_out_dir, data):
             code = exc.code
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 2:  # refused before any work
+        assert "running" not in err.getvalue() and "sweeping" not in err.getvalue(), argv
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # The generators come from numpy.random, imported at a trial's first draw.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, noisyquery.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """Instances, the noisy channel, query accounting, and the determinism contract."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from noisyquery.errors import ContractViolation
 from noisyquery.oracles import (
-    _seed,
+    _BLOCK,
+    _block_states,
+    _generator,
     BitInstance,
     ForcedResponseStream,
     NoisyOracle,
@@ -285,20 +288,75 @@ class TestDeterminism:
         draws_after = oracle_b.algorithm_rng.random(5).tolist()
         assert draws_before == draws_after
 
-    @pytest.mark.parametrize(
-        "keys",
-        [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (0, 0, 0), (7, 2**32 - 1, 1), (2**40 + 3, 0, 2**33), (5, 2**70, 0)],
-    )
-    def test_seed_matches_seed_sequence(self, keys):
-        expected = np.random.SeedSequence(keys).generate_state(4)
-        assert (_seed(*keys).generate_state(4) == expected).all()
+    # The seed and trial of each case come from one key tuple of the kinds
+    # SeedSequence splits differently: one word, a word's edge, several words.
+    KEY_TUPLES = [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (0, 0, 0), (7, 2**32 - 1, 1), (2**40 + 3, 0, 2**33), (5, 2**70, 0)]
+    EDGE_TRIALS = [0, 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2**32 - _BLOCK, 2**32 - 1, 2**32, 2**32 + _BLOCK, 2**64 + 5, 2**70]
 
-    def test_seed_refuses_a_negative_key(self):
-        for keys in [(-1,), (3, -2, 0), (0, 0, -(2**40))]:
+    @staticmethod
+    def _assert_row_is_seed_sequence(seed, trial, stream):
+        expected = np.random.SeedSequence((seed, trial, stream)).generate_state(4, np.uint64)
+        row = _block_states(seed, stream, trial // _BLOCK)[trial % _BLOCK]
+        assert row.dtype == np.uint64
+        assert row.tolist() == expected.tolist(), (seed, trial, stream)
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("keys", KEY_TUPLES)
+    def test_block_row_matches_seed_sequence(self, keys, stream):
+        self._assert_row_is_seed_sequence(keys[0], keys[1] if len(keys) > 1 else keys[0], stream)
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 9, 2**32, 2**64 + 5, 2**70])
+    def test_block_rows_match_at_block_and_word_edges(self, seed, stream):
+        for trial in self.EDGE_TRIALS:
+            self._assert_row_is_seed_sequence(seed, trial, stream)
+
+    def test_every_row_of_a_block_matches(self):
+        block = 2**22 + 3  # its indices take two words each
+        table = _block_states(41, 1, block)
+        assert table.shape == (_BLOCK, 4)
+        for b in range(_BLOCK):
+            expected = np.random.SeedSequence((41, block * _BLOCK + b, 1)).generate_state(4, np.uint64)
+            assert table[b].tolist() == expected.tolist(), b
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**80),
+        trial=st.one_of(st.integers(min_value=0, max_value=4 * _BLOCK), st.integers(min_value=0, max_value=2**80)),
+        stream=st.sampled_from([0, 1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_row_matches_seed_sequence_for_any_key(self, seed, trial, stream):
+        self._assert_row_is_seed_sequence(seed, trial, stream)
+
+    @pytest.mark.parametrize("seed, trial", [(3, _BLOCK + 7), (2**33, 2**32)])
+    def test_both_streams_are_the_seed_sequence_generators(self, seed, trial):
+        oracle = NoisyOracle(BitInstance(bits=(0,)), 0.3, master_seed=seed, trial_index=trial)
+        for stream, rng in enumerate([_generator(seed, trial, 0), oracle.algorithm_rng]):
+            expected = np.random.default_rng(np.random.SeedSequence((seed, trial, stream))).random(16)
+            assert rng.random(16).tolist() == expected.tolist()
+
+    def test_a_stream_pickles(self):
+        rng = NoisyOracle(BitInstance(bits=(0,)), 0.3, master_seed=4, trial_index=9).algorithm_rng
+        copy = pickle.loads(pickle.dumps(rng))
+        assert copy.random(8).tolist() == rng.random(8).tolist()
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (3, -(2**40)), (-(2**40), 5)])
+    def test_negative_seed_or_trial_is_refused_before_any_draw(self, seed, trial):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((seed, trial, 0))
+        with pytest.raises(ValueError):
+            _generator(seed, trial, 0)
+        oracle = NoisyOracle(BitInstance(bits=(0,)), 0.3, master_seed=seed, trial_index=trial)
+        with pytest.raises(ValueError):
+            oracle.read_bit(1)
+        with pytest.raises(ValueError):
+            oracle.algorithm_rng
+        assert oracle.queries == 0 and len(oracle._buf) == 0
+
+    def test_negative_block_key_is_refused(self):
+        for key in [(-1, 0, 0), (0, 0, -1)]:
             with pytest.raises(ValueError):
-                np.random.SeedSequence(keys)
-            with pytest.raises(ValueError):
-                _seed(*keys)
+                _block_states(*key)
 
     @pytest.mark.parametrize("seed, trial, p", [(0, 0, 0.25), (9, 4, 0.1), (2**33, 7, 0.45)])
     def test_flip_stream_is_the_generator_stream(self, seed, trial, p):
