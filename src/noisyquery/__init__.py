@@ -31,7 +31,6 @@ from .exact_oracle import (
 )
 from .oracles import (
     BitInstance,
-    ForcedResponseStream,
     NoisyOracle,
     ValueInstance,
     make_instance_max,
@@ -62,7 +61,6 @@ __all__ = [
     "ContractViolation",
     "EnumerationCapError",
     "EnumerationResult",
-    "ForcedResponseStream",
     "InvariantError",
     "MaxRunReport",
     "NoisyOracle",

@@ -8,6 +8,7 @@ bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ContractViolation
@@ -30,6 +31,12 @@ __all__ = [
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ContractViolation(message)
+
+
+def _require_n(n: int) -> None:
+    """Refuse an n below 1, or one too large for the float arithmetic of the bounds."""
+    _require(n >= 1, f"n must be >= 1, got {n}")
+    _require(n <= sys.float_info.max, f"n must be at most {sys.float_info.max!r}, got a {len(str(n))}-digit n")
 
 
 def log_inverse(x: float) -> float:
@@ -65,7 +72,7 @@ def binary_entropy(p: float) -> float:
 
 def lecam_floor(n: int, m: float, p: float) -> float:
     """Worst-case error floor (1/4) exp(-m D/n) for any strategy with m expected queries."""
-    _require(n >= 1, f"n must be >= 1, got {n}")
+    _require_n(n)
     _require(m >= 0.0, f"m must be >= 0, got {m}")
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
     return 0.25 * math.exp(-m * kl_pq(p) / n)
@@ -79,7 +86,7 @@ def upper_budget(n: int, delta: float, p: float) -> float:
     accepted as degenerate arithmetic (budget 0) even though the
     algorithms themselves reject it.
     """
-    _require(n >= 1, f"n must be >= 1, got {n}")
+    _require_n(n)
     _require(0.0 < delta <= 1.0, f"delta must lie in (0, 1], got {delta}")
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
     return n * log_inverse(delta) / kl_pq(p)
@@ -92,7 +99,7 @@ def lecam_budget(n: int, delta: float, p: float) -> float:
     most ``delta`` must spend at least this many queries in expectation.
     For delta >= 1/4 the floor is vacuous and the forced budget is 0.
     """
-    _require(n >= 1, f"n must be >= 1, got {n}")
+    _require_n(n)
     _require(0.0 < delta < 0.5, f"delta must lie in (0, 1/2), got {delta}")
     _require(0.0 < p < 0.5, f"p must lie in (0, 1/2), got {p}")
     return max(0.0, n * log_inverse(4.0 * delta) / kl_pq(p))

@@ -98,6 +98,9 @@ ALGORITHMS = {
     "noisy-max": (_MAX_MODEL, _run_noisy_max, ValueInstance.truth),
 }
 
+# The largest n a campaign accepts; its instance is built in memory before any trial.
+_N_CAP = 10_000_000
+
 # Two-sided 95% normal quantile, used by both interval styles.
 _Z95 = 1.959963984540054
 
@@ -117,6 +120,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.n < 1:
             raise ContractViolation(f"n must be >= 1, got {self.n}")
+        if self.n > _N_CAP:
+            raise ContractViolation(f"n must be at most {_N_CAP}, got {self.n}")
         if not 0.0 < self.p < 0.5:
             raise ContractViolation(f"p must lie in (0, 1/2), got {self.p}")
         if not 0.0 < self.delta < 0.5:

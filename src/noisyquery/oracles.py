@@ -20,7 +20,7 @@ Indices are 1-based throughout, matching the usual [n] convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -30,7 +30,6 @@ from .errors import ContractViolation
 
 __all__ = [
     "BitInstance",
-    "ForcedResponseStream",
     "NoisyOracle",
     "ValueInstance",
     "make_instance_max",
@@ -193,33 +192,6 @@ class ValueInstance:
         return best + 1
 
 
-@dataclass
-class ForcedResponseStream:
-    """Scripted answers consumed in order, replacing the random channel in tests.
-
-    Each entry is the literal answer the oracle will return (``True``/1
-    for a bit read of 1 or a "less-than" comparison).  The oracle still
-    counts every answer.  Exhausting the script is a contract
-    violation: scripted traces must cover every query they provoke.
-    """
-
-    answers: Sequence[bool]
-    _cursor: int = field(default=0, repr=False)
-
-    def take(self) -> bool:
-        if self._cursor >= len(self.answers):
-            raise ContractViolation(
-                f"forced response stream exhausted after {len(self.answers)} answers"
-            )
-        ans = bool(self.answers[self._cursor])
-        self._cursor += 1
-        return ans
-
-    @property
-    def remaining(self) -> int:
-        return len(self.answers) - self._cursor
-
-
 class NoisyOracle:
     """Answers bit-read or comparison queries through a BSC(p) channel.
 
@@ -232,28 +204,16 @@ class NoisyOracle:
 
     __slots__ = (
         "instance", "p", "master_seed", "trial_index", "queries",
-        "_bits", "_values", "_n", "_forced",  # the hidden instance, and the script if forced
+        "_bits", "_values", "_n",  # the hidden instance
         "_rng", "_buf", "_pos",  # the channel's generator, its current chunk, and the next flip
         "_run_k", "_run_from", "_stops",  # the current run of walks at one threshold
         "_alg_rng",
     )  # fmt: skip
 
     def __init__(
-        self,
-        instance: BitInstance | ValueInstance,
-        p: float,
-        master_seed: int = 0,
-        trial_index: int = 0,
-        *,
-        forced: ForcedResponseStream | None = None,
-        allow_noiseless: bool = False,
+        self, instance: BitInstance | ValueInstance, p: float, master_seed: int = 0, trial_index: int = 0
     ) -> None:
-        if p == 0.0:
-            if not allow_noiseless:
-                raise ContractViolation(
-                    "p = 0 is a test-only channel; pass allow_noiseless=True to permit it"
-                )
-        elif not 0.0 < p < 0.5:
+        if not 0.0 < p < 0.5:
             raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
         self.instance = instance
         self.p = p
@@ -267,7 +227,6 @@ class NoisyOracle:
         else:
             self._bits = None
             self._values = [0.0, *instance.values]
-        self._forced = forced
         self._rng: np.random.Generator | None = None
         self._buf = memoryview(b"")
         self._pos = 0
@@ -281,14 +240,14 @@ class NoisyOracle:
     # -- randomness plumbing -------------------------------------------------
 
     def _refill(self) -> None:
-        # Channel stream is lazily created so forced oracles never touch the
-        # RNG; chunk sizes follow a fixed growth schedule (64, 512, then
-        # 4096 flips), and the generator draws one double per flip whatever
-        # the chunk size, so the flip sequence is a pure function of
+        # The channel's generator is created at the first refill; chunk
+        # sizes follow a fixed growth schedule (64, 512, then 4096 flips),
+        # and the generator draws one double per flip whatever the chunk
+        # size, so the flip sequence is a pure function of
         # (master_seed, trial_index).  A chunk is kept as its running
         # margin: entry t is (unflipped - flipped) over flips 0..t of the
         # chunk, so a walk reads the margin of any run of flips as the
-        # difference of two entries; at p = 0 entry t is t + 1.
+        # difference of two entries.
         if self._rng is None:
             self._rng = _generator(self.master_seed, self.trial_index, 0)
         self._run_from -= len(self._buf)
@@ -321,11 +280,10 @@ class NoisyOracle:
         Answers, flip stream and query count end up exactly as after a loop of
         single queries; arguments are checked before anything moves.
 
-        A noisy walk jumps k - |margin| flips at a time over the chunk's
+        A walk jumps k - |margin| flips at a time over the chunk's
         running-margin table, since it cannot stop sooner, so it costs
-        O(jumps); a noiseless (p = 0) walk is one jump.  Consecutive walks
-        at one k form a run, whose later walks may each be one read of a
-        stop list (:meth:`_scan`).  Forced walks take their answers one by one.
+        O(jumps).  Consecutive walks at one k form a run, whose later
+        walks may each be one read of a stop list (:meth:`_scan`).
         """
         n = self._n
         if j is None:
@@ -345,56 +303,46 @@ class NoisyOracle:
         if k < 1:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
 
-        t = 0
-        try:
-            if self._forced is not None:
-                take = self._forced.take
-                d = 0
-                while -k < d < k:
-                    t += 1
-                    d += 1 if take() else -1
-                return d > 0, t
-
-            buf, pos = self._buf, self._pos
-            stops = self._stops
-            if k != self._run_k:
-                # A new run: its first walk takes the jump loop.
-                self._run_k, self._run_from = k, pos
-                stops = self._stops = []
-            elif not stops and 1 < k <= _SCAN_MAX_K:
-                stops = self._scan(pos, k)
-            end = stops.pop() if stops else 0
-            if end:
-                # The walk stops at the listed flip, one lattice step from
-                # the run's level, the entry before the walk.
-                t = end - pos
-                self._pos = end
-                return truth == (buf[end - 1] > buf[pos - 1]), t
-
-            # The margin m = (answers equal to the truth) - (flipped answers)
-            # is the net vote when the truth is 1, else its negative.  It is
-            # the table entry at a jump's last flip less base, the entry before
-            # the walk.  A jump stops short at the end of the chunk, which is
-            # refilled only if the walk goes on, exactly where single queries
-            # would refill it; the new entries count from 0, so base becomes -m.
-            end = len(buf)
-            base = buf[pos - 1] if pos else 0
-            m = 0
-            while -k < m < k:
-                if pos == end:
-                    self._refill()
-                    buf, pos, base = self._buf, 0, -m
-                    end = len(buf)
-                nxt = pos + k - (m if m > 0 else -m)
-                if nxt > end:
-                    nxt = end
-                m = buf[nxt - 1] - base
-                t += nxt - pos
-                pos = nxt
-            self._pos = pos
-            return truth == (m > 0), t
-        finally:  # one count a walk; an exhausted script still counts the query it failed
+        buf, pos = self._buf, self._pos
+        stops = self._stops
+        if k != self._run_k:
+            # A new run: its first walk takes the jump loop.
+            self._run_k, self._run_from = k, pos
+            stops = self._stops = []
+        elif not stops and 1 < k <= _SCAN_MAX_K:
+            stops = self._scan(pos, k)
+        end = stops.pop() if stops else 0
+        if end:
+            # The walk stops at the listed flip, one lattice step from
+            # the run's level, the entry before the walk.
+            t = end - pos
+            self._pos = end
             self.queries += t
+            return truth == (buf[end - 1] > buf[pos - 1]), t
+
+        # The margin m = (answers equal to the truth) - (flipped answers)
+        # is the net vote when the truth is 1, else its negative.  It is
+        # the table entry at a jump's last flip less base, the entry before
+        # the walk.  A jump stops short at the end of the chunk, which is
+        # refilled only if the walk goes on, exactly where single queries
+        # would refill it; the new entries count from 0, so base becomes -m.
+        end = len(buf)
+        base = buf[pos - 1] if pos else 0
+        m = t = 0
+        while -k < m < k:
+            if pos == end:
+                self._refill()
+                buf, pos, base = self._buf, 0, -m
+                end = len(buf)
+            nxt = pos + k - (m if m > 0 else -m)
+            if nxt > end:
+                nxt = end
+            m = buf[nxt - 1] - base
+            t += nxt - pos
+            pos = nxt
+        self._pos = pos
+        self.queries += t
+        return truth == (m > 0), t
 
     def _scan(self, pos: int, k: int) -> list[int]:
         """The stops of the run's next walks in one pass, last first; [] if not worth it.
@@ -404,12 +352,11 @@ class NoisyOracle:
         margin hits a point of L + kZ other than the last one it hit.
         The pass covers twice the flips the run has used, up to the chunk's
         end, once the run has used 4k / (1 - 2p) flips (four walks) and if
-        it covers _SCAN_MIN flips; walk calls it for 1 < k <= _SCAN_MAX_K,
-        and p = 0 never scans.
+        it covers _SCAN_MIN flips; walk calls it for 1 < k <= _SCAN_MAX_K.
         """
         used = pos - self._run_from
         hi = min(len(self._buf), pos + 2 * used)
-        if hi - pos < _SCAN_MIN or not self.p or used * (1 - 2 * self.p) < 4 * k:
+        if hi - pos < _SCAN_MIN or used * (1 - 2 * self.p) < 4 * k:
             return self._stops
         seg = self._buf.obj[pos - 1 : hi]
         hits = _lattice(k)[seg - (seg[0] - _BUF_CAP)].nonzero()[0]

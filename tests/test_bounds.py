@@ -122,6 +122,12 @@ class TestUpperBudget:
         assert lecam_budget(1000, 0.01, 0.25) == pytest.approx(5859.93, rel=1e-5)
         assert lecam_floor(100, 100, 0.1) == pytest.approx(0.043096, rel=3e-4)
 
+    @pytest.mark.parametrize("bound", [upper_budget, lecam_budget, lecam_floor, make_bound_report])
+    def test_n_beyond_the_largest_float_refused(self, bound):
+        # A ContractViolation, not an OverflowError from converting n to a float.
+        with pytest.raises(ContractViolation, match="n must be at most"):
+            bound(10**400, 0.01, 0.25)
+
 
 class TestSubnormalDelta:
     """Below 2**-1024, 1/delta overflows; log(1/delta) is then taken as -log(delta)."""

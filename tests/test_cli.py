@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from noisyquery.cli import _parse_grid, main
 from noisyquery.errors import ContractViolation
 
+_HUGE_N = "1" + "0" * 400  # an int no float holds
+
 
 class TestBoundsCommand:
     def test_prints_report(self, capsys):
@@ -59,6 +61,16 @@ class TestBoundsCommand:
         assert main(["bounds", "--n", "10", "--delta", "0.01", "--p", "0.5"]) == 2
         err = capsys.readouterr().err
         assert "p must lie in (0, 1/2)" in err
+
+    def test_n_too_large_for_a_float_exits_two(self, capsys):
+        # The budgets multiply and divide by n as a float; 10**400 has none.
+        argv = ["bounds", "--delta", "0.01", "--p", "0.25", "--n"]
+        assert main(argv + [_HUGE_N]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: n must be at most 1.7976931348623157e+308, got a 401-digit n" in captured.err
+        assert captured.out == ""
+        assert main(argv + [str(int(sys.float_info.max))]) == 0  # the largest n a float holds
+        assert "upper_budget             inf" in capsys.readouterr().out
 
     def test_regime_line(self, capsys):
         main(["bounds", "--n", "100", "--delta", "1e-9", "--p", "0.1"])
@@ -135,6 +147,34 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "Traceback" not in err
+
+
+class TestHugeN:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--algorithm", "noisy-or", "--instance", "all_zero", "--n", "1000000000000"],
+            ["run", "--algorithm", "noisy-max", "--instance", "sorted", "--n", "100000000"],
+            ["run", "--algorithm", "checkbit", "--instance", "all_zero", "--n", _HUGE_N],
+            ["sweep", "--algorithm", "noisy-max", "--instance", "sorted", "--n", "100,100000000"],
+        ],
+        ids=["or-1e12", "max-1e8", "checkbit-1e400", "sweep-max-1e8"],
+    )
+    def test_refused_before_the_instance_is_built(self, argv, capsys):
+        # Building these instances runs out of memory (a MemoryError
+        # under `ulimit -v 3000000`); validation refuses n above 10**7 first.
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--p", "0.25", "--delta", "0.01", "--trials", "2"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 100_000  # bytes
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: n must be at most 10000000, got ")
+        assert "running" not in captured.err and "sweeping" not in captured.err
+        assert captured.out == ""
 
 
 class TestOutputPath:
@@ -337,7 +377,7 @@ _BAD = {
         "single_one:0", "single_one:x", "single_one", "literal:", "literal:0,2", "relocated:99",
         "relocated", "permuted:x", "literal:1,1", "nonsense", "", "sorted", "all_zero",
     ],
-    "--n": ["0", "-3", "x", "", "1.5"],
+    "--n": ["0", "-3", "x", "", "1.5", "1000000000000", _HUGE_N],
     "--p": _BAD_FLOATS,
     "--delta": _BAD_FLOATS,
     "--trials": ["0", "-2", "x", "2.0"],

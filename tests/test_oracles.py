@@ -13,13 +13,12 @@ from noisyquery.oracles import (
     _block_states,
     _generator,
     BitInstance,
-    ForcedResponseStream,
     NoisyOracle,
     ValueInstance,
     make_instance_max,
     make_instance_or,
 )
-from recording import RecordingOracle
+from recording import RecordingOracle, ScriptedOracle
 
 
 class TestInstances:
@@ -108,17 +107,13 @@ class TestInstanceFactories:
 
 
 class TestChannelContracts:
-    def test_noiseless_needs_flag(self):
-        with pytest.raises(ContractViolation):
-            NoisyOracle(BitInstance(bits=(1,)), 0.0)
-
-    @pytest.mark.parametrize("p", [-0.1, 0.5, 0.7])
+    @pytest.mark.parametrize("p", [-0.1, 0.0, 0.5, 0.7])
     def test_p_range(self, p):
         with pytest.raises(ContractViolation):
             NoisyOracle(BitInstance(bits=(1,)), p)
 
     def test_noiseless_reads_exact(self):
-        oracle = NoisyOracle(BitInstance(bits=(1, 0)), 0.0, allow_noiseless=True)
+        oracle = ScriptedOracle(BitInstance(bits=(1, 0)))
         assert [oracle.read_bit(1), oracle.read_bit(2)] == [1, 0]
 
     def test_index_range(self):
@@ -129,7 +124,7 @@ class TestChannelContracts:
             oracle.read_bit(3)
 
     def test_compare_contracts(self):
-        oracle = NoisyOracle(ValueInstance(values=(1.0, 2.0)), 0.0, allow_noiseless=True)
+        oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0)))
         assert oracle.compare(1, 2) is True
         assert oracle.compare(2, 1) is False
         with pytest.raises(ContractViolation):
@@ -137,12 +132,13 @@ class TestChannelContracts:
         with pytest.raises(ContractViolation):
             oracle.compare(1, 3)
 
-    @pytest.mark.parametrize("p", [0.0, 0.25])
-    def test_answer_types(self, p):
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_answer_types(self, noisy):
         # A bit read answers 0 or 1 as an int, a comparison as a bool,
         # whatever the flip buffer holds.
-        bits = NoisyOracle(BitInstance(bits=(1, 0)), p, 3, allow_noiseless=True)
-        values = NoisyOracle(ValueInstance(values=(1.0, 2.0)), p, 3, allow_noiseless=True)
+        make = (lambda instance: NoisyOracle(instance, 0.25, 3)) if noisy else ScriptedOracle
+        bits = make(BitInstance(bits=(1, 0)))
+        values = make(ValueInstance(values=(1.0, 2.0)))
         for _ in range(600):  # past the first refill
             assert type(bits.read_bit(1)) is int and type(bits.read_bit(2)) is int
             assert type(values.compare(1, 2)) is bool and type(values.compare(2, 1)) is bool
@@ -156,31 +152,20 @@ class TestChannelContracts:
             value_oracle.read_bit(1)
 
 
-class TestForcedResponses:
+class TestScriptedFlips:
     def test_scripted_flip_on_zero_bit(self):
-        oracle = NoisyOracle(
-            BitInstance(bits=(0,)), 0.25, forced=ForcedResponseStream([True])
-        )
+        oracle = ScriptedOracle(BitInstance(bits=(0,)), [True])
         assert oracle.read_bit(1) == 1
         assert oracle.queries == 1
 
     def test_scripted_compare(self):
-        oracle = NoisyOracle(
-            ValueInstance(values=(1.0, 2.0)), 0.25, forced=ForcedResponseStream([False])
-        )
+        oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0)), [True])
         assert oracle.compare(1, 2) is False
 
     def test_script_consumed_in_order(self):
-        oracle = NoisyOracle(
-            BitInstance(bits=(0, 0)), 0.25, forced=ForcedResponseStream([True, False, True])
-        )
+        oracle = ScriptedOracle(BitInstance(bits=(0, 0)), [True, False, True])
         assert [oracle.read_bit(1), oracle.read_bit(2), oracle.read_bit(1)] == [1, 0, 1]
-
-    def test_exhaustion_is_contract_violation(self):
-        oracle = NoisyOracle(BitInstance(bits=(0,)), 0.25, forced=ForcedResponseStream([True]))
-        oracle.read_bit(1)
-        with pytest.raises(ContractViolation):
-            oracle.read_bit(1)
+        assert oracle.read_bit(1) == 0  # no flip past the script
 
 
 class TestQueryCount:
@@ -210,10 +195,9 @@ class TestQueryCount:
         oracle.compare(n, 1)
         assert oracle.queries == expected + 1
 
-    def test_counted_even_when_forced(self):
-        oracle = NoisyOracle(BitInstance(bits=(0,)), 0.25, forced=ForcedResponseStream([True, True]))
-        oracle.read_bit(1)
-        oracle.read_bit(1)
+    def test_counted_even_when_flipped(self):
+        oracle = ScriptedOracle(BitInstance(bits=(0,)), [True, True])
+        assert [oracle.read_bit(1), oracle.read_bit(1)] == [1, 1]
         assert oracle.queries == 2
 
 
@@ -377,13 +361,10 @@ class TestDeterminism:
         assert [b.read_bit(1) for _ in range(66)] == seq[64:]
 
 
-@given(
-    bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=32),
-    seed=st.integers(min_value=0, max_value=2**20),
-)
+@given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=32))
 @settings(max_examples=40, deadline=None)
-def test_noiseless_channel_reads_truth(bits, seed):
-    oracle = NoisyOracle(BitInstance(bits=tuple(bits)), 0.0, seed, allow_noiseless=True)
+def test_noiseless_channel_reads_truth(bits):
+    oracle = ScriptedOracle(BitInstance(bits=tuple(bits)))
     observed = [oracle.read_bit(i) for i in range(1, len(bits) + 1)]
     assert observed == list(bits)
 
@@ -408,8 +389,8 @@ def _loop_walk(oracle, i, j, k):
     return d > 0, t
 
 
-def _twins(instance, p=0.25, seed=0, trial=0, **kwargs):
-    return (NoisyOracle(instance, p, seed, trial, **kwargs), NoisyOracle(instance, p, seed, trial, **kwargs))
+def _twins(instance, p=0.25, seed=0, trial=0):
+    return NoisyOracle(instance, p, seed, trial), NoisyOracle(instance, p, seed, trial)
 
 
 def _single(oracle, j):
@@ -513,36 +494,24 @@ class TestWalkMatchesQueryLoop:
             _assert_walks_match(*_twins(VALUE_INSTANCE, p, seed), cmp_walks)
 
 
-class TestWalkForcedAndNoiseless:
+class TestWalkScriptedAndNoiseless:
     @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 2)])
-    def test_forced_walk_takes_exactly_its_answers(self, instance, j):
-        script = [True, False, False, True, False, False, True, True, True]
-        stream = ForcedResponseStream(script)
-        fast = NoisyOracle(instance, 0.25, forced=stream)
-        slow = NoisyOracle(instance, 0.25, forced=ForcedResponseStream(script))
+    def test_scripted_walk_takes_exactly_its_answers(self, instance, j):
+        # The truth is 0 (False) for both queries, so each answer is its flip.
+        flips = [True, False, False, True, False, False, True, True, True]
+        fast, slow = ScriptedOracle(instance, flips), ScriptedOracle(instance, flips)
         # Net votes +1 0 -1 0 -1 -2: absorbed at -2 after six answers.
         assert fast.walk(1, j, 2) == _loop_walk(slow, 1, j, 2) == (False, 6)
-        assert stream.remaining == 3
         assert fast.queries == slow.queries == 6
-        assert _single(fast, j) == _single(slow, j) == 1
-
-    @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 2)])
-    def test_forced_exhaustion_raises_and_counts_like_the_loop(self, instance, j):
-        fast = NoisyOracle(instance, 0.25, forced=ForcedResponseStream([True, False, True]))
-        slow = NoisyOracle(instance, 0.25, forced=ForcedResponseStream([True, False, True]))
-        with pytest.raises(ContractViolation, match="exhausted"):
-            fast.walk(1, j, 3)
-        with pytest.raises(ContractViolation, match="exhausted"):
-            _loop_walk(slow, 1, j, 3)
-        assert fast.queries == slow.queries == 4
+        assert _single(fast, j) == _single(slow, j) == 1  # the next answer read is flip 6
 
     @pytest.mark.parametrize("k", [1, 9, 600])  # 600 > the 64- and 512-flip first chunks
     def test_noiseless_walk_takes_exactly_k(self, k):
-        oracle = NoisyOracle(BIT_INSTANCE, 0.0, allow_noiseless=True)
+        oracle = ScriptedOracle(BIT_INSTANCE)
         assert oracle.walk(2, None, k) == (True, k)
         assert oracle.walk(1, None, k) == (False, k)
         assert oracle.queries == 2 * k
-        oracle = NoisyOracle(VALUE_INSTANCE, 0.0, allow_noiseless=True)
+        oracle = ScriptedOracle(VALUE_INSTANCE)
         assert oracle.walk(2, 4, k) == (True, k)
         assert oracle.walk(4, 2, k) == (False, k)
         assert oracle.queries == 2 * k

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from noisyquery.errors import ContractViolation
 from noisyquery.exact_oracle import analyze_walk
-from noisyquery.oracles import BitInstance, ForcedResponseStream, NoisyOracle, ValueInstance
+from noisyquery.oracles import BitInstance, NoisyOracle, ValueInstance
 from noisyquery.primitives import (
     StopReport,
     check_bit,
@@ -18,6 +18,7 @@ from noisyquery.primitives import (
     vote_threshold,
     vote_threshold_log,
 )
+from recording import ScriptedOracle
 
 
 class TestVoteThreshold:
@@ -87,7 +88,7 @@ class TestVoteThreshold:
 
 
 def _truthful_oracle(bits=(1,)):
-    return NoisyOracle(BitInstance(bits=bits), 0.0, allow_noiseless=True)
+    return ScriptedOracle(BitInstance(bits=bits))
 
 
 class TestCheckBitTraces:
@@ -105,24 +106,23 @@ class TestCheckBitTraces:
         assert report.queries_used == 5
 
     def test_single_vote_regime(self):
-        oracle = NoisyOracle(BitInstance(bits=(0,)), 0.25, forced=ForcedResponseStream([True]))
+        oracle = ScriptedOracle(BitInstance(bits=(0,)), [True])
         report = check_bit(oracle, 1, 0.25, 0.25)  # K = 1: one lie decides
         assert report.decision == 1
         assert report.queries_used == 1
 
     def test_walk_consumes_exactly_what_it_needs(self):
-        # Script longer than needed: a truthful run of a K=5 walk must take
-        # exactly 5 answers and leave the rest unread.
-        stream = ForcedResponseStream([True] * 12)
-        oracle = NoisyOracle(BitInstance(bits=(1,)), 0.25, forced=stream)
+        # A truthful K=5 walk must take exactly 5 answers and leave the
+        # flips after them unread: the next read is the first flip.
+        oracle = ScriptedOracle(BitInstance(bits=(1,)), [False] * 5 + [True] * 7)
         report = check_bit(oracle, 1, 0.01, 0.25)
-        assert report.queries_used == 5
-        assert stream.remaining == 7
+        assert report.queries_used == oracle.queries == 5
+        assert oracle.read_bit(1) == 0
 
     def test_meandering_script(self):
         # +1 -1 +1 -1 ... never absorbs until a run of +1s arrives.
-        answers = [True, False, True, False] + [True] * 5
-        oracle = NoisyOracle(BitInstance(bits=(1,)), 0.25, forced=ForcedResponseStream(answers))
+        flips = [False, True, False, True] + [False] * 5
+        oracle = ScriptedOracle(BitInstance(bits=(1,)), flips)
         report = check_bit(oracle, 1, 0.01, 0.25)
         assert report.decision == 1
         assert report.queries_used == 9
@@ -159,15 +159,13 @@ class TestStopReport:
 
 class TestNoisyCompareTraces:
     def test_truthful_pair(self):
-        oracle = NoisyOracle(ValueInstance(values=(1.0, 2.0)), 0.0, allow_noiseless=True)
+        oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0)))
         report = noisy_compare(oracle, 1, 2, 0.01, 0.25)
         assert report.decision is True
         assert report.queries_used == 5
 
     def test_single_lie_flips_single_vote(self):
-        oracle = NoisyOracle(
-            ValueInstance(values=(2.0, 1.0)), 0.25, forced=ForcedResponseStream([True])
-        )
+        oracle = ScriptedOracle(ValueInstance(values=(2.0, 1.0)), [True])
         report = noisy_compare(oracle, 1, 2, 0.25, 0.25)
         assert report.decision is True  # wrong, via the scripted flip
         assert report.queries_used == 1

@@ -24,7 +24,7 @@ from noisyquery.toplevel import (
     or_threshold,
     sampling_probability,
 )
-from recording import RecordingOracle
+from recording import ScriptedOracle
 
 
 class TestOrThreshold:
@@ -68,13 +68,9 @@ class TestSamplingProbability:
         assert 0.0 < q <= 1.0
 
 
-def _noiseless(instance):
-    return RecordingOracle(instance, 0.0, allow_noiseless=True)
-
-
 class TestNoisyOrTraces:
     def test_all_zero_truthful_uses_n_times_threshold(self):
-        oracle = _noiseless(make_instance_or("all_zero", 3))
+        oracle = ScriptedOracle(make_instance_or("all_zero", 3))
         report = noisy_or_report(oracle, 3, 0.01, 0.25)
         assert report.output == 0
         assert oracle.walks == [(i, None, 5, 5) for i in (1, 2, 3)]  # three truthful K=5 walks
@@ -86,7 +82,7 @@ class TestNoisyOrTraces:
         # One survivor < threshold log(3): the singleton tournament is one
         # more check of that bit, at half the tolerance.  Phase 1 runs at
         # K(0.05) = 3, the final check at K(0.025) = 4.
-        oracle = _noiseless(make_instance_or("single_one", 3, index=1))
+        oracle = ScriptedOracle(make_instance_or("single_one", 3, index=1))
         report = noisy_or_report(oracle, 3, 0.05, 0.25)
         assert report.output == 1
         assert report.survivors == (1,)
@@ -95,7 +91,7 @@ class TestNoisyOrTraces:
         assert report.subroutine_queries == 4
 
     def test_delta_too_small_to_halve_is_refused_before_any_query(self):
-        oracle = _noiseless(make_instance_or("all_zero", 3))
+        oracle = ScriptedOracle(make_instance_or("all_zero", 3))
         with pytest.raises(ContractViolation, match="too small to split in half"):
             noisy_or_report(oracle, 3, 5e-324, 0.25)
         assert oracle.queries == 0
@@ -103,7 +99,7 @@ class TestNoisyOrTraces:
     def test_many_survivors_short_circuit(self):
         # All-ones with n = 8: eight survivors >= max(log 8, ...) ~ 2.08,
         # so the answer is declared without any tournament.
-        oracle = _noiseless(make_instance_or("literal", bits=(1,) * 8))
+        oracle = ScriptedOracle(make_instance_or("literal", bits=(1,) * 8))
         report = noisy_or_report(oracle, 8, 0.01, 0.25)
         assert report.output == 1
         assert report.subroutine_queries == 0
@@ -111,7 +107,7 @@ class TestNoisyOrTraces:
 
     def test_zero_certificate(self):
         # No survivor ever invokes the tournament.
-        oracle = _noiseless(make_instance_or("all_zero", 6))
+        oracle = ScriptedOracle(make_instance_or("all_zero", 6))
         report = noisy_or_report(oracle, 6, 0.05, 0.3)
         assert report.output == 0
         assert report.subroutine_queries == 0
@@ -122,20 +118,20 @@ class TestNoisyOrTraces:
         assert report.phase1_queries + report.subroutine_queries == oracle.queries
 
     def test_n_one(self):
-        oracle = _noiseless(make_instance_or("literal", bits=(1,)))
+        oracle = ScriptedOracle(make_instance_or("literal", bits=(1,)))
         assert noisy_or_report(oracle, 1, 0.01, 0.25).output == 1
 
 
 class TestNoisyMaxTraces:
     def test_n_one_uses_no_queries(self):
-        oracle = _noiseless(ValueInstance(values=(3.0,)))
+        oracle = ScriptedOracle(ValueInstance(values=(3.0,)))
         report = noisy_max_report(oracle, 1, 0.01, 0.25)
         assert report.output == 1
         assert oracle.queries == 0
         assert report.sample == (1,)
 
     def test_n_two_samples_everything(self):
-        oracle = _noiseless(ValueInstance(values=(1.0, 2.0)))
+        oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0)))
         report = noisy_max_report(oracle, 2, 0.1, 0.25)
         assert report.sample == (1, 2)
         assert report.output == 2
@@ -156,7 +152,7 @@ class TestNoisyMaxTraces:
         assert report.phase1_queries + report.subroutine_queries == oracle.queries
 
     def test_noiseless_returns_argmax(self):
-        oracle = _noiseless(make_instance_max("relocated", 25, index=9))
+        oracle = ScriptedOracle(make_instance_max("relocated", 25, index=9))
         assert noisy_max_report(oracle, 25, 0.05, 0.25).output == 9
 
     def test_determinism(self):

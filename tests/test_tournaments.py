@@ -9,14 +9,13 @@ from noisyquery.errors import ContractViolation
 from noisyquery.exact_oracle import enumerate_tournament
 from noisyquery.oracles import (
     BitInstance,
-    ForcedResponseStream,
     NoisyOracle,
     ValueInstance,
     make_instance_or,
 )
 from noisyquery.primitives import vote_threshold_log
 from noisyquery.tournaments import RoundSchedule, tournament_max, tournament_or
-from recording import RecordingOracle
+from recording import ScriptedOracle
 
 
 class TestRoundSchedule:
@@ -79,10 +78,6 @@ class TestRoundSchedule:
             RoundSchedule.for_size(4, 0.1).log_round_error(9)
 
 
-def _noiseless(instance):
-    return RecordingOracle(instance, 0.0, allow_noiseless=True)
-
-
 def _k(log_tol):
     return vote_threshold_log(0.25, log_tol)
 
@@ -92,12 +87,12 @@ class TestTournamentOrTraces:
         # The bracket gets delta/2 = 0.05: two round-one checks at
         # K(0.025) = 4, one round-two check at K(0.0125) = 4, then the
         # final check at K(0.05) = 3: 15 reads total.
-        oracle = _noiseless(make_instance_or("all_zero", 4))
+        oracle = ScriptedOracle(make_instance_or("all_zero", 4))
         assert tournament_or(oracle, [1, 2, 3, 4], 0.1, 0.25) == 0
         assert oracle.queries == 15
 
     def test_single_index_degenerates_to_final_check(self):
-        oracle = _noiseless(make_instance_or("literal", bits=(1,)))
+        oracle = ScriptedOracle(make_instance_or("literal", bits=(1,)))
         assert tournament_or(oracle, [1], 0.1, 0.25) == 1
         assert oracle.walks == [(1, None, 3, 3)]  # K(0.05) at p = 0.25; K(0.1) would be 2
 
@@ -105,18 +100,18 @@ class TestTournamentOrTraces:
         # Matches query only the first element of each pair: a truthful
         # run over (0, 1) must read index 1 in round one, then index 2 in
         # the final check, never reading 1 again.
-        oracle = _noiseless(make_instance_or("literal", bits=(0, 1)))
+        oracle = ScriptedOracle(make_instance_or("literal", bits=(0, 1)))
         assert tournament_or(oracle, [1, 2], 0.1, 0.25) == 1
         # K(0.025) on index 1, decided 0, so 2 advances; then the final K(0.05) on 2.
         assert oracle.walks == [(1, None, 4, 4), (2, None, 3, 3)]
 
     def test_empty_indices_rejected(self):
-        oracle = _noiseless(make_instance_or("all_zero", 2))
+        oracle = ScriptedOracle(make_instance_or("all_zero", 2))
         with pytest.raises(ContractViolation):
             tournament_or(oracle, [], 0.1, 0.25)
 
     def test_delta_range(self):
-        oracle = _noiseless(make_instance_or("all_zero", 2))
+        oracle = ScriptedOracle(make_instance_or("all_zero", 2))
         with pytest.raises(ContractViolation):
             tournament_or(oracle, [1, 2], 0.5, 0.25)
 
@@ -126,12 +121,12 @@ class TestTournamentMaxTraces:
         # (1,2,3): round one plays (1,2) and gives 3 a bye; round two
         # plays (2,3); truthful comparisons crown index 3.
         # Round one at K(0.05) = 3, round two at K(0.025) = 4.
-        oracle = _noiseless(ValueInstance(values=(1.0, 2.0, 3.0)))
+        oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0, 3.0)))
         assert tournament_max(oracle, [1, 2, 3], 0.1, 0.25) == 3
         assert oracle.walks == [(1, 2, 3, 3), (2, 3, 4, 4)]
 
     def test_single_index_returns_without_queries(self):
-        oracle = _noiseless(ValueInstance(values=(4.0,)))
+        oracle = ScriptedOracle(ValueInstance(values=(4.0,)))
         assert tournament_max(oracle, [1], 0.1, 0.25) == 1
         assert oracle.walks == [] and oracle.queries == 0
 
@@ -139,13 +134,13 @@ class TestTournamentMaxTraces:
         # With 5 entrants the odd one out joins the winners *after* them:
         # round 1 plays (1,2) and (3,4) and carries 5; winners 1 and 4 meet
         # in round 2 with 5 carried again; round 3 plays (1,5).
-        oracle = _noiseless(ValueInstance(values=(5.0, 1.0, 2.0, 3.0, 4.0)))
+        oracle = ScriptedOracle(ValueInstance(values=(5.0, 1.0, 2.0, 3.0, 4.0)))
         assert tournament_max(oracle, [1, 2, 3, 4, 5], 0.1, 0.25) == 1
         k1, k2, k3 = (_k(math.log(0.1) - rnd * math.log(2.0)) for rnd in (1, 2, 3))
         assert oracle.walks == [(1, 2, k1, k1), (3, 4, k1, k1), (1, 4, k2, k2), (1, 5, k3, k3)]
 
     def test_subset_of_indices(self):
-        oracle = _noiseless(ValueInstance(values=(9.0, 1.0, 7.0, 3.0)))
+        oracle = ScriptedOracle(ValueInstance(values=(9.0, 1.0, 7.0, 3.0)))
         assert tournament_max(oracle, [2, 3, 4], 0.05, 0.25) == 3
 
 
@@ -153,7 +148,7 @@ class TestScheduleFidelity:
     def test_or_walks_follow_schedule(self):
         # Every round-one check of a zero advances the second entrant, and the
         # bracket plays round i at (delta/2) 2^-i; the final check is at delta/2.
-        oracle = _noiseless(make_instance_or("all_zero", 8))
+        oracle = ScriptedOracle(make_instance_or("all_zero", 8))
         assert tournament_or(oracle, list(range(1, 9)), 0.05, 0.25) == 0
         k = {rnd: _k(math.log(0.025) - rnd * math.log(2.0)) for rnd in (1, 2, 3)}
         final = _k(math.log(0.025))
@@ -167,7 +162,7 @@ class TestScheduleFidelity:
     def test_max_matches_halve(self):
         # 11 -> 6 -> 3 -> 2 -> 1: the larger value wins every noiseless match,
         # and the odd entrant out is carried after the winners.
-        oracle = _noiseless(ValueInstance(values=tuple(float(v) for v in range(1, 12))))
+        oracle = ScriptedOracle(ValueInstance(values=tuple(float(v) for v in range(1, 12))))
         assert tournament_max(oracle, list(range(1, 12)), 0.1, 0.25) == 11
         k = {rnd: _k(math.log(0.1) - rnd * math.log(2.0)) for rnd in (1, 2, 3, 4)}
         assert oracle.walks == [
@@ -185,7 +180,7 @@ class TestNoiselessCorrectness:
     @settings(max_examples=60, deadline=None)
     def test_or_exact_on_noiseless_channel(self, bits):
         instance = BitInstance(bits=tuple(bits))
-        oracle = _noiseless(instance)
+        oracle = ScriptedOracle(instance)
         result = tournament_or(oracle, list(range(1, len(bits) + 1)), 0.05, 0.25)
         assert result == instance.truth()
 
@@ -198,7 +193,7 @@ class TestNoiselessCorrectness:
         from noisyquery.oracles import make_instance_max
 
         instance = make_instance_max("permuted", n, seed=seed)
-        oracle = _noiseless(instance)
+        oracle = ScriptedOracle(instance)
         result = tournament_max(oracle, list(range(1, n + 1)), 0.05, 0.25)
         assert result == instance.truth()
 
