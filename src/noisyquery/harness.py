@@ -5,6 +5,10 @@ runs one algorithm, and records correctness plus query accounting.
 Trials are independent, so they may run across worker processes; results
 are aggregated in trial order, making every output byte-identical for a
 fixed configuration regardless of parallelism.
+
+One runner serves a single campaign and a sweep alike: it takes the
+trials one at a time and runs every row of the sweep on that trial's one
+:class:`~noisyquery.oracles.TrialDraws`, the channel's shared prefix.
 """
 
 from __future__ import annotations
@@ -12,15 +16,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from multiprocessing import get_context
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bounds import lecam_budget, upper_budget
 from .errors import ContractViolation, InvariantError
-from .oracles import BitInstance, NoisyOracle, ValueInstance, make_instance_max, make_instance_or
+from .oracles import BitInstance, NoisyOracle, TrialDraws, ValueInstance, make_instance_max, make_instance_or
 from .primitives import check_bit, noisy_compare
 from .toplevel import noisy_max_report, noisy_or_report
 from .tournaments import RoundSchedule, tournament_max, tournament_or
@@ -134,7 +138,7 @@ class ExperimentConfig:
             RoundSchedule.or_split(self.delta)
         if self.algorithm in ("noisycompare",) and self.n < 2:
             raise ContractViolation("noisycompare needs n >= 2")
-        parse_instance_spec(self.instance, self.n, self.algorithm)
+        _cached_instance(self.instance, self.n, self.algorithm)  # the instance its trials will run on
 
 
 class TrialStats(NamedTuple):
@@ -237,10 +241,14 @@ def _cached_instance(spec: str, n: int, algorithm: str) -> tuple[BitInstance | V
     return instance, ALGORITHMS[algorithm][2](instance)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
-    """Execute one trial; deterministic in (config.seed, trial_index)."""
+def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | None = None) -> TrialStats:
+    """Execute one trial; deterministic in (config.seed, trial_index).
+
+    ``draws``, the trial's shared channel prefix, changes no answer: it
+    only spares the oracle drawing that prefix again.
+    """
     instance, target = _cached_instance(config.instance, config.n, config.algorithm)
-    oracle = NoisyOracle(instance, config.p, config.seed, trial_index)
+    oracle = NoisyOracle(instance, config.p, config.seed, trial_index, draws)
     output, phase1, sub = ALGORITHMS[config.algorithm][1](oracle, config.n, config.delta, config.p)
     total = oracle.queries
     if phase1 + sub != total:
@@ -250,9 +258,37 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialStats:
     return TrialStats(trial_index, output == target, total, phase1, sub)
 
 
-def _run_block(config: ExperimentConfig, start: int, stop: int) -> list[tuple]:
-    """Trials start..stop-1 as plain tuples (they pickle ~10x faster): a worker process's unit of work."""
-    return [tuple(run_trial(config, t)) for t in range(start, stop)]
+# A row's trial records as three columns, in trial order: correct (0 or 1),
+# queries, phase-1 queries.  They pickle as bytes and take 17 bytes a trial.
+Columns = tuple[array, array, array]
+
+
+def _columns() -> Columns:
+    return array("b"), array("q"), array("q")
+
+
+def _run_block(configs: Sequence[ExperimentConfig], start: int, stop: int) -> list[Columns]:
+    """Trials start..stop-1 of every row, one trial at a time: a worker process's unit of work.
+
+    The rows share one seed.  Each trial's rows run on its one
+    TrialDraws, which is dropped before the next trial.
+    """
+    columns = [_columns() for _ in configs]
+    for t in range(start, stop):
+        draws = TrialDraws(configs[0].seed, t)
+        for config, (correct, queries, phase1) in zip(configs, columns):
+            # By module-global name, so a tracer that swaps run_trial sees every (row, trial).
+            stats = run_trial(config, t, draws)
+            correct.append(stats.correct)
+            queries.append(stats.queries)
+            phase1.append(stats.phase1_queries)
+    return columns
+
+
+def _trial_stats(columns: Columns) -> list[TrialStats]:
+    """A row's TrialStats, rebuilt from its columns."""
+    new = tuple.__new__  # TrialStats from a tuple, without its Python-level __new__
+    return [new(TrialStats, (t, c == 1, q, f, q - f)) for t, (c, q, f) in enumerate(zip(*columns))]
 
 
 def check_workers(workers: int) -> None:
@@ -261,40 +297,37 @@ def check_workers(workers: int) -> None:
         raise ContractViolation(f"workers must be >= 1, got {workers}")
 
 
-@contextmanager
-def _trial_runner(workers: int, trials: int) -> Iterator[Callable[[ExperimentConfig], list[TrialStats]]]:
-    """A function from a validated config to its trials, in trial order.
+def _run_rows(configs: Sequence[ExperimentConfig], workers: int) -> list[Columns]:
+    """Every trial of validated rows of one seed and trial count, as each row's columns.
 
-    With workers > 1 every call shares one worker pool, opened here and
-    closed on exit, of at most as many processes as this process has
-    CPUs; campaigns of fewer than 4 trials run in this process.
+    With workers > 1 the trials are split into blocks of trial indices,
+    each a job that runs every row, on one pool of at most as many
+    processes as this process has CPUs; campaigns of fewer than 4 trials
+    run in this process.
     """
     check_workers(workers)
+    trials = configs[0].trials
     # Outputs do not depend on the worker count, so more workers than usable CPUs only cost.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, cpus)
     if workers == 1 or trials < 4:
-        yield lambda config: [run_trial(config, t) for t in range(config.trials)]
-        return
+        return _run_block(configs, 0, trials)
+    size = max(1, trials // (workers * 8))
+    jobs = [(configs, t, min(t + size, trials)) for t in range(0, trials, size)]
+    columns = [_columns() for _ in configs]
     with get_context("fork").Pool(workers) as pool:
-
-        def run(config: ExperimentConfig) -> list[TrialStats]:
-            # One job per block of trial indices sends the config once a block;
-            # map returns the blocks in job order, so trials stay in index order.
-            size = max(1, config.trials // (workers * 8))
-            blocks = [(config, t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
-            blocks = pool.starmap(_run_block, blocks, chunksize=1)
-            new = tuple.__new__  # TrialStats from a tuple, without its Python-level __new__
-            return [new(TrialStats, stats) for block in blocks for stats in block]
-
-        yield run
+        # starmap returns the blocks in job order, so trials stay in index order.
+        for block in pool.starmap(_run_block, jobs, chunksize=1):
+            for row, part in zip(columns, block):
+                for column, values in zip(row, part):
+                    column.extend(values)
+    return columns
 
 
 def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialStats]:
     """All trials of a campaign, in trial order regardless of worker count."""
     config.validate()
-    with _trial_runner(workers, config.trials) as run:
-        return run(config)
+    return _trial_stats(_run_rows([config], workers)[0])
 
 
 def aggregate(config: ExperimentConfig, trials: Sequence[TrialStats]) -> AggregateStats:
@@ -356,12 +389,13 @@ def run_sweep(
 
     Every row reuses the base seed, so each row is identical to a
     standalone run of its configuration.  Every row is validated before
-    any trial runs, and all rows share one worker pool.
+    any trial runs; then each trial runs every row, on its one shared
+    prefix of channel draws.
     """
     configs = sweep_configs(base, n_grid, p_grid, delta_grid)
-    # Each row's trials are dropped once aggregated, so a sweep holds one row at a time.
-    with _trial_runner(workers, base.trials) as run:
-        return [aggregate(cfg, run(cfg)) for cfg in configs]
+    columns = _run_rows(configs, workers)
+    # A row's TrialStats are rebuilt only for its aggregate, so a sweep holds one row's at a time.
+    return [aggregate(cfg, _trial_stats(cols)) for cfg, cols in zip(configs, columns)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ are hashed for a block of 1024 trial indices in one numpy pass and kept
 for the last few blocks, so a stream costs a table row, not a
 SeedSequence.
 
+The first 4,672 draws of a trial's channel are held by one
+:class:`TrialDraws`, which every oracle of that trial may share: a sweep
+runs each of its rows on the trial's one set of draws, whatever p the
+row has.  Draws past that prefix come from each oracle's own generator.
+
 Indices are 1-based throughout, matching the usual [n] convention.
 """
 
@@ -31,12 +36,15 @@ from .errors import ContractViolation
 __all__ = [
     "BitInstance",
     "NoisyOracle",
+    "TrialDraws",
     "ValueInstance",
     "make_instance_max",
     "make_instance_or",
 ]
 
 _BUF_CAP = 4096
+_PREFIX = (64, 512, _BUF_CAP)  # the channel's chunk sizes, then _BUF_CAP each; these first chunks are shared
+_PREFIX_LEN = sum(_PREFIX)
 _SCAN_MIN = 256
 _SCAN_MAX_K = 100
 _WORD = 0xFFFFFFFF
@@ -144,6 +152,49 @@ def _generator(master_seed: int, trial_index: int, stream: int) -> np.random.Gen
     return np.random.Generator(np.random.PCG64(_row_seed()(_block_states(master_seed, stream, block)[row])))
 
 
+class TrialDraws:
+    """The first chunks of one trial's channel, shared by every oracle of that trial.
+
+    Chunk c holds the next ``_PREFIX[c]`` doubles of the trial's stream-0
+    generator, drawn at first use; :meth:`table` keeps one running-margin
+    table per (p, chunk).  So a trial's prefix costs one generator and
+    4,672 doubles whatever the number of oracles that read it, plus one
+    table a chunk for each distinct p.
+    """
+
+    __slots__ = ("master_seed", "trial_index", "_rng", "_chunks", "_tables")
+
+    def __init__(self, master_seed: int, trial_index: int) -> None:
+        self.master_seed = master_seed
+        self.trial_index = trial_index
+        self._rng: np.random.Generator | None = None
+        self._chunks: list[np.ndarray] = []
+        self._tables: dict[tuple[float, int], memoryview] = {}
+
+    def table(self, p: float, chunk: int) -> memoryview:
+        """Chunk ``chunk``'s running margin at crossover p: entry t is (unflipped - flipped) over its flips 0..t."""
+        table = self._tables.get((p, chunk))
+        if table is None:
+            while len(self._chunks) <= chunk:
+                if self._rng is None:
+                    self._rng = _generator(self.master_seed, self.trial_index, 0)
+                self._chunks.append(self._rng.random(_PREFIX[len(self._chunks)]))
+            margin = np.add.accumulate(np.where(self._chunks[chunk] < p, -1, 1))
+            margin.flags.writeable = False  # every oracle of the trial reads the same table
+            table = self._tables[(p, chunk)] = memoryview(margin)
+        return table
+
+    def continuation(self) -> np.random.Generator:
+        """A private generator for the draws past the prefix: the trial's stream 0, advanced by _PREFIX_LEN.
+
+        A double takes one PCG64 output, so this is the generator that
+        drew the prefix, without drawing it.
+        """
+        rng = _generator(self.master_seed, self.trial_index, 0)
+        rng.bit_generator.advance(_PREFIX_LEN)
+        return rng
+
+
 @dataclass(frozen=True)
 class BitInstance:
     """A hidden vector of bits; the target function is their OR."""
@@ -200,34 +251,51 @@ class NoisyOracle:
     Channel noise and algorithm-level randomness come from separate
     streams keyed by ``(master_seed, trial_index)``, so consuming one
     never perturbs the other.  ``queries`` counts every query asked.
+
+    ``draws`` is the trial's shared prefix of channel draws; an oracle
+    given none makes its own, so it answers exactly as one that shares.
     """
 
     __slots__ = (
         "instance", "p", "master_seed", "trial_index", "queries",
         "_bits", "_values", "_n",  # the hidden instance
-        "_rng", "_buf", "_pos",  # the channel's generator, its current chunk, and the next flip
+        "_draws", "_rng", "_chunk",  # the shared prefix, the private generator past it, the next chunk's number
+        "_buf", "_pos",  # the current chunk and the next flip
         "_run_k", "_run_from", "_stops",  # the current run of walks at one threshold
         "_alg_rng",
     )  # fmt: skip
 
     def __init__(
-        self, instance: BitInstance | ValueInstance, p: float, master_seed: int = 0, trial_index: int = 0
+        self,
+        instance: BitInstance | ValueInstance,
+        p: float,
+        master_seed: int = 0,
+        trial_index: int = 0,
+        draws: TrialDraws | None = None,
     ) -> None:
         if not 0.0 < p < 0.5:
             raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
+        if draws is not None and (draws.master_seed, draws.trial_index) != (master_seed, trial_index):
+            raise ContractViolation(
+                f"draws of seed {draws.master_seed}, trial {draws.trial_index} "
+                f"given to an oracle of seed {master_seed}, trial {trial_index}"
+            )
         self.instance = instance
         self.p = p
         self.master_seed = master_seed
         self.trial_index = trial_index
         self._n = instance.n
         self.queries = 0
+        # The instance's own tuples, read at i - 1: a trial copies nothing of size n.
         if isinstance(instance, BitInstance):
-            self._bits: list[bool] | None = [False, *map(bool, instance.bits)]
-            self._values: list[float] | None = None
+            self._bits: tuple[int, ...] | None = instance.bits
+            self._values: tuple[float, ...] | None = None
         else:
             self._bits = None
-            self._values = [0.0, *instance.values]
+            self._values = instance.values
+        self._draws = TrialDraws(master_seed, trial_index) if draws is None else draws
         self._rng: np.random.Generator | None = None
+        self._chunk = 0
         self._buf = memoryview(b"")
         self._pos = 0
         # The current run: its threshold, the position of its first walk in
@@ -240,19 +308,25 @@ class NoisyOracle:
     # -- randomness plumbing -------------------------------------------------
 
     def _refill(self) -> None:
-        # The channel's generator is created at the first refill; chunk
-        # sizes follow a fixed growth schedule (64, 512, then 4096 flips),
-        # and the generator draws one double per flip whatever the chunk
+        # Chunk sizes follow a fixed schedule (64, 512, then 4096 flips),
+        # and the channel draws one double per flip whatever the chunk
         # size, so the flip sequence is a pure function of
         # (master_seed, trial_index).  A chunk is kept as its running
         # margin: entry t is (unflipped - flipped) over flips 0..t of the
         # chunk, so a walk reads the margin of any run of flips as the
-        # difference of two entries.
-        if self._rng is None:
-            self._rng = _generator(self.master_seed, self.trial_index, 0)
+        # difference of two entries.  The first chunks are the shared
+        # prefix's tables; the private generator is created at the first
+        # chunk past them.
+        chunk = self._chunk
+        if chunk < len(_PREFIX):
+            buf = self._draws.table(self.p, chunk)
+        else:
+            if self._rng is None:
+                self._rng = self._draws.continuation()
+            buf = memoryview(np.add.accumulate(np.where(self._rng.random(_BUF_CAP) < self.p, -1, 1)))
         self._run_from -= len(self._buf)
-        size = min(max(8 * len(self._buf), 64), _BUF_CAP)
-        self._buf = memoryview(np.add.accumulate(np.where(self._rng.random(size) < self.p, -1, 1)))
+        self._buf = buf
+        self._chunk = chunk + 1
         self._pos = 0
 
     @property
@@ -291,7 +365,7 @@ class NoisyOracle:
                 raise ContractViolation("read_bit requires an oracle over a BitInstance")
             if not 1 <= i <= n:
                 raise ContractViolation(f"index {i} out of range 1..{n}")
-            truth = self._bits[i]
+            truth = self._bits[i - 1]
         else:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ContractViolation(f"pair ({i}, {j}) out of range 1..{n}")
@@ -299,7 +373,7 @@ class NoisyOracle:
                 raise ContractViolation("compare requires an oracle over a ValueInstance")
             if i == j:
                 raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
-            truth = self._values[i] < self._values[j]
+            truth = self._values[i - 1] < self._values[j - 1]
         if k < 1:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
 
@@ -311,14 +385,15 @@ class NoisyOracle:
             stops = self._stops = []
         elif not stops and 1 < k <= _SCAN_MAX_K:
             stops = self._scan(pos, k)
-        end = stops.pop() if stops else 0
-        if end:
-            # The walk stops at the listed flip, one lattice step from
-            # the run's level, the entry before the walk.
+        code = stops.pop() if stops else 0
+        if code:
+            # The walk stops at the listed flip, one lattice step up or
+            # down from the run's level, the entry before the walk.
+            end = code >> 1
             t = end - pos
             self._pos = end
             self.queries += t
-            return truth == (buf[end - 1] > buf[pos - 1]), t
+            return truth == (code & 1), t
 
         # The margin m = (answers equal to the truth) - (flipped answers)
         # is the net vote when the truth is 1, else its negative.  It is
@@ -345,14 +420,17 @@ class NoisyOracle:
         return truth == (m > 0), t
 
     def _scan(self, pos: int, k: int) -> list[int]:
-        """The stops of the run's next walks in one pass, last first; [] if not worth it.
+        """The stops of the run's next walks in one pass, last first, filled into the run's empty list.
 
         The margin moves by one a flip, so from the run's level L (the
         entry before ``pos``) each walk stops at the next flip where the
         margin hits a point of L + kZ other than the last one it hit.
+        A stop at flip count s that steps the level up is listed as
+        2s + 1, one that steps it down as 2s.
         The pass covers twice the flips the run has used, up to the chunk's
         end, once the run has used 4k / (1 - 2p) flips (four walks) and if
         it covers _SCAN_MIN flips; walk calls it for 1 < k <= _SCAN_MAX_K.
+        The list stays empty when the pass is not worth it.
         """
         used = pos - self._run_from
         hi = min(len(self._buf), pos + 2 * used)
@@ -361,11 +439,15 @@ class NoisyOracle:
         seg = self._buf.obj[pos - 1 : hi]
         hits = _lattice(k)[seg - (seg[0] - _BUF_CAP)].nonzero()[0]
         levels = seg[hits]
-        stops = hits[1:][(levels[1:] != levels[:-1]).nonzero()[0]] + pos
+        moves = (levels[1:] != levels[:-1]).nonzero()[0]
+        codes = 2 * (hits[1:][moves] + pos) + (levels[1:][moves] > levels[:-1][moves])
         # A 0 under the stops marks a pass that reached the end of the chunk:
         # the walk after the last stop crosses it, so it takes the jump loop.
-        self._stops = ([0] if hi == len(self._buf) else []) + stops[::-1].tolist()
-        return self._stops
+        stops = self._stops
+        if hi == len(self._buf):
+            stops.append(0)
+        stops.extend(codes[::-1].tolist())
+        return stops
 
 
 def make_instance_or(

@@ -124,7 +124,7 @@ def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> Max
             mask = rng.random(n) < q
             if mask.any():
                 break
-        sample = [i + 1 for i in range(n) if mask[i]]
+        sample = (mask.nonzero()[0] + 1).tolist()
     start = oracle.queries
 
     champion = tournament_max(oracle, sample, delta, p)

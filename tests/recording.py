@@ -7,7 +7,7 @@ script the channel through :class:`ScriptedOracle`.  Both run the real
 
 import numpy as np
 
-from noisyquery.oracles import NoisyOracle
+from noisyquery.oracles import _PREFIX_LEN, NoisyOracle, TrialDraws
 
 
 class RecordingOracle(NoisyOracle):
@@ -29,12 +29,12 @@ class RecordingOracle(NoisyOracle):
         return decision, queries
 
 
-class _ScriptedDraws:
-    """Stands in for the channel's generator: draw t is 0.0 (below any p: a flip) if flip t is scripted, else 1.0."""
+class _ScriptedStream:
+    """Stands in for a channel generator: draw t is 0.0 (below any p: a flip) if flip t is scripted, else 1.0."""
 
-    def __init__(self, flips) -> None:
-        self.flips = np.asarray(flips, dtype=bool)
-        self.drawn = 0
+    def __init__(self, flips: np.ndarray, drawn: int) -> None:
+        self.flips = flips
+        self.drawn = drawn
 
     def random(self, size: int) -> np.ndarray:
         draws = np.ones(size)
@@ -44,17 +44,32 @@ class _ScriptedDraws:
         return draws
 
 
+class _ScriptedDraws(TrialDraws):
+    """A trial's draws read off a script: the shared prefix from flip 0, the continuation from flip _PREFIX_LEN."""
+
+    __slots__ = ("flips",)
+
+    def __init__(self, flips) -> None:
+        super().__init__(0, 0)
+        self.flips = np.asarray(flips, dtype=bool)
+        self._rng = _ScriptedStream(self.flips, 0)  # the generator the prefix is drawn from
+
+    def continuation(self) -> _ScriptedStream:
+        return _ScriptedStream(self.flips, _PREFIX_LEN)
+
+
 class ScriptedOracle(RecordingOracle):
     """A :class:`RecordingOracle` whose channel flips answer t exactly when ``flips[t]`` is true.
 
     Each answer is the truth XOR its flip.  Past the end of the script
     no answer is flipped, so ``ScriptedOracle(instance)`` is the
     noiseless channel.  The oracle's p, 0.25, sets only when a run of
-    walks is scanned, not which answers flip.
+    walks is scanned, not which answers flip.  The script stands in for
+    the oracle's draws, both the trial's shared prefix and the oracle's
+    private continuation past it.
     """
 
     __slots__ = ()
 
     def __init__(self, instance, flips=()) -> None:
-        super().__init__(instance, 0.25)
-        self._rng = _ScriptedDraws(flips)
+        super().__init__(instance, 0.25, draws=_ScriptedDraws(flips))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from noisyquery.harness import (
     run_sweep,
     run_trial,
     run_trials,
+    sweep_configs,
     wilson_interval,
 )
 from noisyquery.oracles import BitInstance
@@ -220,6 +222,30 @@ class TestQueryConservation:
             assert run_trial(cfg, trial)[2:] == (oracle.queries, phase1, sub)
 
 
+class TestTrialSetUp:
+    """A trial's set-up does not grow with n: the oracle reads the cached instance in place."""
+
+    N = 1_000_000
+
+    def _traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_checkbit_trial_allocates_no_copy_of_the_instance(self):
+        cfg = _config(n=self.N, instance="all_zero", trials=1)
+        run_trial(cfg, 2)  # builds and caches the instance, and warms the seed tables
+        assert self._traced_peak(lambda: run_trial(cfg, 3)) < 100_000  # bytes; a copy takes 8 MB
+
+    def test_validation_reuses_the_cached_instance(self):
+        cfg = _config(n=self.N, instance="all_zero", trials=1)
+        run_trials(cfg)
+        assert self._traced_peak(lambda: run_trials(cfg)) < 100_000
+
+
 class TestWorkerCap:
     @pytest.mark.parametrize("cpus, workers, expected", [(3, 5000, [3]), (3, 2, [2]), (1, 5000, [])])
     def test_pool_is_capped_at_usable_cpus(self, monkeypatch, cpus, workers, expected):
@@ -328,6 +354,44 @@ class TestSweep:
         standalone = run_experiment(_config(trials=20, n=2, p=0.3, delta=0.05))
         matching = [r for r in rows if r.config.n == 2 and r.config.p == 0.3]
         assert matching[0] == standalone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "algorithm, instance, n_grid, p_grid, delta_grid",
+        [
+            ("checkbit", "single_one:1", [1], [0.1, 0.25, 0.4], [0.05, 0.001]),
+            ("noisycompare", "sorted", [2, 3], [0.25, 0.4], [0.01]),
+            # Its trials run past the 4,672-flip shared prefix.
+            ("noisy-or", "all_zero", [1000], [0.25, 0.4], [0.05, 0.01]),
+            ("noisy-max", "sorted", [40, 60], [0.25], [0.05]),
+        ],
+    )
+    def test_every_row_equals_its_standalone_trials(self, algorithm, instance, n_grid, p_grid, delta_grid, workers):
+        base = _config(algorithm=algorithm, instance=instance, trials=6, seed=5)
+        configs = sweep_configs(base, n_grid, p_grid, delta_grid)
+        standalone = [run_trials(cfg) for cfg in configs]
+        if algorithm == "noisy-or":
+            assert min(t.queries for trials in standalone for t in trials) > 4672
+        rows = run_sweep(base, n_grid, p_grid, delta_grid, workers=workers)
+        assert rows == [aggregate(cfg, trials) for cfg, trials in zip(configs, standalone)]
+        columns = harness._run_rows(configs, workers)
+        assert [harness._trial_stats(c) for c in columns] == standalone
+
+    def test_a_sweep_holds_one_trial_prefix_at_a_time(self):
+        # A two-row noisy-or sweep at n = 10^5 reads over 5 * 10^5 flips a
+        # trial; only one trial's 4,672-flip prefix and one 4,096-flip
+        # chunk an oracle are alive at once, never a trial's flips.
+        base = _config(algorithm="noisy-or", instance="all_zero", n=100_000, delta=0.05, trials=2)
+        configs = sweep_configs(base, [100_000], [0.25, 0.3], [0.05])  # builds the instance before tracing
+        harness._run_rows(sweep_configs(base, [1000], [0.25, 0.3], [0.05]), 1)  # imports and fills the caches
+        tracemalloc.start()
+        try:
+            columns = harness._run_rows(configs, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min(columns[0][1]) > 500_000
+        assert peak < 1_000_000  # bytes; the flips of one trial take over 4 MB
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolation):

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from noisyquery.errors import ContractViolation
 from noisyquery.oracles import (
     _BLOCK,
+    _PREFIX_LEN,
     _block_states,
     _generator,
     BitInstance,
     NoisyOracle,
+    TrialDraws,
     ValueInstance,
     make_instance_max,
     make_instance_or,
@@ -711,3 +713,59 @@ class TestRunsMatchReferee:
                 hits += 1
                 _assert_matches_referee(instance, 0.25, 1, trial, ops + _run(instance, 3, 100))
         assert hits >= 3
+
+
+# ---------------------------------------------------------------------------
+# The trial's shared prefix of draws against an oracle's private draws
+# ---------------------------------------------------------------------------
+
+
+class TestSharedDraws:
+    def test_prefix_is_the_first_three_chunks(self):
+        assert _PREFIX_LEN == REFILL_AT[2] == 4672
+
+    def test_advance_matches_drawing_the_prefix(self):
+        # Each double takes one PCG64 output, so the continuation, advanced
+        # past the prefix, draws what the stream draws after 4,672 doubles.
+        for seed in range(50):
+            trial = 977 * seed + _BLOCK * (seed % 3)
+            drawn = _generator(seed, trial, 0).random(_PREFIX_LEN + 64)
+            assert TrialDraws(seed, trial).continuation().random(64).tolist() == drawn[_PREFIX_LEN:].tolist(), seed
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    @pytest.mark.parametrize("p, others", [(0.25, (0.1, 0.4)), (0.1, (0.25,)), (0.45, (0.02, 0.25))])
+    def test_shared_and_private_twins_match(self, instance, p, others):
+        seed, trial = 3, 11
+        shared = TrialDraws(seed, trial)
+        for q in others:  # the prefix is already read at other p, to its end
+            reader = NoisyOracle(instance, q, seed, trial, shared)
+            while reader.queries <= _PREFIX_LEN:
+                reader.walk(*_run(instance, 7, 1)[0])
+        crossed = set()
+        for k in range(1, 151):
+            a = NoisyOracle(instance, p, seed, trial, shared)
+            b = NoisyOracle(instance, p, seed, trial)
+            ends = [0]
+            # A walk takes at least k flips, so these walks run past the prefix.
+            for i, j, _ in _run(instance, k, _PREFIX_LEN // k + 3):
+                assert a.walk(i, j, k) == b.walk(i, j, k), (k, len(ends))
+                assert a.queries == b.queries
+                crossed.update(r for r in REFILL_AT[:3] if ends[-1] < r < b.queries)
+                ends.append(b.queries)
+            assert b.queries > _PREFIX_LEN
+            # Both twins left the flip stream at the same position.
+            assert [_single(a, j) for _ in range(3)] == [_single(b, j) for _ in range(3)], k
+        assert crossed == set(REFILL_AT[:3])
+
+    def test_oracles_at_one_p_share_its_tables(self):
+        shared = TrialDraws(1, 2)
+        a, b, c = (NoisyOracle(BIT_INSTANCE, p, 1, 2, shared) for p in (0.25, 0.25, 0.1))
+        for oracle in (a, b, c):
+            oracle.read_bit(1)
+        assert a._buf.obj is b._buf.obj
+        assert c._buf.obj is not a._buf.obj
+
+    def test_draws_of_another_trial_are_refused(self):
+        for seed, trial in [(3, 12), (4, 11)]:
+            with pytest.raises(ContractViolation):
+                NoisyOracle(BIT_INSTANCE, 0.25, 3, 11, TrialDraws(seed, trial))
