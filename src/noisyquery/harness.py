@@ -7,8 +7,9 @@ are aggregated in trial order, making every output byte-identical for a
 fixed configuration regardless of parallelism.
 
 One runner serves a single campaign and a sweep alike: it takes the
-trials one at a time and runs every row of the sweep on that trial's one
-:class:`~noisyquery.oracles.TrialDraws`, the channel's shared prefix.
+trials one at a time and runs every row of a set of rows on that trial's
+one :class:`~noisyquery.oracles.TrialDraws`, the channel's shared
+prefix.  A sweep gives it the rows of one n at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import groupby
 from multiprocessing import get_context
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -270,8 +272,9 @@ def _columns() -> Columns:
 def _run_block(configs: Sequence[ExperimentConfig], start: int, stop: int) -> list[Columns]:
     """Trials start..stop-1 of every row, one trial at a time: a worker process's unit of work.
 
-    The rows share one seed.  Each trial's rows run on its one
-    TrialDraws, which is dropped before the next trial.
+    The rows share one seed (and, from a sweep, one n, so one cached
+    instance).  Each trial's rows run on its one TrialDraws, which is
+    dropped before the next trial.
     """
     columns = [_columns() for _ in configs]
     for t in range(start, stop):
@@ -389,13 +392,18 @@ def run_sweep(
 
     Every row reuses the base seed, so each row is identical to a
     standalone run of its configuration.  Every row is validated before
-    any trial runs; then each trial runs every row, on its one shared
-    prefix of channel draws.
+    any trial runs.  Then the rows of each n run together, each trial
+    running them all on its one shared prefix of channel draws.
     """
-    configs = sweep_configs(base, n_grid, p_grid, delta_grid)
-    columns = _run_rows(configs, workers)
-    # A row's TrialStats are rebuilt only for its aggregate, so a sweep holds one row's at a time.
-    return [aggregate(cfg, _trial_stats(cols)) for cfg, cols in zip(configs, columns)]
+    rows = []
+    # sweep_configs is n-major.  One n's rows at a time keep its instance
+    # cached for all its trials and hold only its rows' columns; a row's
+    # TrialStats are rebuilt only for its aggregate.
+    for _, group in groupby(sweep_configs(base, n_grid, p_grid, delta_grid), key=lambda cfg: cfg.n):
+        group = list(group)
+        columns = _run_rows(group, workers)
+        rows.extend(aggregate(cfg, _trial_stats(cols)) for cfg, cols in zip(group, columns))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,28 @@ from noisyquery.oracles import BitInstance
 from recording import RecordingOracle
 
 
+def _serial_pool(monkeypatch, cpus):
+    """Make the harness see `cpus` usable CPUs and run its pool's jobs in this process; returns the pool sizes."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs, chunksize=1):
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return sizes
+
+
 def _config(**overrides):
     base = dict(
         algorithm="checkbit",
@@ -249,25 +271,7 @@ class TestTrialSetUp:
 class TestWorkerCap:
     @pytest.mark.parametrize("cpus, workers, expected", [(3, 5000, [3]), (3, 2, [2]), (1, 5000, [])])
     def test_pool_is_capped_at_usable_cpus(self, monkeypatch, cpus, workers, expected):
-        sizes = []
-
-        class SerialPool:
-            """Stands in for a process pool: records its size and runs every job here."""
-
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, jobs, chunksize=1):
-                return [fn(*job) for job in jobs]
-
-        monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        sizes = _serial_pool(monkeypatch, cpus)
         cfg = _config(algorithm="noisy-or", instance="single_one:3", n=8, trials=8)
         assert run_trials(cfg, workers=workers) == run_trials(cfg)
         assert sizes == expected
@@ -392,6 +396,39 @@ class TestSweep:
             tracemalloc.stop()
         assert min(columns[0][1]) > 500_000
         assert peak < 1_000_000  # bytes; the flips of one trial take over 4 MB
+
+    # More n values than the instance cache holds (32).
+    N_GRID = list(range(1, 41))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_sweep_over_n_builds_each_instance_once_while_running(self, monkeypatch, workers):
+        built = []
+
+        def counting_parse(spec, n, algorithm):
+            built.append(n)
+            return parse_instance_spec(spec, n, algorithm)
+
+        monkeypatch.setattr(harness, "parse_instance_spec", counting_parse)
+        sizes = _serial_pool(monkeypatch, 2)  # the worker blocks build here, where they are counted
+        harness._cached_instance.cache_clear()
+        run_sweep(_config(trials=8), self.N_GRID, [0.25, 0.4], [0.05], workers=workers)
+        assert len(sizes) == (len(self.N_GRID) if workers > 1 else 0)
+        # Once while validating and once while running its rows' trials.
+        assert all(built.count(n) <= 2 for n in self.N_GRID)
+
+    def test_a_sweep_over_n_holds_one_n_of_columns_at_a_time(self):
+        def sweep_peak(n_grid):
+            tracemalloc.start()
+            try:
+                run_sweep(_config(trials=1000), n_grid, [0.25], [0.05])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_sweep(_config(trials=10), self.N_GRID, [0.25], [0.05])  # fills the caches
+        one_n = sweep_peak([1])
+        # 39 more rows' columns would add 39 * 1000 trials * 17 bytes = 663 kB.
+        assert sweep_peak(self.N_GRID) - one_n < 150_000
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolation):
