@@ -19,6 +19,9 @@ The first 4,672 draws of a trial's channel are held by one
 runs each of its rows on the trial's one set of draws, whatever p the
 row has.  Draws past that prefix come from each oracle's own generator.
 
+A run of walks at one vote threshold is named first (:meth:`NoisyOracle.name_run`),
+its stops read in one numpy pass a chunk, and each walk taken as a ready report.
+
 Indices are 1-based throughout, matching the usual [n] convention.
 """
 
@@ -26,8 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +48,8 @@ __all__ = [
 _BUF_CAP = 4096
 _PREFIX = (64, 512, _BUF_CAP)  # the channel's chunk sizes, then _BUF_CAP each; these first chunks are shared
 _PREFIX_LEN = sum(_PREFIX)
-_SCAN_MIN = 256
-_SCAN_MAX_K = 100
+_PASS_MIN = 32  # a named run's stops are read in numpy passes while it has this many walks left
+_BATCH = 1024  # a named run's walks are read this many at a time, so its arrays stay small
 _WORD = 0xFFFFFFFF
 _BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
 
@@ -57,6 +60,13 @@ def _lattice(k: int) -> np.ndarray:
     mask = np.zeros(2 * _BUF_CAP + 1, dtype=bool)
     mask[_BUF_CAP % k :: k] = True
     return mask
+
+
+def _intp(indices: Sequence[int]) -> np.ndarray:
+    """Indices as an intp array; a range costs no loop."""
+    if isinstance(indices, range):
+        return np.arange(indices.start, indices.stop, indices.step)
+    return np.fromiter(indices, np.intp, len(indices))
 
 
 def _words(key: int) -> list[int]:
@@ -185,14 +195,38 @@ class TrialDraws:
         return table
 
     def continuation(self) -> np.random.Generator:
-        """A private generator for the draws past the prefix: the trial's stream 0, advanced by _PREFIX_LEN.
+        """A private generator for the draws past the prefix: the trial's stream 0, standing at draw _PREFIX_LEN.
 
-        A double takes one PCG64 output, so this is the generator that
-        drew the prefix, without drawing it.
+        The first caller once the prefix is drawn gets the generator that
+        drew it; any other a new one, advanced: a double takes one output.
         """
+        rng = self._rng
+        if rng is not None and len(self._chunks) == len(_PREFIX):
+            self._rng = None  # every chunk is drawn, so the prefix needs it no more
+            return rng
         rng = _generator(self.master_seed, self.trial_index, 0)
         rng.bit_generator.advance(_PREFIX_LEN)
         return rng
+
+
+class StopReport(NamedTuple):
+    """Outcome of one stopped walk: the decision and the queries it consumed."""
+
+    decision: int | bool
+    queries_used: int
+
+
+class _Reports(dict):
+    """Shared reports by code 4 * queries + 2 * (a comparison) + decision, built at first use; holds 16,384 at most."""
+
+    def __missing__(self, code: int) -> StopReport:
+        if len(self) >= 1 << 14:
+            self.clear()
+        report = self[code] = tuple.__new__(StopReport, (bool(code & 1) if code & 2 else code & 1, code >> 2))
+        return report
+
+
+_REPORTS = _Reports()
 
 
 @dataclass(frozen=True)
@@ -215,6 +249,8 @@ class BitInstance:
     def truth(self) -> int:
         """The OR of the hidden bits."""
         return 1 if any(self.bits) else 0
+
+    array = cached_property(lambda self: np.array(self.bits, dtype=np.int8))  # built at first use
 
 
 @dataclass(frozen=True)
@@ -242,6 +278,8 @@ class ValueInstance:
         best = max(range(self.n), key=lambda k: self.values[k])
         return best + 1
 
+    array = cached_property(lambda self: np.array(self.values))  # built at first use
+
 
 class NoisyOracle:
     """Answers bit-read or comparison queries through a BSC(p) channel.
@@ -254,6 +292,9 @@ class NoisyOracle:
 
     ``draws`` is the trial's shared prefix of channel draws; an oracle
     given none makes its own, so it answers exactly as one that shares.
+
+    A walk is asked alone (:meth:`walk`) or named in a run (:meth:`name_run`)
+    and then taken (:meth:`take`); ``pending`` holds the reports not yet taken.
     """
 
     __slots__ = (
@@ -261,7 +302,7 @@ class NoisyOracle:
         "_bits", "_values", "_n",  # the hidden instance
         "_draws", "_rng", "_chunk",  # the shared prefix, the private generator past it, the next chunk's number
         "_buf", "_pos",  # the current chunk and the next flip
-        "_run_k", "_run_from", "_stops",  # the current run of walks at one threshold
+        "pending", "_firsts", "_seconds", "_run_k", "_walk",  # the named run, and its next walk's number
         "_alg_rng",
     )  # fmt: skip
 
@@ -298,11 +339,8 @@ class NoisyOracle:
         self._chunk = 0
         self._buf = memoryview(b"")
         self._pos = 0
-        # The current run: its threshold, the position of its first walk in
-        # this chunk (negative if in an earlier one), and the stops of its
-        # next walks, last first.
-        self._run_k = self._run_from = 0
-        self._stops: list[int] = []
+        self.pending: list[StopReport] = []  # the reports of the named run's walks not yet taken, last first
+        self._firsts, self._seconds, self._run_k, self._walk = (), None, 0, 0
         self._alg_rng: np.random.Generator | None = None
 
     # -- randomness plumbing -------------------------------------------------
@@ -324,7 +362,6 @@ class NoisyOracle:
             if self._rng is None:
                 self._rng = self._draws.continuation()
             buf = memoryview(np.add.accumulate(np.where(self._rng.random(_BUF_CAP) < self.p, -1, 1)))
-        self._run_from -= len(self._buf)
         self._buf = buf
         self._chunk = chunk + 1
         self._pos = 0
@@ -340,67 +377,117 @@ class NoisyOracle:
 
     def read_bit(self, i: int) -> int:
         """Read bit i through the channel; counts the query, then answers."""
-        return int(self.walk(i, None, 1)[0])
+        return self.walk(i, None, 1)[0]
 
     def compare(self, i: int, j: int) -> bool:
         """Ask whether values[i] < values[j] through the channel."""
         return self.walk(i, j, 1)[0]
 
-    def walk(self, i: int, j: int | None, k: int) -> tuple[bool, int]:
-        """Repeat one query until the net vote reaches +k or -k: (net vote > 0, queries).
+    def walk(self, i: int, j: int | None, k: int) -> StopReport:
+        """Repeat one query until the net vote reaches +k or -k; the decision is net vote > 0.
 
-        ``j is None`` reads bit i; otherwise each query asks whether
-        values[i] < values[j]; a single query is a walk with k = 1.
+        ``j is None`` reads bit i (an int decision); otherwise each query
+        asks whether values[i] < values[j]; a single query is a walk with k = 1.
         Answers, flip stream and query count end up exactly as after a loop of
-        single queries; arguments are checked before anything moves.
-
-        A walk jumps k - |margin| flips at a time over the chunk's
-        running-margin table, since it cannot stop sooner, so it costs
-        O(jumps).  Consecutive walks at one k form a run, whose later
-        walks may each be one read of a stop list (:meth:`_scan`).
+        single queries; arguments are checked before anything moves, and a
+        walk is refused while a named run has walks left.
         """
+        truth = self._truth(i, j)
+        if k < 1:
+            raise ContractViolation(f"vote threshold must be >= 1, got {k}")
+        if self.pending:
+            raise ContractViolation(f"walk ({i}, {j}) asked while a named run has {len(self.pending)} walks left")
+        up, t = self._jump(k)
+        self.queries += t
+        return _REPORTS[4 * t + (truth == up) + (0 if j is None else 2)]
+
+    def name_run(self, firsts: Sequence[int], seconds: Sequence[int] | None, k: int) -> None:
+        """Name the walks (firsts[w], seconds[w] or None for bit reads) at threshold k, to be taken in turn.
+
+        Every walk is checked before anything moves.  The stops of _BATCH
+        walks at a time are read ahead, moving the flip stream on, but each
+        walk's queries are counted when it is taken.  An empty run does nothing.
+        """
+        if self.pending:
+            raise ContractViolation(f"a run named while the last one has {len(self.pending)} walks left")
+        if k < 1:
+            raise ContractViolation(f"vote threshold must be >= 1, got {k}")
+        if seconds is not None and len(seconds) != len(firsts):
+            raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
+        self._firsts, self._seconds, self._run_k, self._walk = firsts, seconds, k, 0
+        for start in range(_BATCH, len(firsts), _BATCH):
+            self._batch(start)
+        if len(firsts):
+            self._batch(0, read=True)
+
+    def take(self, i: int, j: int | None) -> StopReport:
+        """The report of the named run's next walk, which must be walk (i, j), else this raises; counts its queries."""
+        pending, w, seconds = self.pending, self._walk, self._seconds
+        if not pending or i != self._firsts[w] or j != (None if seconds is None else seconds[w]):
+            raise ContractViolation(f"walk ({i}, {j}) is not the next walk of a named run")
+        self._walk = w + 1
+        report = pending.pop()
+        self.queries += report[1]
+        if not pending and w + 1 < len(self._firsts):
+            self._batch(w + 1, read=True)
+        return report
+
+    def _batch(self, start: int, read: bool = False) -> None:
+        """Check walks start..start + _BATCH of the run, a bad one raising as alone; if ``read``, queue their reports.
+
+        A batch of fewer than _PASS_MIN walks is checked and read a walk at a
+        time, since numpy would cost more than it saves.
+        """
+        k, pairs = self._run_k, self._seconds is not None
+        firsts = self._firsts[start : start + _BATCH]
+        seconds = self._seconds[start : start + _BATCH] if pairs else [None] * len(firsts)
+        if len(firsts) < _PASS_MIN:
+            truths = [self._truth(i, j) for i, j in zip(firsts, seconds)]
+            stops = [self._jump(k) for _ in truths] if read else []
+            codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)][::-1]
+        else:
+            f, s = _intp(firsts), _intp(seconds) if pairs else None
+            bad = (f < 1) | (f > self._n) if s is None else (f < 1) | (f > self._n) | (s < 1) | (s > self._n) | (f == s)
+            if bad.any() or (self._bits is None) != pairs:
+                w = int(bad.argmax())
+                self._truth(int(f[w]), int(s[w]) if pairs else None)  # raises as that walk would alone
+            if not read:
+                return
+            table = self.instance.array
+            truths = table[f - 1] if s is None else table[f - 1] < table[s - 1]
+            ts, ups = self._run(k, len(f))
+            codes = (4 * ts + (truths == ups) + 2 * pairs)[::-1].tolist()
+        if read:
+            self.pending = list(map(_REPORTS.__getitem__, codes))
+
+    def _truth(self, i: int, j: int | None) -> int | bool:
+        """The true answer of bit i, or of values[i] < values[j]; refuses bad arguments."""
         n = self._n
         if j is None:
             if self._bits is None:
                 raise ContractViolation("read_bit requires an oracle over a BitInstance")
             if not 1 <= i <= n:
                 raise ContractViolation(f"index {i} out of range 1..{n}")
-            truth = self._bits[i - 1]
-        else:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ContractViolation(f"pair ({i}, {j}) out of range 1..{n}")
-            if self._values is None:
-                raise ContractViolation("compare requires an oracle over a ValueInstance")
-            if i == j:
-                raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
-            truth = self._values[i - 1] < self._values[j - 1]
-        if k < 1:
-            raise ContractViolation(f"vote threshold must be >= 1, got {k}")
+            return self._bits[i - 1]
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ContractViolation(f"pair ({i}, {j}) out of range 1..{n}")
+        if self._values is None:
+            raise ContractViolation("compare requires an oracle over a ValueInstance")
+        if i == j:
+            raise ContractViolation(f"compare needs two distinct indices, got i = j = {i}")
+        return self._values[i - 1] < self._values[j - 1]
 
+    def _jump(self, k: int) -> tuple[bool, int]:
+        """One walk from the next flip: (margin ended at +k, flips taken).  Moves the position; counts nothing.
+
+        The margin m = (answers equal to the truth) - (flipped answers), the net
+        vote when the truth is 1, is the table entry at a jump's last flip less
+        base, the entry before the walk.  The walk cannot stop within k - |m|
+        flips, so it jumps that far at a time, stopping short at the chunk's end,
+        which is refilled only if the walk goes on, exactly where single queries
+        would refill it; the next chunk counts from 0, so base becomes -m.
+        """
         buf, pos = self._buf, self._pos
-        stops = self._stops
-        if k != self._run_k:
-            # A new run: its first walk takes the jump loop.
-            self._run_k, self._run_from = k, pos
-            stops = self._stops = []
-        elif not stops and 1 < k <= _SCAN_MAX_K:
-            stops = self._scan(pos, k)
-        code = stops.pop() if stops else 0
-        if code:
-            # The walk stops at the listed flip, one lattice step up or
-            # down from the run's level, the entry before the walk.
-            end = code >> 1
-            t = end - pos
-            self._pos = end
-            self.queries += t
-            return truth == (code & 1), t
-
-        # The margin m = (answers equal to the truth) - (flipped answers)
-        # is the net vote when the truth is 1, else its negative.  It is
-        # the table entry at a jump's last flip less base, the entry before
-        # the walk.  A jump stops short at the end of the chunk, which is
-        # refilled only if the walk goes on, exactly where single queries
-        # would refill it; the new entries count from 0, so base becomes -m.
         end = len(buf)
         base = buf[pos - 1] if pos else 0
         m = t = 0
@@ -416,38 +503,43 @@ class NoisyOracle:
             t += nxt - pos
             pos = nxt
         self._pos = pos
-        self.queries += t
-        return truth == (m > 0), t
+        return m > 0, t
 
-    def _scan(self, pos: int, k: int) -> list[int]:
-        """The stops of the run's next walks in one pass, last first, filled into the run's empty list.
+    def _run(self, k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` walks at threshold k from the next flip: each one's flips, and whether it ended at +k.
 
-        The margin moves by one a flip, so from the run's level L (the
-        entry before ``pos``) each walk stops at the next flip where the
-        margin hits a point of L + kZ other than the last one it hit.
-        A stop at flip count s that steps the level up is listed as
-        2s + 1, one that steps it down as 2s.
-        The pass covers twice the flips the run has used, up to the chunk's
-        end, once the run has used 4k / (1 - 2p) flips (four walks) and if
-        it covers _SCAN_MIN flips; walk calls it for 1 < k <= _SCAN_MAX_K.
-        The list stays empty when the pass is not worth it.
+        Moves the position to the run's end; counts nothing.  From the
+        table entry L before its first flip, a walk stops at the next flip
+        where the margin hits L + kZ at a point other than the last one it
+        hit.  A numpy pass reads those stops off the chunk, over about the
+        flips the walks left need, extended if they need more.  A walk that
+        crosses the chunk's end takes the jump loop, as do the last
+        _PASS_MIN - 1 walks.
         """
-        used = pos - self._run_from
-        hi = min(len(self._buf), pos + 2 * used)
-        if hi - pos < _SCAN_MIN or used * (1 - 2 * self.p) < 4 * k:
-            return self._stops
-        seg = self._buf.obj[pos - 1 : hi]
-        hits = _lattice(k)[seg - (seg[0] - _BUF_CAP)].nonzero()[0]
-        levels = seg[hits]
-        moves = (levels[1:] != levels[:-1]).nonzero()[0]
-        codes = 2 * (hits[1:][moves] + pos) + (levels[1:][moves] > levels[:-1][moves])
-        # A 0 under the stops marks a pass that reached the end of the chunk:
-        # the walk after the last stop crosses it, so it takes the jump loop.
-        stops = self._stops
-        if hi == len(self._buf):
-            stops.append(0)
-        stops.extend(codes[::-1].tolist())
-        return stops
+        flips = k / (1.0 - 2.0 * self.p)  # a walk's expected flips, at most
+        ts: list = []  # each walk's flips, and whether it ended up, a chunk of walks at a time
+        ups: list = []
+        hi = -1  # the end of the last pass, if it was in this chunk
+        while count:
+            buf, pos = self._buf, self._pos
+            if hi == len(buf) or len(buf) - pos < k or count < _PASS_MIN:
+                up, t = self._jump(k)
+                ts.append((t,))
+                ups.append((up,))
+                count, hi = count - 1, -1  # the jump may have refilled: no pass has covered this chunk
+                continue
+            hi = min(len(buf), max(hi, pos) + int(count * flips) + k)
+            seg = buf.obj[pos - 1 : hi]  # pos >= 1: a pass follows a walk in this chunk
+            hits = _lattice(k)[seg - (seg[0] - _BUF_CAP)].nonzero()[0]
+            levels = seg[hits]
+            moves = (levels[1:] != levels[:-1]).nonzero()[0][:count]
+            if len(moves):
+                # A stop at entry h of seg ends its walk at flip pos + h.
+                stops = hits[1:][moves]
+                ts.append(stops - np.append(0, stops[:-1]))
+                ups.append(levels[1:][moves] > levels[:-1][moves])
+                count, self._pos = count - len(stops), pos + int(stops[-1])
+        return np.concatenate(ts), np.concatenate(ups)
 
 
 def make_instance_or(

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from .bounds import log_odds
 from .errors import ContractViolation
-from .oracles import NoisyOracle
+from .oracles import NoisyOracle, StopReport
 
 __all__ = [
     "StopReport",
@@ -68,17 +67,9 @@ def vote_threshold_log(p: float, log_delta: float) -> int:
     return math.ceil(numerator / log_odds(p))
 
 
-class StopReport(NamedTuple):
-    """Outcome of one stopping primitive: the decision and the queries it consumed."""
-
-    decision: int | bool
-    queries_used: int
-
-
-# Builds a StopReport from a (decision, queries_used) pair without the
-# Python-level __new__ that StopReport(...) runs; a walk is often only
-# ~10 queries, so the report is a visible share of its cost.
-_report = tuple.__new__
+# Each primitive is one walk.  While the caller's named run has walks left
+# (``oracle.pending``), the walk is that run's next one, taken as its ready
+# report at the run's threshold; otherwise it is walked alone.
 
 
 def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:
@@ -88,14 +79,16 @@ def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport
     +K) and 0 at delta (net votes -K).  Expected queries are at most
     K / (1 - 2p).
     """
-    up, t = oracle.walk(i, None, vote_threshold(p, delta))
-    return _report(StopReport, (1 if up else 0, t))
+    if oracle.pending:
+        return oracle.take(i, None)
+    return oracle.walk(i, None, vote_threshold(p, delta))
 
 
 def check_bit_log(oracle: NoisyOracle, i: int, log_delta: float, p: float) -> StopReport:
     """As :func:`check_bit` with the tolerance given as log(delta)."""
-    up, t = oracle.walk(i, None, vote_threshold_log(p, log_delta))
-    return _report(StopReport, (1 if up else 0, t))
+    if oracle.pending:
+        return oracle.take(i, None)
+    return oracle.walk(i, None, vote_threshold_log(p, log_delta))
 
 
 def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -> StopReport:
@@ -104,9 +97,13 @@ def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -
     Identical walk to :func:`check_bit` on comparison answers; decision
     True means "less than".
     """
-    return _report(StopReport, oracle.walk(i, j, vote_threshold(p, delta)))
+    if oracle.pending:
+        return oracle.take(i, j)
+    return oracle.walk(i, j, vote_threshold(p, delta))
 
 
 def noisy_compare_log(oracle: NoisyOracle, i: int, j: int, log_delta: float, p: float) -> StopReport:
     """As :func:`noisy_compare` with the tolerance given as log(delta)."""
-    return _report(StopReport, oracle.walk(i, j, vote_threshold_log(p, log_delta)))
+    if oracle.pending:
+        return oracle.take(i, j)
+    return oracle.walk(i, j, vote_threshold_log(p, log_delta))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .bounds import log_inverse
 from .errors import ContractViolation
 from .oracles import NoisyOracle
-from .primitives import check_bit, noisy_compare
+from .primitives import check_bit, noisy_compare, vote_threshold
 from .tournaments import RoundSchedule, tournament_max, tournament_or
 
 __all__ = [
@@ -88,6 +88,7 @@ def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRu
     if oracle.instance.n < n:
         raise ContractViolation(f"oracle instance has {oracle.instance.n} bits, need {n}")
     start = oracle.queries
+    oracle.name_run(range(1, n + 1), None, vote_threshold(p, delta))
     survivors = [i for i in range(1, n + 1) if check_bit(oracle, i, delta, p).decision == 1]
     phase1 = oracle.queries - start
     if not survivors:
@@ -131,12 +132,9 @@ def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> Max
     before_compares = oracle.queries
 
     in_sample = set(sample)
-    shortlist = [champion]
-    for u in range(1, n + 1):
-        if u in in_sample:
-            continue
-        if noisy_compare(oracle, champion, u, delta, p).decision:
-            shortlist.append(u)
+    others = [u for u in range(1, n + 1) if u not in in_sample]
+    oracle.name_run([champion] * len(others), others, vote_threshold(p, delta))
+    shortlist = [champion, *(u for u in others if noisy_compare(oracle, champion, u, delta, p).decision)]
     phase1 = oracle.queries - before_compares
 
     output = tournament_max(oracle, shortlist, delta, p)

@@ -71,8 +71,8 @@ class RoundSchedule:
         return [vote_threshold_log(p, self.log_round_error(i)) for i in range(1, self.rounds + 1)]
 
 
-def _play_rounds(entrants: Sequence[int], delta: float, winner_of: Callable[[int, int, float], int]) -> int:
-    """Run the bracket to a single survivor; ``winner_of(a, b, log_tol)`` decides a match.
+def _play_rounds(entrants: Sequence[int], delta: float, play: Callable[[list, list, float], list[int]]) -> int:
+    """Run the bracket to a single survivor; ``play(firsts, seconds, log_tol)`` lists a round's match winners.
 
     The schedule refuses an empty bracket and a delta outside (0, 1/2)
     before any match is played.
@@ -80,9 +80,8 @@ def _play_rounds(entrants: Sequence[int], delta: float, winner_of: Callable[[int
     schedule = RoundSchedule.for_size(len(entrants), delta)
     survivors = list(entrants)
     for i in range(1, schedule.rounds + 1):
-        log_tol = schedule.log_round_error(i)
         r = len(survivors)
-        nxt = [winner_of(survivors[2 * j], survivors[2 * j + 1], log_tol) for j in range(r // 2)]
+        nxt = play(survivors[: r - r % 2 : 2], survivors[1::2], schedule.log_round_error(i))
         if r % 2 == 1:
             nxt.append(survivors[-1])
         survivors = nxt
@@ -96,13 +95,15 @@ def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: 
     advances the second.  The bracket plays at delta/2 and the last
     survivor is checked once more at delta/2; that decision is returned.
     A delta too small to halve is refused before any match is played.
+    Each round's checks are named on the oracle as one run of walks.
     """
     bracket_delta, final_delta = RoundSchedule.or_split(delta)
 
-    def winner_of(first: int, second: int, log_tol: float) -> int:
-        return first if check_bit_log(oracle, first, log_tol, p).decision == 1 else second
+    def play(firsts: list[int], seconds: list[int], log_tol: float) -> list[int]:
+        oracle.name_run(firsts, None, vote_threshold_log(p, log_tol))
+        return [a if check_bit_log(oracle, a, log_tol, p).decision == 1 else b for a, b in zip(firsts, seconds)]
 
-    last = _play_rounds(indices, bracket_delta, winner_of)
+    last = _play_rounds(indices, bracket_delta, play)
     return check_bit(oracle, last, final_delta, p).decision
 
 
@@ -112,8 +113,10 @@ def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float, p:
     Each match compares the pair once through the stopping primitive: a
     "less-than" verdict advances the second element, anything else the
     first.  A single entrant is returned immediately with no queries.
+    Each round's comparisons are named on the oracle as one run of walks.
     """
-    def winner_of(first: int, second: int, log_tol: float) -> int:
-        return second if noisy_compare_log(oracle, first, second, log_tol, p).decision else first
+    def play(firsts: list[int], seconds: list[int], log_tol: float) -> list[int]:
+        oracle.name_run(firsts, seconds, vote_threshold_log(p, log_tol))
+        return [b if noisy_compare_log(oracle, a, b, log_tol, p).decision else a for a, b in zip(firsts, seconds)]
 
-    return _play_rounds(indices, delta, winner_of)
+    return _play_rounds(indices, delta, play)

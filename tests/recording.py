@@ -2,7 +2,8 @@
 
 Tests watch an algorithm's queries through :class:`RecordingOracle` and
 script the channel through :class:`ScriptedOracle`.  Both run the real
-``NoisyOracle.walk``, with its argument checks, jump loop and run scan.
+``NoisyOracle`` walks, alone or in named runs, with their argument
+checks, jump loop and run passes.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ class RecordingOracle(NoisyOracle):
     """A :class:`NoisyOracle` whose ``walks`` lists each walk as ``(i, j, k, queries)``, in call order.
 
     ``j`` is None for a bit read, and a single query is a walk with
-    k = 1.  A walk that raises is not listed.
+    k = 1.  A walk of a named run is listed when it is taken, with the
+    run's k.  A walk that raises is not listed.
     """
 
     __slots__ = ("walks",)
@@ -23,10 +25,16 @@ class RecordingOracle(NoisyOracle):
         super().__init__(*args, **kwargs)
         self.walks: list[tuple[int, int | None, int, int]] = []
 
-    def walk(self, i: int, j: int | None, k: int) -> tuple[bool, int]:
-        decision, queries = super().walk(i, j, k)
-        self.walks.append((i, j, k, queries))
-        return decision, queries
+    def walk(self, i: int, j: int | None, k: int):
+        report = super().walk(i, j, k)
+        self.walks.append((i, j, k, report.queries_used))
+        return report
+
+    def take(self, i: int, j: int | None):
+        k = self._run_k
+        report = super().take(i, j)
+        self.walks.append((i, j, k, report.queries_used))
+        return report
 
 
 class _ScriptedStream:
@@ -63,8 +71,8 @@ class ScriptedOracle(RecordingOracle):
 
     Each answer is the truth XOR its flip.  Past the end of the script
     no answer is flipped, so ``ScriptedOracle(instance)`` is the
-    noiseless channel.  The oracle's p, 0.25, sets only when a run of
-    walks is scanned, not which answers flip.  The script stands in for
+    noiseless channel.  The oracle's p, 0.25, sets only how far a named
+    run's passes read, not which answers flip.  The script stands in for
     the oracle's draws, both the trial's shared prefix and the oracle's
     private continuation past it.
     """

@@ -20,6 +20,7 @@ from noisyquery.oracles import (
     make_instance_max,
     make_instance_or,
 )
+from noisyquery.primitives import StopReport, check_bit, check_bit_log, noisy_compare, noisy_compare_log
 from recording import RecordingOracle, ScriptedOracle
 
 
@@ -596,19 +597,50 @@ def _referee(instance, p, seed, trial, ops):
     return results, pos
 
 
-def _assert_matches_referee(instance, p, seed, trial, ops):
-    """Runs ``ops`` on a fresh oracle, single queries through read_bit/compare; returns the referee's results."""
-    oracle = NoisyOracle(instance, p, seed, trial)
+def _assert_matches_referee(instance, p, seed, trial, ops, named=False, draws=None):
+    """Runs ``ops`` on a fresh oracle, single queries through read_bit/compare; returns the referee's results.
+
+    With ``named``, each stretch of walks at one k is named as a run and
+    its walks are taken in turn.  ``draws`` is a TrialDraws to share.
+    """
+    oracle = NoisyOracle(instance, p, seed, trial, draws)
     ops = list(ops) + [(1, None if isinstance(instance, BitInstance) else 2, None)] * 3  # where the stream is left
     expected, queries = _referee(instance, p, seed, trial, ops)
-    for n, ((i, j, k), want) in enumerate(zip(ops, expected)):
+    totals = np.cumsum([t for _, t in expected]).tolist()
+    n = 0
+    while n < len(ops):
+        i, j, k = ops[n]
+        end = n + 1
         if k is None:
-            got = (bool(oracle.read_bit(i) if j is None else oracle.compare(i, j)), 1)
+            got = [(bool(oracle.read_bit(i) if j is None else oracle.compare(i, j)), 1)]
+        elif named:
+            while end < len(ops) and ops[end][2] == k:
+                end += 1
+            run = ops[n:end]
+            oracle.name_run([w[0] for w in run], None if j is None else [w[1] for w in run], k)
+            got = []
+            for w, (i, j, _) in enumerate(run):
+                report = oracle.take(i, j)
+                assert type(report.decision) is (int if j is None else bool)
+                assert oracle.queries == totals[n + w], (n + w, (i, j, k))
+                got.append((bool(report.decision), report.queries_used))
+            assert not oracle.pending
         else:
-            got = oracle.walk(i, j, k)
-        assert got == want, (n, (i, j, k))
+            got = [oracle.walk(i, j, k)]
+        assert got == expected[n:end], (n, (i, j, k))
+        assert oracle.queries == totals[end - 1]
+        n = end
     assert oracle.queries == queries
     return expected
+
+
+def _read_past_the_prefix(instance, p, seed, trial):
+    """A TrialDraws whose prefix another oracle, at crossover p, has read to its end and past."""
+    draws = TrialDraws(seed, trial)
+    reader = NoisyOracle(instance, p, seed, trial, draws)
+    while reader.queries <= _PREFIX_LEN:
+        reader.walk(*_run(instance, 7, 1)[0])
+    return draws
 
 
 def _run(instance, k, count, start=0):
@@ -649,36 +681,45 @@ def _ops(instance, p, segments):
     return ops
 
 
+@pytest.fixture(params=[False, True], ids=["alone", "named"])
+def named(request):
+    """Whether a test's stretches of walks at one k are walked alone or named as runs and taken."""
+    return request.param
+
+
 class TestRunsMatchReferee:
     @given(
         segments=_SEGMENTS,
         instance=st.sampled_from(_CHANNELS),
         p=st.sampled_from([0.02, 0.1, 0.25, 0.33, 0.45]),
         seed=st.integers(0, 2**20),
+        named=st.booleans(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_random_run_sequences(self, segments, instance, p, seed):
-        _assert_matches_referee(instance, p, seed, 3, _ops(instance, p, segments))
+    @settings(max_examples=60, deadline=None)
+    def test_random_run_sequences(self, segments, instance, p, seed, named):
+        _assert_matches_referee(instance, p, seed, 3, _ops(instance, p, segments), named)
 
+    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("instance", _CHANNELS)
     @pytest.mark.parametrize("k, p", [(2, 0.02), (5, 0.25), (9, 0.45), (20, 0.25), (60, 0.1), (100, 0.33)])
-    def test_long_runs_across_every_refill(self, instance, k, p):
+    def test_long_runs_across_every_refill(self, instance, k, p, named, shared):
         count = int(2.2 * REFILL_AT[3] * (1 - 2 * p) / k) + 1
-        results = _assert_matches_referee(instance, p, 8, 1, _run(instance, k, count))
+        draws = _read_past_the_prefix(instance, 0.3, 8, 1) if shared else None
+        results = _assert_matches_referee(instance, p, 8, 1, _run(instance, k, count), named, draws)
         assert sum(t for _, t in results) > REFILL_AT[3]
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     @pytest.mark.parametrize("k", [2, 5, 9])
-    def test_runs_broken_by_single_queries_and_other_thresholds(self, instance, k):
+    def test_runs_broken_by_single_queries_and_other_thresholds(self, instance, k, named):
         single = _single_op(instance)
         ops = _run(instance, k, 300)
         for w in range(1, 12):
             ops += [single] * (w % 3) + _run(instance, k, 40 * w) + _run(instance, k + w, w % 2)
-        _assert_matches_referee(instance, 0.25, 4, 2, ops)
+        _assert_matches_referee(instance, 0.25, 4, 2, ops, named)
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     @pytest.mark.parametrize("breaker", ["single", "walk"])
-    def test_runs_broken_across_a_refill(self, instance, breaker):
+    def test_runs_broken_across_a_refill(self, instance, breaker, named):
         # A run is under way when single queries or long walks at another
         # threshold cross the refill at REFILL_AT[2]; the run then resumes.
         ops = _run(instance, 5, 200)
@@ -689,19 +730,19 @@ class TestRunsMatchReferee:
         else:
             ops += _run(instance, 700, 2)
         ops += _run(instance, 5, 400)
-        results = _assert_matches_referee(instance, 0.25, 6, 0, ops)
+        results = _assert_matches_referee(instance, 0.25, 6, 0, ops, named)
         ends = np.cumsum([t for _, t in results])
         assert ends[199] < REFILL_AT[2] <= ends[-404]
 
     @pytest.mark.parametrize("boundary", REFILL_AT)
     @pytest.mark.parametrize("instance", _CHANNELS)
-    def test_runs_starting_on_a_chunk_boundary(self, boundary, instance):
+    def test_runs_starting_on_a_chunk_boundary(self, boundary, instance, named):
         ops = [_single_op(instance)] * boundary + _run(instance, 5, 300)
-        _assert_matches_referee(instance, 0.25, 2, 5, ops)
+        _assert_matches_referee(instance, 0.25, 2, 5, ops, named)
 
     @pytest.mark.parametrize("boundary", REFILL_AT[1:])
     @pytest.mark.parametrize("instance", _CHANNELS)
-    def test_runs_ending_on_a_chunk_boundary(self, boundary, instance):
+    def test_runs_ending_on_a_chunk_boundary(self, boundary, instance, named):
         # A run of K = 3 walks starts 300 flips before the boundary; over
         # trials, one of its late walks (one a pass may list) ends exactly on it.
         ops = [_single_op(instance)] * (boundary - 300) + _run(instance, 3, 160)
@@ -711,8 +752,171 @@ class TestRunsMatchReferee:
             ends = np.cumsum([t for _, t in results])[boundary - 300 + 40 :].tolist()
             if boundary in ends:
                 hits += 1
-                _assert_matches_referee(instance, 0.25, 1, trial, ops + _run(instance, 3, 100))
+                _assert_matches_referee(instance, 0.25, 1, trial, ops + _run(instance, 3, 100), named)
         assert hits >= 3
+
+
+# ---------------------------------------------------------------------------
+# Named runs against twin oracles that walk the same walks one call at a time
+# ---------------------------------------------------------------------------
+
+
+def _name(oracle, walks, k):
+    """Names ``walks``, a list of (i, j), as one run at threshold k."""
+    oracle.name_run([i for i, _ in walks], None if walks[0][1] is None else [j for _, j in walks], k)
+
+
+def _assert_run_matches_walks(named, alone, walks, k):
+    """Names ``walks`` on one twin and walks them alone on the other; returns the query count after each."""
+    _name(named, walks, k)
+    totals = []
+    for i, j in walks:
+        report = named.take(i, j)
+        assert report == alone.walk(i, j, k)
+        assert named.queries == alone.queries
+        totals.append(alone.queries)
+    assert not named.pending
+    # Both twins left the flip stream at the same position.
+    j = walks[0][1]
+    assert [_single(named, j) for _ in range(3)] == [_single(alone, j) for _ in range(3)]
+    return totals
+
+
+def _walks(instance, count):
+    return [(i, j) for i, j, _ in _run(instance, 1, count)]
+
+
+class TestNamedRuns:
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_every_threshold_across_the_prefix(self, instance, shared):
+        # From K = 1 (about 10,500 walks, over ten batches) to K = 150, each
+        # run crosses the 64, 512 and 4096 refills, the end of the shared
+        # prefix at 4,672 flips, and a refill of the private generator.
+        p = 0.25
+        for k in range(1, 151):
+            flips = k / (1 - 2 * p) * math.tanh(k * math.log((1 - p) / p) / 2)  # a walk's expected flips
+            draws = _read_past_the_prefix(instance, 0.1, 4, k) if shared else None
+            named, alone = NoisyOracle(instance, p, 4, k, draws), NoisyOracle(instance, p, 4, k)
+            totals = _assert_run_matches_walks(named, alone, _walks(instance, int(1.2 * REFILL_AT[3] / flips)), k)
+            assert totals[-1] > REFILL_AT[3], k
+
+    @pytest.mark.parametrize("k, p", [(600, 0.02), (5000, 0.02), (5000, 0.05)])
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_thresholds_beyond_a_chunk(self, instance, k, p):
+        named, alone = _twins(instance, p, 13, 6)
+        totals = _assert_run_matches_walks(named, alone, _walks(instance, 10 if k == 600 else 5), k)
+        assert totals[0] >= k and totals[-1] > REFILL_AT[2]
+
+    @pytest.mark.parametrize("boundary", REFILL_AT)
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_runs_from_just_before_a_refill(self, instance, boundary):
+        # Single queries bring both twins to within a few flips of a
+        # boundary; a run of short walks then starts there.
+        j = _walks(instance, 1)[0][1]
+        for lead in range(1, 12):
+            named, alone = _twins(instance, 0.25, 5, lead)
+            for _ in range(boundary - lead):
+                assert _single(named, j) == _single(alone, j)
+            for k in (2, 5):
+                _assert_run_matches_walks(named, alone, _walks(instance, 60), k)
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_runs_of_the_algorithms_shapes(self, instance):
+        # One index against many (the MAX champion loop), and rounds that
+        # halve down to a single match (a tournament), at rising k.
+        named, alone = _twins(instance, 0.3, 9, 2)
+        if isinstance(instance, BitInstance):
+            _assert_run_matches_walks(named, alone, [(2, None)] * 400, 5)
+        else:
+            _assert_run_matches_walks(named, alone, [(3, u) for u in (1, 2, 4)] * 130, 5)
+        for r, k in zip((64, 32, 16, 8, 4, 2, 1), range(7, 100, 14)):
+            _assert_run_matches_walks(named, alone, _walks(instance, r), k)
+
+    def test_primitives_take_the_named_walks(self):
+        bits, values = RecordingOracle(BIT_INSTANCE, 0.25, 2), RecordingOracle(VALUE_INSTANCE, 0.25, 2)
+        _name(bits, [(2, None), (1, None)], 7)
+        _name(values, [(1, 2), (3, 4)], 7)
+        # The run's threshold stands, whatever tolerance the primitive is given.
+        reports = [check_bit(bits, 2, 0.01, 0.25), check_bit_log(bits, 1, -50.0, 0.25)]
+        reports += [noisy_compare(values, 1, 2, 0.01, 0.25), noisy_compare_log(values, 3, 4, -50.0, 0.25)]
+        assert all(type(r) is StopReport for r in reports)
+        assert [type(r.decision) for r in reports] == [int, int, bool, bool]
+        assert [w[2] for w in bits.walks + values.walks] == [7] * 4
+        assert [w[3] for w in bits.walks + values.walks] == [r.queries_used for r in reports]
+
+
+class TestNamedRunContracts:
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_a_walk_not_next_raises_before_anything_moves(self, instance):
+        named, alone = _twins(instance, 0.25, 3, 1)
+        walks = _walks(instance, 6)
+        _name(named, walks, 4)
+        i, j = walks[0]
+        assert named.take(i, j) == alone.walk(i, j, 4)
+        i, j = walks[1]
+        wrong = [
+            lambda: named.take(walks[2][0], walks[2][1]),  # a later walk of the run
+            lambda: named.take(i, 3 if j is None else None),  # the other channel
+            lambda: named.take(1 + i % 4, j),  # another first index
+            lambda: named.take(i, 1 + j % 4 if j else 4),  # another second index, or a comparison
+            lambda: named.walk(i, j, 4),  # the same walk, alone
+            lambda: named.read_bit(1) if j is None else named.compare(1, 2),
+            lambda: _name(named, walks, 4),  # another run
+        ]
+        for call in wrong:
+            with pytest.raises(ContractViolation):
+                call()
+            assert named.queries == alone.queries and len(named.pending) == 5
+        for i, j in walks[1:]:
+            assert named.take(i, j) == alone.walk(i, j, 4)
+            assert named.queries == alone.queries
+        with pytest.raises(ContractViolation):
+            named.take(i, j)  # the run is over
+        assert [_single(named, j) for _ in range(3)] == [_single(alone, j) for _ in range(3)]
+
+    @pytest.mark.parametrize("instance, firsts, seconds", [
+        (BIT_INSTANCE, [], None), (BIT_INSTANCE, range(1, 1), None), (VALUE_INSTANCE, [], []),
+    ])
+    def test_an_empty_run_is_a_no_op(self, instance, firsts, seconds):
+        oracle, fresh = _twins(instance, 0.25, 3, 1)
+        oracle.name_run(firsts, seconds, 5)
+        assert oracle.queries == 0 and not oracle.pending
+        j = None if seconds is None else 2
+        assert oracle.walk(1, j, 3) == fresh.walk(1, j, 3)  # a lone walk is not refused
+        assert [_single(oracle, j) for _ in range(5)] == [_single(fresh, j) for _ in range(5)]
+
+    @pytest.mark.parametrize(
+        "instance, firsts, seconds, k, bad",
+        [
+            (BIT_INSTANCE, [1, 2], None, 0, None),  # vote threshold below 1
+            (VALUE_INSTANCE, [1, 2], [2], 3, None),  # fewer second indices than walks
+            (BIT_INSTANCE, [1, 0, 2], None, 3, (0, None)),  # bit index below range
+            (BIT_INSTANCE, [1, 2, 5], None, 3, (5, None)),  # bit index above range
+            (BIT_INSTANCE, [1, 2], [2, 3], 3, (1, 2)),  # comparisons on a bit instance
+            (VALUE_INSTANCE, [1, 2], None, 3, (1, None)),  # bit reads on a value instance
+            (VALUE_INSTANCE, [1, 2, 3], [2, 2, 4], 3, (2, 2)),  # i == j
+            (VALUE_INSTANCE, [1, 2], [2, 7], 3, (2, 7)),  # pair out of range
+            (BIT_INSTANCE, [1, 2, 3, 4] * 400 + [9], None, 3, (9, None)),  # bad index in a later batch
+            (VALUE_INSTANCE, [1, 2] * 800, [2, 1] * 799 + [3, 0], 3, (2, 0)),  # the same, for pairs
+            # Runs long enough for a numpy pass, bad from their first walk, last walk, or channel.
+            (BIT_INSTANCE, [0] + [1, 2] * 200, None, 3, (0, None)),
+            (VALUE_INSTANCE, [1, 2] * 200, [2, 1] * 199 + [2, 2], 3, (2, 2)),
+            (BIT_INSTANCE, [1, 2] * 200, [2, 1] * 200, 3, (1, 2)),
+            (VALUE_INSTANCE, [1, 2] * 200, None, 3, (1, None)),
+        ],
+    )
+    def test_bad_runs_raise_before_anything_moves(self, instance, firsts, seconds, k, bad):
+        oracle, fresh = _twins(instance, 0.25, 3, 1)
+        with pytest.raises(ContractViolation) as from_run:
+            oracle.name_run(firsts, seconds, k)
+        if bad is not None:  # the message is the bad walk's own
+            with pytest.raises(ContractViolation) as alone:
+                fresh.walk(*bad, 3)
+            assert str(from_run.value) == str(alone.value)
+        assert oracle.queries == 0 and not oracle.pending
+        j_ok = None if isinstance(instance, BitInstance) else 2
+        assert [_single(oracle, j_ok) for _ in range(5)] == [_single(fresh, j_ok) for _ in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +960,44 @@ class TestSharedDraws:
             # Both twins left the flip stream at the same position.
             assert [_single(a, j) for _ in range(3)] == [_single(b, j) for _ in range(3)], k
         assert crossed == set(REFILL_AT[:3])
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    @pytest.mark.parametrize("ps", [(0.25, 0.1), (0.25, 0.25), (0.1, 0.45)])
+    def test_two_rows_read_past_the_prefix(self, instance, ps):
+        # Two rows of one TrialDraws each read past the prefix, in turns of
+        # 400 walks; each must match its twin with private draws.  The first
+        # to read past takes the generator that drew the prefix, which then
+        # stands at draw 4,672; the other builds its own.
+        seed, trial = 6, 9
+        shared = TrialDraws(seed, trial)
+        rows = [NoisyOracle(instance, p, seed, trial, shared) for p in ps]
+        twins = [NoisyOracle(instance, p, seed, trial) for p in ps]
+        shared.table(ps[0], 0)
+        prefix_rng = shared._rng
+        walks = _run(instance, 5, 2400)
+        for stretch in range(6):  # each row walks past _PREFIX_LEN in turn, then both go on
+            for row, twin in zip(rows, twins):
+                for i, j, k in walks[stretch * 400 : stretch * 400 + 400]:
+                    assert row.walk(i, j, k) == twin.walk(i, j, k)
+                    assert row.queries == twin.queries
+        assert all(row.queries > _PREFIX_LEN + 4096 for row in rows)
+        assert [row._rng is prefix_rng for row in rows].count(True) == 1
+
+    def test_the_first_continuation_is_the_prefix_generator(self):
+        for seed in range(20):
+            drawn = _generator(seed, seed, 0).random(_PREFIX_LEN + 64)
+            draws = TrialDraws(seed, seed)
+            draws.table(0.25, 2)  # draws the whole prefix
+            first, second = draws.continuation(), draws.continuation()
+            assert first is not second
+            for rng in (first, second):
+                assert rng.random(64).tolist() == drawn[_PREFIX_LEN:].tolist(), seed
+            # Asked for before the prefix is all drawn, it leaves the prefix's generator be.
+            draws = TrialDraws(seed, seed)
+            draws.table(0.25, 0)
+            assert draws.continuation().random(64).tolist() == drawn[_PREFIX_LEN:].tolist(), seed
+            tail = np.asarray(draws.table(0.25, 2))
+            assert tail.tolist() == np.cumsum(np.where(drawn[576:_PREFIX_LEN] < 0.25, -1, 1)).tolist(), seed
 
     def test_oracles_at_one_p_share_its_tables(self):
         shared = TrialDraws(1, 2)
