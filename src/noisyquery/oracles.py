@@ -302,7 +302,7 @@ class NoisyOracle:
         "_bits", "_values", "_n",  # the hidden instance
         "_draws", "_rng", "_chunk",  # the shared prefix, the private generator past it, the next chunk's number
         "_buf", "_pos",  # the current chunk and the next flip
-        "pending", "_firsts", "_seconds", "_run_k", "_walk",  # the named run, and its next walk's number
+        "pending", "_firsts", "_seconds", "_named_k", "_walk",  # the named run, and its next walk's number
         "_alg_rng",
     )  # fmt: skip
 
@@ -340,7 +340,7 @@ class NoisyOracle:
         self._buf = memoryview(b"")
         self._pos = 0
         self.pending: list[StopReport] = []  # the reports of the named run's walks not yet taken, last first
-        self._firsts, self._seconds, self._run_k, self._walk = (), None, 0, 0
+        self._firsts, self._seconds, self._named_k, self._walk = (), None, 0, 0
         self._alg_rng: np.random.Generator | None = None
 
     # -- randomness plumbing -------------------------------------------------
@@ -414,7 +414,7 @@ class NoisyOracle:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
         if seconds is not None and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
-        self._firsts, self._seconds, self._run_k, self._walk = firsts, seconds, k, 0
+        self._firsts, self._seconds, self._named_k, self._walk = firsts, seconds, k, 0
         for start in range(_BATCH, len(firsts), _BATCH):
             self._batch(start)
         if len(firsts):
@@ -438,7 +438,7 @@ class NoisyOracle:
         A batch of fewer than _PASS_MIN walks is checked and read a walk at a
         time, since numpy would cost more than it saves.
         """
-        k, pairs = self._run_k, self._seconds is not None
+        k, pairs = self._named_k, self._seconds is not None
         firsts = self._firsts[start : start + _BATCH]
         seconds = self._seconds[start : start + _BATCH] if pairs else [None] * len(firsts)
         if len(firsts) < _PASS_MIN:

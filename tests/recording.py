@@ -31,7 +31,7 @@ class RecordingOracle(NoisyOracle):
         return report
 
     def take(self, i: int, j: int | None):
-        k = self._run_k
+        k = self._named_k
         report = super().take(i, j)
         self.walks.append((i, j, k, report.queries_used))
         return report
