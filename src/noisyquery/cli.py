@@ -151,7 +151,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     configs = sweep_configs(base, n_grid, p_grid, delta_grid)  # every row is checked before the progress line
     check_workers(args.workers)
     print(f"sweeping {len(configs)} grid points ...", file=sys.stderr)
-    rows = run_sweep(base, n_grid, p_grid, delta_grid, workers=args.workers)
+    rows = run_sweep(configs, workers=args.workers)
     if args.format == "csv":
         _emit(render_csv(rows), args.out)
     else:

@@ -381,25 +381,20 @@ def sweep_configs(
     return configs
 
 
-def run_sweep(
-    base: ExperimentConfig,
-    n_grid: Sequence[int],
-    p_grid: Sequence[float],
-    delta_grid: Sequence[float],
-    workers: int = 1,
-) -> list[AggregateStats]:
-    """One aggregated row per (n, p, delta) grid point; rows are independent runs.
+def run_sweep(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[AggregateStats]:
+    """One aggregated row per config of ``sweep_configs``; rows are independent runs.
 
-    Every row reuses the base seed, so each row is identical to a
-    standalone run of its configuration.  Every row is validated before
-    any trial runs.  Then the rows of each n run together, each trial
-    running them all on its one shared prefix of channel draws.
+    The configs are the checked, n-major rows of one base config, which
+    are not checked again.  Every row reuses the base seed, so each row
+    is identical to a standalone run of its configuration.  The rows of
+    each n run together, each trial running them all on its one shared
+    prefix of channel draws.
     """
     rows = []
-    # sweep_configs is n-major.  One n's rows at a time keep its instance
-    # cached for all its trials and hold only its rows' columns; a row's
-    # TrialStats are rebuilt only for its aggregate.
-    for _, group in groupby(sweep_configs(base, n_grid, p_grid, delta_grid), key=lambda cfg: cfg.n):
+    # One n's rows at a time keep its instance cached for all its trials
+    # and hold only its rows' columns; a row's TrialStats are rebuilt only
+    # for its aggregate.
+    for _, group in groupby(configs, key=lambda cfg: cfg.n):
         group = list(group)
         columns = _run_rows(group, workers)
         rows.extend(aggregate(cfg, _trial_stats(cols)) for cfg, cols in zip(group, columns))

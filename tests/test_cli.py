@@ -458,11 +458,21 @@ def test_any_argv_exits_cleanly(fuzz_out_dir, data):
         assert "running" not in err.getvalue() and "sweeping" not in err.getvalue(), argv
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # The generators come from numpy.random, imported at a trial's first draw.
+def _fresh_python(code):
+    """The standard output of ``code`` run in a fresh interpreter that imports from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, noisyquery.cli; print('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # The generators come from numpy.random, imported at a trial's first draw.
+    assert _fresh_python("import sys, noisyquery.cli; print('numpy.random' in sys.modules)") == "False"
+
+
+def test_importing_the_package_loads_no_module():
+    # Each name is imported from its module; the package re-exports nothing.
+    code = "import sys, noisyquery; print([m for m in sys.modules if m.startswith('noisyquery.')])"
+    assert _fresh_python(code) == "[]"

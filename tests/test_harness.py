@@ -10,6 +10,7 @@ import pytest
 
 from noisyquery import harness
 from noisyquery.bounds import lecam_budget, upper_budget
+from noisyquery.cli import main as cli_main
 from noisyquery.errors import ContractViolation, InvariantError
 from noisyquery.exact_oracle import verify_registry
 from noisyquery.harness import (
@@ -352,7 +353,7 @@ class TestRendering:
 class TestSweep:
     def test_grid_shape_and_reproducibility(self):
         base = _config(trials=20)
-        rows = run_sweep(base, [1, 2], [0.2, 0.3], [0.05], workers=1)
+        rows = run_sweep(sweep_configs(base, [1, 2], [0.2, 0.3], [0.05]), workers=1)
         assert len(rows) == 4
         # Each row equals a standalone run of the same configuration.
         standalone = run_experiment(_config(trials=20, n=2, p=0.3, delta=0.05))
@@ -376,7 +377,7 @@ class TestSweep:
         standalone = [run_trials(cfg) for cfg in configs]
         if algorithm == "noisy-or":
             assert min(t.queries for trials in standalone for t in trials) > 4672
-        rows = run_sweep(base, n_grid, p_grid, delta_grid, workers=workers)
+        rows = run_sweep(configs, workers=workers)
         assert rows == [aggregate(cfg, trials) for cfg, trials in zip(configs, standalone)]
         columns = harness._run_rows(configs, workers)
         assert [harness._trial_stats(c) for c in columns] == standalone
@@ -401,7 +402,8 @@ class TestSweep:
     N_GRID = list(range(1, 41))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_sweep_over_n_builds_each_instance_once_while_running(self, monkeypatch, workers):
+    @pytest.mark.parametrize("through", ["run_sweep", "cli"])
+    def test_a_sweep_over_n_builds_each_instance_once_while_running(self, monkeypatch, tmp_path, through, workers):
         built = []
 
         def counting_parse(spec, n, algorithm):
@@ -411,39 +413,45 @@ class TestSweep:
         monkeypatch.setattr(harness, "parse_instance_spec", counting_parse)
         sizes = _serial_pool(monkeypatch, 2)  # the worker blocks build here, where they are counted
         harness._cached_instance.cache_clear()
-        run_sweep(_config(trials=8), self.N_GRID, [0.25, 0.4], [0.05], workers=workers)
+        if through == "cli":
+            argv = ["sweep", "--algorithm", "checkbit", "--instance", "single_one:1", "--n", "1:40:1", "--p", "0.25,0.4"]
+            argv += ["--delta", "0.05", "--trials", "8", "--seed", "7", "--workers", str(workers)]
+            assert cli_main(argv + ["--out", str(tmp_path / "rows.csv")]) == 0
+        else:
+            run_sweep(sweep_configs(_config(trials=8), self.N_GRID, [0.25, 0.4], [0.05]), workers=workers)
         assert len(sizes) == (len(self.N_GRID) if workers > 1 else 0)
-        # Once while validating and once while running its rows' trials.
+        # Once while validating and once while running its rows' trials:
+        # run_sweep does not check again the rows the CLI checked.
         assert all(built.count(n) <= 2 for n in self.N_GRID)
 
     def test_a_sweep_over_n_holds_one_n_of_columns_at_a_time(self):
         def sweep_peak(n_grid):
             tracemalloc.start()
             try:
-                run_sweep(_config(trials=1000), n_grid, [0.25], [0.05])
+                run_sweep(sweep_configs(_config(trials=1000), n_grid, [0.25], [0.05]))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        run_sweep(_config(trials=10), self.N_GRID, [0.25], [0.05])  # fills the caches
+        run_sweep(sweep_configs(_config(trials=10), self.N_GRID, [0.25], [0.05]))  # fills the caches
         one_n = sweep_peak([1])
         # 39 more rows' columns would add 39 * 1000 trials * 17 bytes = 663 kB.
         assert sweep_peak(self.N_GRID) - one_n < 150_000
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ContractViolation):
-            run_sweep(_config(), [], [0.25], [0.05])
+            sweep_configs(_config(), [], [0.25], [0.05])
 
     def test_mean_queries_increase_with_noise(self):
         # Budget scales like 1/D(p || 1-p): p = 0.45 needs far more reads
         # than p = 0.05 at the same tolerance.
         base = _config(trials=400, delta=0.01)
-        rows = run_sweep(base, [1], [0.05, 0.45], [0.01])
+        rows = run_sweep(sweep_configs(base, [1], [0.05, 0.45], [0.01]))
         by_p = {r.config.p: r.mean_queries for r in rows}
         assert by_p[0.45] > 10 * by_p[0.05]
 
     def test_ratio_column_consistency(self):
-        rows = run_sweep(_config(trials=15), [1], [0.25], [0.05, 0.01])
+        rows = run_sweep(sweep_configs(_config(trials=15), [1], [0.25], [0.05, 0.01]))
         for r in rows:
             assert r.ratio_mean_over_upper == pytest.approx(
                 r.mean_queries / r.theory_upper_budget, rel=1e-12

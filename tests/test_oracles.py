@@ -287,17 +287,20 @@ class TestDeterminism:
         assert row.dtype == np.uint64
         assert row.tolist() == expected.tolist(), (seed, trial, stream)
 
+    @pytest.mark.numpy_mirror
     @pytest.mark.parametrize("stream", [0, 1])
     @pytest.mark.parametrize("keys", KEY_TUPLES)
     def test_block_row_matches_seed_sequence(self, keys, stream):
         self._assert_row_is_seed_sequence(keys[0], keys[1] if len(keys) > 1 else keys[0], stream)
 
+    @pytest.mark.numpy_mirror
     @pytest.mark.parametrize("stream", [0, 1])
     @pytest.mark.parametrize("seed", [0, 9, 2**32, 2**64 + 5, 2**70])
     def test_block_rows_match_at_block_and_word_edges(self, seed, stream):
         for trial in self.EDGE_TRIALS:
             self._assert_row_is_seed_sequence(seed, trial, stream)
 
+    @pytest.mark.numpy_mirror
     def test_every_row_of_a_block_matches(self):
         block = 2**22 + 3  # its indices take two words each
         table = _block_states(41, 1, block)
@@ -306,6 +309,7 @@ class TestDeterminism:
             expected = np.random.SeedSequence((41, block * _BLOCK + b, 1)).generate_state(4, np.uint64)
             assert table[b].tolist() == expected.tolist(), b
 
+    @pytest.mark.numpy_mirror
     @given(
         seed=st.integers(min_value=0, max_value=2**80),
         trial=st.one_of(st.integers(min_value=0, max_value=4 * _BLOCK), st.integers(min_value=0, max_value=2**80)),
@@ -315,6 +319,7 @@ class TestDeterminism:
     def test_block_row_matches_seed_sequence_for_any_key(self, seed, trial, stream):
         self._assert_row_is_seed_sequence(seed, trial, stream)
 
+    @pytest.mark.numpy_mirror
     @pytest.mark.parametrize("seed, trial", [(3, _BLOCK + 7), (2**33, 2**32)])
     def test_both_streams_are_the_seed_sequence_generators(self, seed, trial):
         oracle = NoisyOracle(BitInstance(bits=(0,)), 0.3, master_seed=seed, trial_index=trial)
@@ -327,6 +332,7 @@ class TestDeterminism:
         copy = pickle.loads(pickle.dumps(rng))
         assert copy.random(8).tolist() == rng.random(8).tolist()
 
+    @pytest.mark.numpy_mirror
     @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (3, -(2**40)), (-(2**40), 5)])
     def test_negative_seed_or_trial_is_refused_before_any_draw(self, seed, trial):
         with pytest.raises(ValueError):
@@ -340,11 +346,13 @@ class TestDeterminism:
             oracle.algorithm_rng
         assert oracle.queries == 0 and len(oracle._buf) == 0
 
+    @pytest.mark.numpy_mirror
     def test_negative_block_key_is_refused(self):
         for key in [(-1, 0, 0), (0, 0, -1)]:
             with pytest.raises(ValueError):
                 _block_states(*key)
 
+    @pytest.mark.numpy_mirror
     @pytest.mark.parametrize("seed, trial, p", [(0, 0, 0.25), (9, 4, 0.1), (2**33, 7, 0.45)])
     def test_flip_stream_is_the_generator_stream(self, seed, trial, p):
         # Pins the channel independently of its chunking: answer t of a
@@ -928,6 +936,7 @@ class TestSharedDraws:
     def test_prefix_is_the_first_three_chunks(self):
         assert _PREFIX_LEN == REFILL_AT[2] == 4672
 
+    @pytest.mark.numpy_mirror
     def test_advance_matches_drawing_the_prefix(self):
         # Each double takes one PCG64 output, so the continuation, advanced
         # past the prefix, draws what the stream draws after 4,672 doubles.
