@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .bounds import make_bound_report
@@ -24,6 +25,7 @@ from .harness import (
     run_sweep,
     run_trials,
     sweep_configs,
+    trial_records,
 )
 
 _EXIT_OK = 0
@@ -123,12 +125,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config.validate()
     check_workers(args.workers)
     print(f"running {config.trials} trials of {config.algorithm} ...", file=sys.stderr)
-    trials = run_trials(config, workers=args.workers)
-    stats = aggregate(config, trials)
+    columns = run_trials(config, workers=args.workers)
+    stats = aggregate(config, columns)
     if args.format == "csv":
         _emit(render_csv([stats]), args.out)
     else:
-        _emit(render_json([stats], {0: trials} if args.raw_trials else None), args.out)
+        _emit(render_json([stats], {0: trial_records(columns)} if args.raw_trials else None), args.out)
     return _EXIT_OK
 
 
@@ -174,6 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _EXIT_OK if failed == 0 else _EXIT_INTERNAL
 
 
+@lru_cache(maxsize=1)  # built once a process: parsing reads the parser and changes nothing in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noisyquery",

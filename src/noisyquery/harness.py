@@ -9,7 +9,9 @@ fixed configuration regardless of parallelism.
 One runner serves a single campaign and a sweep alike: it takes the
 trials one at a time and runs every row of a set of rows on that trial's
 one :class:`~noisyquery.oracles.TrialDraws`, the channel's shared
-prefix.  A sweep gives it the rows of one n at a time.
+prefix, set up with those of the trials around it.  A sweep gives it the
+rows of one n at a time.  A row's trials are kept as three columns, which
+:func:`aggregate` reads as they stand.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "run_trial",
     "run_trials",
     "sweep_configs",
+    "trial_records",
     "wilson_interval",
 ]
 
@@ -273,12 +276,13 @@ def _run_block(configs: Sequence[ExperimentConfig], start: int, stop: int) -> li
     """Trials start..stop-1 of every row, one trial at a time: a worker process's unit of work.
 
     The rows share one seed (and, from a sweep, one n, so one cached
-    instance).  Each trial's rows run on its one TrialDraws, which is
-    dropped before the next trial.
+    instance).  Each trial's rows run on its one TrialDraws, whose first
+    chunk's tables are built for every row's p with those of the trials
+    around it.
     """
     columns = [_columns() for _ in configs]
-    for t in range(start, stop):
-        draws = TrialDraws(configs[0].seed, t)
+    ps = {config.p for config in configs}
+    for t, draws in zip(range(start, stop), TrialDraws.block(configs[0].seed, start, stop, ps)):
         for config, (correct, queries, phase1) in zip(configs, columns):
             # By module-global name, so a tracer that swaps run_trial sees every (row, trial).
             stats = run_trial(config, t, draws)
@@ -288,7 +292,7 @@ def _run_block(configs: Sequence[ExperimentConfig], start: int, stop: int) -> li
     return columns
 
 
-def _trial_stats(columns: Columns) -> list[TrialStats]:
+def trial_records(columns: Columns) -> list[TrialStats]:
     """A row's TrialStats, rebuilt from its columns."""
     new = tuple.__new__  # TrialStats from a tuple, without its Python-level __new__
     return [new(TrialStats, (t, c == 1, q, f, q - f)) for t, (c, q, f) in enumerate(zip(*columns))]
@@ -327,21 +331,26 @@ def _run_rows(configs: Sequence[ExperimentConfig], workers: int) -> list[Columns
     return columns
 
 
-def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialStats]:
-    """All trials of a campaign, in trial order regardless of worker count."""
+def run_trials(config: ExperimentConfig, workers: int = 1) -> Columns:
+    """All trials of a campaign as its columns, in trial order regardless of worker count."""
     config.validate()
-    return _trial_stats(_run_rows([config], workers)[0])
+    return _run_rows([config], workers)[0]
 
 
-def aggregate(config: ExperimentConfig, trials: Sequence[TrialStats]) -> AggregateStats:
-    """Summarize trial records; pure arithmetic over the given sequence."""
-    if not trials:
+def aggregate(config: ExperimentConfig, columns: Columns) -> AggregateStats:
+    """Summarize a row's trial columns; pure arithmetic over them.
+
+    Sums of query counts are exact integers, so each mean is the one a
+    sum of the counts as floats gives.
+    """
+    correct, queries, phase1 = columns
+    m = len(queries)
+    if not m:
         raise ContractViolation("cannot aggregate zero trials")
-    m = len(trials)
-    errors = sum(1 for t in trials if not t.correct)
+    errors = m - sum(correct)
     err_lo, err_hi = wilson_interval(errors, m)
-    queries = [float(t.queries) for t in trials]
     mean_q, q_lo, q_hi = mean_interval(queries)
+    phase1_total = sum(phase1)
     budget = upper_budget(config.n, config.delta, config.p)
     return AggregateStats(
         config=config,
@@ -352,9 +361,9 @@ def aggregate(config: ExperimentConfig, trials: Sequence[TrialStats]) -> Aggrega
         mean_queries=mean_q,
         queries_ci_lo=q_lo,
         queries_ci_hi=q_hi,
-        max_queries=max(t.queries for t in trials),
-        phase1_mean_queries=sum(t.phase1_queries for t in trials) / m,
-        subroutine_mean_queries=sum(t.subroutine_queries for t in trials) / m,
+        max_queries=max(queries),
+        phase1_mean_queries=phase1_total / m,
+        subroutine_mean_queries=(sum(queries) - phase1_total) / m,
         theory_upper_budget=budget,
         theory_lecam_m_at_delta=lecam_budget(config.n, config.delta, config.p),
         ratio_mean_over_upper=mean_q / budget if budget > 0 else math.inf,
@@ -392,12 +401,12 @@ def run_sweep(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[Agg
     """
     rows = []
     # One n's rows at a time keep its instance cached for all its trials
-    # and hold only its rows' columns; a row's TrialStats are rebuilt only
-    # for its aggregate.
+    # and hold only its rows' columns, each aggregated as it stands.
     for _, group in groupby(configs, key=lambda cfg: cfg.n):
         group = list(group)
         columns = _run_rows(group, workers)
-        rows.extend(aggregate(cfg, _trial_stats(cols)) for cfg, cols in zip(group, columns))
+        # By module-global name, so a tracer that swaps aggregate sees every row.
+        rows.extend(aggregate(cfg, cols) for cfg, cols in zip(group, columns))
     return rows
 
 

@@ -18,6 +18,8 @@ The first 4,672 draws of a trial's channel are held by one
 :class:`TrialDraws`, which every oracle of that trial may share: a sweep
 runs each of its rows on the trial's one set of draws, whatever p the
 row has.  Draws past that prefix come from each oracle's own generator.
+A run of trials sets up their first chunks a block at a time
+(:meth:`TrialDraws.block`).
 
 A run of walks at one vote threshold is named first (:meth:`NoisyOracle.name_run`),
 its stops read in one numpy pass a chunk, and each walk taken as a ready report.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +54,7 @@ _PASS_MIN = 32  # a named run's stops are read in numpy passes while it has this
 _BATCH = 1024  # a named run's walks are read this many at a time, so its arrays stay small
 _WORD = 0xFFFFFFFF
 _BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
+_SET_UP = 256  # trials whose first chunks TrialDraws.block draws and tabulates in one pass
 
 
 @lru_cache(maxsize=256)
@@ -180,6 +183,34 @@ class TrialDraws:
         self._rng: np.random.Generator | None = None
         self._chunks: list[np.ndarray] = []
         self._tables: dict[tuple[float, int], memoryview] = {}
+
+    @classmethod
+    def block(cls, master_seed: int, start: int, stop: int, ps: Iterable[float]) -> Iterator[TrialDraws]:
+        """The draws of trials start..stop-1 in turn, each as ``TrialDraws(master_seed, t)`` would give.
+
+        _SET_UP trials at a time, each trial's generator draws its first
+        chunk into a row of one array, and each p of ``ps`` has its chunk-0
+        tables built for all those rows in one numpy pass.  A trial holds
+        its rows; its later chunks are drawn at first use, as alone.
+        """
+        ps = set(ps)
+        for lo in range(start, stop, _SET_UP):
+            rngs = [_generator(master_seed, t, 0) for t in range(lo, min(lo + _SET_UP, stop))]
+            first = np.empty((len(rngs), _PREFIX[0]))
+            for rng, row in zip(rngs, first):
+                rng.random(out=row)
+            first.flags.writeable = False
+            tables = []
+            for p in ps:
+                margin = np.add.accumulate(np.where(first < p, -1, 1), axis=1)
+                margin.flags.writeable = False  # every oracle of a trial reads the same row
+                tables.append((p, margin))
+            for i, t in enumerate(range(lo, lo + len(rngs))):
+                draws = cls(master_seed, t)
+                draws._rng, rngs[i] = rngs[i], None  # the block keeps no trial's generator once handed out
+                draws._chunks.append(first[i])
+                draws._tables = {(p, 0): memoryview(margin[i]) for p, margin in tables}
+                yield draws
 
     def table(self, p: float, chunk: int) -> memoryview:
         """Chunk ``chunk``'s running margin at crossover p: entry t is (unflipped - flipped) over its flips 0..t."""

@@ -119,20 +119,19 @@ def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> Max
     q = sampling_probability(n)
     rng = oracle.algorithm_rng
     if q >= 1.0:
-        sample = list(range(1, n + 1))
+        sample, others = list(range(1, n + 1)), []
     else:
         while True:
             mask = rng.random(n) < q
             if mask.any():
                 break
         sample = (mask.nonzero()[0] + 1).tolist()
+        others = ((~mask).nonzero()[0] + 1).tolist()  # the unsampled indices, in order
     start = oracle.queries
 
     champion = tournament_max(oracle, sample, delta, p)
     before_compares = oracle.queries
 
-    in_sample = set(sample)
-    others = [u for u in range(1, n + 1) if u not in in_sample]
     oracle.name_run([champion] * len(others), others, vote_threshold(p, delta))
     shortlist = [champion, *(u for u in others if noisy_compare(oracle, champion, u, delta, p).decision)]
     phase1 = oracle.queries - before_compares

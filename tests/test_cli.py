@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisyquery.cli import _parse_grid, main
+from noisyquery.cli import _parse_grid, build_parser, main
 from noisyquery.errors import ContractViolation
 
 _HUGE_N = "1" + "0" * 400  # an int no float holds
@@ -105,6 +105,13 @@ class TestRunCommand:
         assert main(self.ARGS + ["--format", "json", "--raw-trials"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload[0]["trials_raw"]) == 40
+
+    def test_the_parser_is_built_once_and_each_parse_starts_afresh(self, capsys):
+        assert build_parser() is build_parser()
+        assert main(self.ARGS + ["--format", "json", "--raw-trials", "--seed", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["seed"] == 4
+        assert main(self.ARGS) == 0  # the defaults and flags the last call set are not kept
+        assert capsys.readouterr().out.split("\n")[1].split(",")[6] == "3"
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
     def test_raw_trials_with_csv_refused_before_any_trial(self, fmt, tmp_path, capsys):

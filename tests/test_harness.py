@@ -27,6 +27,7 @@ from noisyquery.harness import (
     run_trial,
     run_trials,
     sweep_configs,
+    trial_records,
     wilson_interval,
 )
 from noisyquery.oracles import BitInstance
@@ -209,7 +210,7 @@ class TestTrials:
     )
     def test_all_algorithms_run(self, algorithm, instance, n):
         cfg = _config(algorithm=algorithm, instance=instance, n=n, trials=3)
-        trials = run_trials(cfg)
+        trials = trial_records(run_trials(cfg))
         assert len(trials) == 3
         for t in trials:
             assert t.queries == t.phase1_queries + t.subroutine_queries
@@ -281,8 +282,9 @@ class TestWorkerCap:
 class TestAggregation:
     def test_matches_reference_aggregator(self):
         cfg = _config(algorithm="noisy-or", instance="all_zero", n=6, trials=80, delta=0.1)
-        trials = run_trials(cfg)
-        stats = aggregate(cfg, trials)
+        columns = run_trials(cfg)
+        stats = aggregate(cfg, columns)
+        trials = trial_records(columns)
 
         # Independent reference computation, same arithmetic order.
         errors = sum(1 for t in trials if not t.correct)
@@ -305,7 +307,7 @@ class TestAggregation:
 
     def test_rejects_empty(self):
         with pytest.raises(ContractViolation):
-            aggregate(_config(), [])
+            aggregate(_config(), harness._columns())
 
 
 class TestRendering:
@@ -336,8 +338,9 @@ class TestRendering:
 
     def test_json_roundtrip(self):
         cfg = _config(trials=6)
-        trials = run_trials(cfg)
-        stats = aggregate(cfg, trials)
+        columns = run_trials(cfg)
+        stats = aggregate(cfg, columns)
+        trials = trial_records(columns)
         payload = json.loads(render_json([stats], {0: trials}))
         assert payload[0]["algorithm"] == "checkbit"
         assert payload[0]["trials"] == 6
@@ -376,11 +379,23 @@ class TestSweep:
         configs = sweep_configs(base, n_grid, p_grid, delta_grid)
         standalone = [run_trials(cfg) for cfg in configs]
         if algorithm == "noisy-or":
-            assert min(t.queries for trials in standalone for t in trials) > 4672
+            assert min(min(queries) for _, queries, _ in standalone) > 4672
         rows = run_sweep(configs, workers=workers)
-        assert rows == [aggregate(cfg, trials) for cfg, trials in zip(configs, standalone)]
-        columns = harness._run_rows(configs, workers)
-        assert [harness._trial_stats(c) for c in columns] == standalone
+        assert rows == [aggregate(cfg, columns) for cfg, columns in zip(configs, standalone)]
+        assert harness._run_rows(configs, workers) == standalone
+
+    def test_each_row_is_aggregated_once_by_module_name(self, monkeypatch):
+        # A tracer that swaps harness.aggregate counts its calls, one a row.
+        aggregated = []
+
+        def counting(cfg, columns):
+            aggregated.append(cfg)
+            return aggregate(cfg, columns)
+
+        monkeypatch.setattr(harness, "aggregate", counting)
+        configs = sweep_configs(_config(trials=5), [1, 2], [0.2, 0.3], [0.05, 0.01])
+        assert run_sweep(configs) == [aggregate(cfg, run_trials(cfg)) for cfg in configs]
+        assert aggregated == configs
 
     def test_a_sweep_holds_one_trial_prefix_at_a_time(self):
         # A two-row noisy-or sweep at n = 10^5 reads over 5 * 10^5 flips a

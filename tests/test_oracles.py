@@ -1,16 +1,22 @@
 """Instances, the noisy channel, query accounting, and the determinism contract."""
 
 import math
+import os
 import pickle
+import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisyquery import harness
 from noisyquery.errors import ContractViolation
 from noisyquery.oracles import (
     _BLOCK,
     _PREFIX_LEN,
+    _SET_UP,
     _block_states,
     _generator,
     BitInstance,
@@ -1020,3 +1026,87 @@ class TestSharedDraws:
         for seed, trial in [(3, 12), (4, 11)]:
             with pytest.raises(ContractViolation):
                 NoisyOracle(BIT_INSTANCE, 0.25, 3, 11, TrialDraws(seed, trial))
+
+
+def assert_block_twin(draws, seed, trial, ps, late=False):
+    """``draws``, handed out by a block built at ``ps``, draws and tabulates as ``TrialDraws(seed, trial)``.
+
+    Every chunk's table is compared at each p of ``ps`` and at one p not
+    in it, then the first and a later continuation.  With ``late`` the
+    first continuation is asked for before chunks 1 and 2 are drawn.
+    """
+    lone = TrialDraws(seed, trial)
+    assert (draws.master_seed, draws.trial_index) == (seed, trial)
+    assert draws._chunks[0].tolist() == _generator(seed, trial, 0).random(64).tolist()
+    if late:
+        assert draws.continuation().random(8).tolist() == lone.continuation().random(8).tolist()
+    for p in (*ps, 0.3):
+        for chunk in range(3):
+            got, want = np.asarray(draws.table(p, chunk)), np.asarray(lone.table(p, chunk))
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (trial, p, chunk)
+            assert not got.flags.writeable
+    for _ in range(2):
+        assert draws.continuation().random(8).tolist() == lone.continuation().random(8).tolist(), trial
+
+
+class TestBlockDraws:
+    """A block's draws are each its trial's lone draws, set up _SET_UP trials at a pass."""
+
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(37, 45), (0, _SET_UP), (250, 262), (37, 37 + 2 * _SET_UP + 5), (_BLOCK - 100, _BLOCK + 200)],
+    )
+    def test_each_trial_is_its_lone_twin(self, start, stop):
+        seed, ps = 7, (0.25, 0.1, 0.4)
+        trials = list(range(start, stop))
+        for trial, draws in zip(trials, TrialDraws.block(seed, start, stop, ps), strict=True):
+            assert_block_twin(draws, seed, trial, ps, late=trial % 3 == 0)
+
+    def test_the_tables_are_rows_of_one_array_per_p(self):
+        draws = list(TrialDraws.block(2, 10, 14, [0.25, 0.25, 0.4]))
+        assert draws[0].table(0.25, 0).obj.base is draws[3].table(0.25, 0).obj.base
+        assert {key for key in draws[0]._tables} == {(0.25, 0), (0.4, 0)}
+
+    def test_the_trial_ranges_of_two_worker_jobs(self, monkeypatch):
+        # --workers 2 splits 600 trials into jobs of 37, off the _SET_UP grid.
+        jobs = []
+
+        class RecordingPool:  # records the jobs and runs none
+            def __init__(self, size):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, args, chunksize=1):
+                jobs.extend(args)
+                return []
+
+        monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=RecordingPool))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        row = harness.ExperimentConfig("checkbit", "single_one:1", 1, 0.25, 0.05, 600, seed=3)
+        harness._run_rows([row, replace(row, p=0.4)], 2)
+        ranges = [(start, stop) for _, start, stop in jobs]
+        assert ranges[:2] == [(0, 37), (37, 74)] and ranges[-1] == (592, 600)
+        for start, stop in ranges:
+            for trial, draws in zip(range(start, stop), TrialDraws.block(3, start, stop, (0.25, 0.4)), strict=True):
+                assert_block_twin(draws, 3, trial, (0.25, 0.4), late=trial % 5 == 0)
+
+    def test_an_empty_range_hands_out_nothing(self):
+        assert list(TrialDraws.block(2, 5, 5, [0.25])) == []
+
+    def test_at_most_one_trial_keeps_its_later_chunks(self):
+        # Each trial draws its 4,608 later doubles and their tables, 72 kB;
+        # were they all kept, a block would hold 18 MB.
+        list(TrialDraws.block(4, 0, 2, [0.25]))  # imports numpy.random and fills the seed tables
+        tracemalloc.start()
+        try:
+            for draws in TrialDraws.block(4, 0, _SET_UP, [0.25]):
+                draws.table(0.25, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000

@@ -24,7 +24,7 @@ from noisyquery.toplevel import (
     or_threshold,
     sampling_probability,
 )
-from recording import ScriptedOracle
+from recording import RecordingOracle, ScriptedOracle
 
 
 class TestOrThreshold:
@@ -145,6 +145,16 @@ class TestNoisyMaxTraces:
         sample = set(report.sample)
         assert all(u not in sample or u == report.champion for u in report.shortlist)
         assert report.champion in sample
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_unsampled_index_meets_the_champion_in_order(self, seed):
+        oracle = RecordingOracle(make_instance_max("permuted", 300, seed=seed), 0.25, master_seed=seed)
+        report = noisy_max_report(oracle, 300, 0.05, 0.25)
+        sample = set(report.sample)
+        others = [u for u in range(1, 301) if u not in sample]
+        assert 0 < len(sample) < 300
+        met = [j for i, j, _, _ in oracle.walks if i == report.champion and j not in sample]
+        assert met[: len(others)] == others
 
     def test_phase_accounting_matches_query_count(self):
         oracle = NoisyOracle(make_instance_max("sorted", 30), 0.2, master_seed=4)
