@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -185,7 +185,7 @@ class TrialDraws:
         self._tables: dict[tuple[float, int], memoryview] = {}
 
     @classmethod
-    def block(cls, master_seed: int, start: int, stop: int, ps: Iterable[float]) -> Iterator[TrialDraws]:
+    def block(cls, master_seed: int, start: int, stop: int, ps: Collection[float]) -> Iterator[TrialDraws]:
         """The draws of trials start..stop-1 in turn, each as ``TrialDraws(master_seed, t)`` would give.
 
         _SET_UP trials at a time, each trial's generator draws its first
@@ -193,7 +193,6 @@ class TrialDraws:
         tables built for all those rows in one numpy pass.  A trial holds
         its rows; its later chunks are drawn at first use, as alone.
         """
-        ps = set(ps)
         for lo in range(start, stop, _SET_UP):
             rngs = [_generator(master_seed, t, 0) for t in range(lo, min(lo + _SET_UP, stop))]
             first = np.empty((len(rngs), _PREFIX[0]))
