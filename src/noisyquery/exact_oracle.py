@@ -15,10 +15,14 @@ Three layers, each checking the one below:
   error probability, and expected query count.
 
 The implementations consume oracle answers query by query; the analysis
-here never draws a single random bit.  It shares only the vote threshold
-(:func:`~noisyquery.primitives.vote_threshold` and its log form) and the
-round schedule (:class:`~noisyquery.tournaments.RoundSchedule`) with them,
-and the tests pin the values of both independently.
+here never draws a single random bit.  It shares only four definitions
+with them: the vote threshold
+(:func:`~noisyquery.primitives.vote_threshold` and its log form), the
+round schedule (:class:`~noisyquery.tournaments.RoundSchedule`), the OR
+survivor cutoff (:func:`~noisyquery.toplevel.or_threshold`) and the MAX
+sampling probability (:func:`~noisyquery.toplevel.sampling_probability`);
+the tests pin the values of all four independently.  The enumerator
+restates each algorithm from these alone.
 """
 
 from __future__ import annotations
@@ -227,16 +231,6 @@ def walk_branch_stats(p: float, threshold: int) -> WalkBranchStats:
 # ---------------------------------------------------------------------------
 
 
-def _round_thresholds(r: int, delta: float, p: float) -> list[tuple[int, int]]:
-    """(matches, vote threshold) per round of a knockout over r entrants."""
-    out = []
-    size = r
-    for k in RoundSchedule.for_size(r, delta).vote_thresholds(p):
-        out.append((size // 2, k))
-        size = (size + 1) // 2
-    return out
-
-
 def tournament_max_cost(r: int, delta: float, p: float) -> float:
     """Exact expected comparisons of a MAX knockout over r entrants.
 
@@ -244,9 +238,11 @@ def tournament_max_cost(r: int, delta: float, p: float) -> float:
     match's duration law depends only on its vote threshold, so the
     expectation is composition-independent.
     """
-    return sum(
-        matches * analyze_walk(p, k).expected_queries for matches, k in _round_thresholds(r, delta, p)
-    )
+    cost = 0.0
+    for k in RoundSchedule.for_size(r, delta).vote_thresholds(p):
+        cost += r // 2 * analyze_walk(p, k).expected_queries
+        r = (r + 1) // 2
+    return cost
 
 
 def tournament_or_cost(r: int, delta: float, p: float) -> float:
@@ -401,163 +397,94 @@ class EnumerationResult:
     outcome_probs: dict[int, float]
 
 
-def _decision_branches(truth: bool, stats: WalkBranchStats) -> list[tuple[bool, float, float]]:
-    """Branches labelled by the returned decision for a call whose true answer is ``truth``."""
-    return [
-        (truth, stats.correct_prob, stats.expected_queries_correct),
-        (not truth, stats.error_prob, stats.expected_queries_wrong),
-    ]
+# A leaf is (probability, expected queries so far, state).  The steps
+# branch on the walks in the order the algorithms play them.
 
 
-def _enum_knockout(
-    entrants: list[tuple[int, float]],
-    delta: float,
-    p: float,
-    is_max: bool,
-) -> list[tuple[float, float, tuple[int, float]]]:
-    """All (prob, expected queries, survivor) leaves of one knockout bracket.
+def _walk(leaves: list, stats: WalkBranchStats, truth, step) -> list:
+    """Branch each leaf on one stopped walk: true decision ``truth(state)``, next state ``step(state, decision)``."""
+    out = []
+    for prob, queries, state in leaves:
+        right = truth(state)
+        out.append((prob * stats.correct_prob, queries + stats.expected_queries_correct, step(state, right)))
+        out.append((prob * stats.error_prob, queries + stats.expected_queries_wrong, step(state, not right)))
+    return out
+
+
+def _then(leaves: list, more) -> list:
+    """Continue each leaf with the leaves ``more(state)`` of what the algorithm does next from it."""
+    return [(prob * pr, queries + cost, out) for prob, queries, state in leaves for pr, cost, out in more(state)]
+
+
+def _enum_knockout(entrants: tuple, delta: float, p: float, is_max: bool) -> list:
+    """All (prob, expected queries, (winner,)) leaves of one knockout bracket.
 
     Entrants are (index, key) pairs; for the OR variant the key is the
     bit value and a match checks the first element, for the MAX variant
-    the key is the value and a match compares the pair.
+    the key is the value and a match compares the pair.  A state is the
+    round's unplayed entrants followed by its winners so far: a match
+    plays the first two and appends its winner, and a bye moves the last
+    entrant behind the winners.
     """
-    leaves = [(1.0, 0.0, list(entrants))]
-    for k in RoundSchedule.for_size(len(entrants), delta).vote_thresholds(p):
+    if is_max:  # "first < second?"; yes advances the second
+        truth, step = (lambda s: s[0][1] < s[1][1]), (lambda s, less: s[2:] + (s[less],))
+    else:  # "first bit is 1?"; yes keeps the first
+        truth, step = (lambda s: s[0][1] == 1), (lambda s, one: s[2:] + (s[not one],))
+    leaves = [(1.0, 0.0, entrants)]
+    size = len(entrants)
+    for k in RoundSchedule.for_size(size, delta).vote_thresholds(p):
         stats = walk_branch_stats(p, k)
-        new_leaves = []
-        for prob, eq, survivors in leaves:
-            r = len(survivors)
-            partials = [(prob, eq, [])]
-            for j in range(r // 2):
-                first, second = survivors[2 * j], survivors[2 * j + 1]
-                if is_max:
-                    truth_less = first[1] < second[1]
-                    branches = [
-                        (second if dec else first, pr, cost)
-                        for dec, pr, cost in _decision_branches(truth_less, stats)
-                    ]
-                else:
-                    branches = [
-                        (first if dec else second, pr, cost)
-                        for dec, pr, cost in _decision_branches(first[1] == 1, stats)
-                    ]
-                partials = [
-                    (pp * pr, ee + cost, acc + [winner])
-                    for pp, ee, acc in partials
-                    for winner, pr, cost in branches
-                ]
-            carry = [survivors[-1]] if r % 2 == 1 else []
-            new_leaves.extend((pp, ee, acc + carry) for pp, ee, acc in partials)
-        leaves = new_leaves
-    return [(prob, eq, survivors[0]) for prob, eq, survivors in leaves]
+        for _ in range(size // 2):
+            leaves = _walk(leaves, stats, truth, step)
+        if size % 2 == 1:
+            leaves = [(prob, queries, s[1:] + s[:1]) for prob, queries, s in leaves]
+        size = (size + 1) // 2
+    return leaves
 
 
-def _enum_or_decisions(
-    entrants: list[tuple[int, float]], delta: float, p: float
-) -> list[tuple[float, float, bool]]:
-    """All (prob, expected queries, decision) leaves of an OR tournament, final check included."""
+def _enum_tournament_or(entrants: tuple, delta: float, p: float) -> list:
     bracket, final = RoundSchedule.or_split(delta)
-    final_stats = walk_branch_stats(p, vote_threshold(p, final))
-    return [
-        (prob * pr, eq + cost, dec)
-        for prob, eq, (_idx, bit) in _enum_knockout(entrants, bracket, p, is_max=False)
-        for dec, pr, cost in _decision_branches(bit == 1.0, final_stats)
-    ]
+    final_check = walk_branch_stats(p, vote_threshold(p, final))
+    leaves = _enum_knockout(entrants, bracket, p, is_max=False)
+    return _walk(leaves, final_check, lambda s: s[0][1] == 1, lambda s, one: int(one))  # the winner's final check
 
 
-def _enum_tournament_or(instance: BitInstance, delta: float, p: float) -> EnumerationResult:
-    entrants = [(i + 1, float(b)) for i, b in enumerate(instance.bits)]
-    out = {0: 0.0, 1: 0.0}
-    eq_total = 0.0
-    for prob, eq, dec in _enum_or_decisions(entrants, delta, p):
-        out[1 if dec else 0] += prob
-        eq_total += prob * eq
-    truth = instance.truth()
-    return EnumerationResult(
-        error_probability=out[1 - truth], expected_queries=eq_total, outcome_probs=out
-    )
+def _enum_tournament_max(entrants: tuple, delta: float, p: float) -> list:
+    return [(prob, queries, s[0][0]) for prob, queries, s in _enum_knockout(entrants, delta, p, is_max=True)]
 
 
-def _enum_tournament_max(instance: ValueInstance, delta: float, p: float) -> EnumerationResult:
-    entrants = [(i + 1, v) for i, v in enumerate(instance.values)]
-    out: dict[int, float] = {}
-    eq_total = 0.0
-    for prob, eq, (idx, _val) in _enum_knockout(entrants, delta, p, is_max=True):
-        out[idx] = out.get(idx, 0.0) + prob
-        eq_total += prob * eq
-    truth = instance.truth()
-    error = sum(pr for idx, pr in out.items() if idx != truth)
-    return EnumerationResult(error_probability=error, expected_queries=eq_total, outcome_probs=out)
-
-
-def _enum_noisy_or(instance: BitInstance, delta: float, p: float) -> EnumerationResult:
-    n = instance.n
+def _enum_noisy_or(entrants: tuple, delta: float, p: float) -> list:
     stats = walk_branch_stats(p, vote_threshold(p, delta))
-    theta = or_threshold(n, delta)
-    out = {0: 0.0, 1: 0.0}
-    eq_total = 0.0
-    # Phase-1 outcomes: which bits end up on the survivor list.
-    phase: list[tuple[float, float, list[tuple[int, float]]]] = [(1.0, 0.0, [])]
-    for i, b in enumerate(instance.bits):
-        nxt = []
-        for prob, eq, survivors in phase:
-            for dec, pr, cost in _decision_branches(b == 1, stats):
-                kept = survivors + [(i + 1, float(b))] if dec else survivors
-                nxt.append((prob * pr, eq + cost, kept))
-        phase = nxt
-    for prob, eq, survivors in phase:
-        if not survivors:
-            out[0] += prob
-            eq_total += prob * eq
-        elif len(survivors) >= theta:
-            out[1] += prob
-            eq_total += prob * eq
-        else:
-            for pr2, eq2, dec in _enum_or_decisions(survivors, delta, p):
-                out[1 if dec else 0] += prob * pr2
-                eq_total += prob * pr2 * (eq + eq2)
-    truth = instance.truth()
-    return EnumerationResult(
-        error_probability=out[1 - truth], expected_queries=eq_total, outcome_probs=out
-    )
+    theta = or_threshold(len(entrants), delta)
+    leaves = [(1.0, 0.0, ())]  # phase 1: the state is the survivor list
+    for e in entrants:
+        leaves = _walk(leaves, stats, lambda s: e[1] == 1, lambda s, one: s + (e,) if one else s)
+
+    def finish(survivors: tuple) -> list:
+        if not survivors or len(survivors) >= theta:  # none declares 0; the cutoff or more declares 1
+            return [(1.0, 0.0, int(bool(survivors)))]
+        return _enum_tournament_or(survivors, delta, p)
+
+    return _then(leaves, finish)
 
 
-def _enum_noisy_max(instance: ValueInstance, delta: float, p: float) -> EnumerationResult:
-    n = instance.n
+def _enum_noisy_max(entrants: tuple, delta: float, p: float) -> list:
+    n = len(entrants)
     q = sampling_probability(n)
     stats = walk_branch_stats(p, vote_threshold(p, delta))
-    out: dict[int, float] = {}
-    eq_total = 0.0
+
+    def shortlists(mask: int) -> list:
+        # The sample's champion, then every unsampled element that beats it.
+        leaves = _enum_knockout(tuple(e for i, e in enumerate(entrants) if mask >> i & 1), delta, p, is_max=True)
+        for u in (e for i, e in enumerate(entrants) if not mask >> i & 1):
+            leaves = _walk(leaves, stats, lambda s: s[0][1] < u[1], lambda s, less: s + (u,) if less else s)
+        return leaves
+
+    # The sample is a branch of no queries, weighted q^s (1-q)^(n-s) / P(nonempty).
     nonempty = 1.0 - (1.0 - q) ** n if q < 1.0 else 1.0
-    for mask in range(1, 1 << n):
-        sample = [(i + 1, instance.values[i]) for i in range(n) if mask >> i & 1]
-        if q >= 1.0:
-            if len(sample) != n:
-                continue
-            weight = 1.0
-        else:
-            s = len(sample)
-            weight = q**s * (1.0 - q) ** (n - s) / nonempty
-        complement = [(i + 1, instance.values[i]) for i in range(n) if not mask >> i & 1]
-        for pr1, eq1, champion in _enum_knockout(sample, delta, p, is_max=True):
-            # Compare every unsampled element against the champion.
-            states = [(pr1, eq1, [champion])]
-            for u in complement:
-                nxt = []
-                truth_less = champion[1] < u[1]
-                for prob, eq, shortlist in states:
-                    for dec, pr, cost in _decision_branches(truth_less, stats):
-                        nxt.append(
-                            (prob * pr, eq + cost, shortlist + [u] if dec else shortlist)
-                        )
-                states = nxt
-            for prob, eq, shortlist in states:
-                for pr2, eq2, (idx, _v) in _enum_knockout(shortlist, delta, p, is_max=True):
-                    out[idx] = out.get(idx, 0.0) + weight * prob * pr2
-                    eq_total += weight * prob * pr2 * (eq + eq2)
-    truth = instance.truth()
-    error = sum(pr for idx, pr in out.items() if idx != truth)
-    return EnumerationResult(error_probability=error, expected_queries=eq_total, outcome_probs=out)
+    masks = range(1, 1 << n) if q < 1.0 else [(1 << n) - 1]
+    samples = [(q ** m.bit_count() * (1.0 - q) ** (n - m.bit_count()) / nonempty, 0.0, m) for m in masks]
+    return _then(_then(samples, shortlists), lambda shortlist: _enum_tournament_max(shortlist, delta, p))
 
 
 def _reachable_thresholds(algorithm: str, n: int, delta: float, p: float) -> list[int]:
@@ -623,7 +550,15 @@ def enumerate_tournament(
         raise EnumerationCapError(f"enumeration would visit ~{paths} paths, above {_PATH_CAP}")
     if not isinstance(instance, model):
         raise ContractViolation(f"{algorithm} needs a {model.__name__}")
-    return enumerate_paths(instance, delta, p)
+    entrants = tuple(enumerate(instance.bits if model is BitInstance else instance.values, start=1))
+    out: dict[int, float] = {}
+    queries = 0.0
+    for prob, leaf_queries, output in enumerate_paths(entrants, delta, p):
+        out[output] = out.get(output, 0.0) + prob
+        queries += prob * leaf_queries
+    truth = instance.truth()
+    error = sum(pr for output, pr in out.items() if output != truth)
+    return EnumerationResult(error_probability=error, expected_queries=queries, outcome_probs=out)
 
 
 # ---------------------------------------------------------------------------
@@ -633,18 +568,18 @@ def enumerate_tournament(
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """One enumerable configuration with its applicable error guarantee.
-
-    ``error_bound_multiplier`` scales delta (1 for the tournaments, 2 for
-    the OR algorithm, 3 for the MAX algorithm).
-    """
+    """One enumerable configuration with its applicable error guarantee."""
 
     name: str
     algorithm: str
     instance: BitInstance | ValueInstance
     delta: float
     p: float
-    error_bound_multiplier: int
+
+    @property
+    def error_bound_multiplier(self) -> int:
+        """The multiple of delta the algorithm may err with: 1 for the tournaments, 2 for OR, 3 for MAX."""
+        return {"noisy-or": 2, "noisy-max": 3}.get(self.algorithm, 1)
 
 
 def verify_registry() -> list[VerifyConfig]:
@@ -653,28 +588,28 @@ def verify_registry() -> list[VerifyConfig]:
     v = lambda *vals: ValueInstance(values=tuple(float(x) for x in vals))
     return [
         # Single tournaments (n <= 8).
-        VerifyConfig("tor-n2-hot", "tournament-or", b(1, 0), 0.1, 0.25, 1),
-        VerifyConfig("tor-n2-zero", "tournament-or", b(0, 0), 0.1, 0.25, 1),
-        VerifyConfig("tor-n3-mid", "tournament-or", b(0, 1, 0), 0.05, 0.25, 1),
-        VerifyConfig("tor-n4-zero", "tournament-or", b(0, 0, 0, 0), 0.05, 0.25, 1),
-        VerifyConfig("tor-n4-pair", "tournament-or", b(0, 1, 1, 0), 0.05, 0.3, 1),
-        VerifyConfig("tor-n8-tail", "tournament-or", b(0, 0, 0, 0, 0, 0, 0, 1), 0.05, 0.25, 1),
-        VerifyConfig("tmax-n2", "tournament-max", v(1, 2), 0.1, 0.25, 1),
-        VerifyConfig("tmax-n3-sorted", "tournament-max", v(1, 2, 3), 0.05, 0.3, 1),
-        VerifyConfig("tmax-n4-sorted", "tournament-max", v(1, 2, 3, 4), 0.05, 0.25, 1),
-        VerifyConfig("tmax-n4-reloc", "tournament-max", v(1, 4, 2, 3), 0.05, 0.1, 1),
-        VerifyConfig("tmax-n8-sorted", "tournament-max", v(*range(1, 9)), 0.05, 0.25, 1),
+        VerifyConfig("tor-n2-hot", "tournament-or", b(1, 0), 0.1, 0.25),
+        VerifyConfig("tor-n2-zero", "tournament-or", b(0, 0), 0.1, 0.25),
+        VerifyConfig("tor-n3-mid", "tournament-or", b(0, 1, 0), 0.05, 0.25),
+        VerifyConfig("tor-n4-zero", "tournament-or", b(0, 0, 0, 0), 0.05, 0.25),
+        VerifyConfig("tor-n4-pair", "tournament-or", b(0, 1, 1, 0), 0.05, 0.3),
+        VerifyConfig("tor-n8-tail", "tournament-or", b(0, 0, 0, 0, 0, 0, 0, 1), 0.05, 0.25),
+        VerifyConfig("tmax-n2", "tournament-max", v(1, 2), 0.1, 0.25),
+        VerifyConfig("tmax-n3-sorted", "tournament-max", v(1, 2, 3), 0.05, 0.3),
+        VerifyConfig("tmax-n4-sorted", "tournament-max", v(1, 2, 3, 4), 0.05, 0.25),
+        VerifyConfig("tmax-n4-reloc", "tournament-max", v(1, 4, 2, 3), 0.05, 0.1),
+        VerifyConfig("tmax-n8-sorted", "tournament-max", v(*range(1, 9)), 0.05, 0.25),
         # Full OR algorithm (n <= 4, reachable thresholds <= 8).
-        VerifyConfig("nor-n2-zero", "noisy-or", b(0, 0), 0.2, 0.25, 2),
-        VerifyConfig("nor-n3-zero", "noisy-or", b(0, 0, 0), 0.1, 0.25, 2),
-        VerifyConfig("nor-n3-one", "noisy-or", b(0, 1, 0), 0.1, 0.25, 2),
-        VerifyConfig("nor-n4-one", "noisy-or", b(1, 0, 0, 0), 0.05, 0.3, 2),
-        VerifyConfig("nor-n4-zero", "noisy-or", b(0, 0, 0, 0), 0.05, 0.1, 2),
+        VerifyConfig("nor-n2-zero", "noisy-or", b(0, 0), 0.2, 0.25),
+        VerifyConfig("nor-n3-zero", "noisy-or", b(0, 0, 0), 0.1, 0.25),
+        VerifyConfig("nor-n3-one", "noisy-or", b(0, 1, 0), 0.1, 0.25),
+        VerifyConfig("nor-n4-one", "noisy-or", b(1, 0, 0, 0), 0.05, 0.3),
+        VerifyConfig("nor-n4-zero", "noisy-or", b(0, 0, 0, 0), 0.05, 0.1),
         # Full MAX algorithm (n <= 3, reachable thresholds <= 8).
-        VerifyConfig("nmax-n2", "noisy-max", v(1, 2), 0.2, 0.25, 3),
-        VerifyConfig("nmax-n3-sorted", "noisy-max", v(1, 2, 3), 0.25, 0.25, 3),
-        VerifyConfig("nmax-n3-reloc", "noisy-max", v(3, 1, 2), 0.25, 0.25, 3),
-        VerifyConfig("nmax-n3-p15", "noisy-max", v(1, 2, 3), 0.25, 0.15, 3),
+        VerifyConfig("nmax-n2", "noisy-max", v(1, 2), 0.2, 0.25),
+        VerifyConfig("nmax-n3-sorted", "noisy-max", v(1, 2, 3), 0.25, 0.25),
+        VerifyConfig("nmax-n3-reloc", "noisy-max", v(3, 1, 2), 0.25, 0.25),
+        VerifyConfig("nmax-n3-p15", "noisy-max", v(1, 2, 3), 0.25, 0.15),
     ]
 
 
@@ -759,8 +694,8 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     )
 
     # Guarantee domination over the registry.
-    for cfg in verify_registry():
-        result = enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
+    registry = [(cfg, enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)) for cfg in verify_registry()]
+    for cfg, result in registry:
         bound = cfg.error_bound_multiplier * cfg.delta
         checks.append(
             (
@@ -773,8 +708,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     if mc_trials > 0:
         from .harness import ExperimentConfig, run_experiment
 
-        for cfg in verify_registry():
-            result = enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
+        for cfg, result in registry:
             if isinstance(cfg.instance, BitInstance):
                 spec = "literal:" + ",".join(str(x) for x in cfg.instance.bits)
             else:

@@ -157,6 +157,13 @@ def _row_seed() -> type[_RowSeed]:
     return _RowSeed
 
 
+def _margins(draws: np.ndarray, p: float) -> np.ndarray:
+    """The channel's running margin along the last axis: entry t is (unflipped - flipped) over draws 0..t."""
+    margin = np.add.accumulate(np.where(draws < p, -1, 1), axis=-1)  # a draw below p flips its answer
+    margin.flags.writeable = False  # a trial's tables are read by every oracle of the trial
+    return margin
+
+
 def _generator(master_seed: int, trial_index: int, stream: int) -> np.random.Generator:
     """``default_rng(SeedSequence((master_seed, trial_index, stream)))``, its state read off a block table."""
     if master_seed < 0 or trial_index < 0:
@@ -199,11 +206,7 @@ class TrialDraws:
             for rng, row in zip(rngs, first):
                 rng.random(out=row)
             first.flags.writeable = False
-            tables = []
-            for p in ps:
-                margin = np.add.accumulate(np.where(first < p, -1, 1), axis=1)
-                margin.flags.writeable = False  # every oracle of a trial reads the same row
-                tables.append((p, margin))
+            tables = [(p, _margins(first, p)) for p in ps]
             for i, t in enumerate(range(lo, lo + len(rngs))):
                 draws = cls(master_seed, t)
                 draws._rng, rngs[i] = rngs[i], None  # the block keeps no trial's generator once handed out
@@ -219,9 +222,7 @@ class TrialDraws:
                 if self._rng is None:
                     self._rng = _generator(self.master_seed, self.trial_index, 0)
                 self._chunks.append(self._rng.random(_PREFIX[len(self._chunks)]))
-            margin = np.add.accumulate(np.where(self._chunks[chunk] < p, -1, 1))
-            margin.flags.writeable = False  # every oracle of the trial reads the same table
-            table = self._tables[(p, chunk)] = memoryview(margin)
+            table = self._tables[(p, chunk)] = memoryview(_margins(self._chunks[chunk], p))
         return table
 
     def continuation(self) -> np.random.Generator:
@@ -391,7 +392,7 @@ class NoisyOracle:
         else:
             if self._rng is None:
                 self._rng = self._draws.continuation()
-            buf = memoryview(np.add.accumulate(np.where(self._rng.random(_BUF_CAP) < self.p, -1, 1)))
+            buf = memoryview(_margins(self._rng.random(_BUF_CAP), self.p))
         self._buf = buf
         self._chunk = chunk + 1
         self._pos = 0

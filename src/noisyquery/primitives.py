@@ -23,7 +23,6 @@ from .errors import ContractViolation
 from .oracles import NoisyOracle, StopReport
 
 __all__ = [
-    "StopReport",
     "check_bit",
     "check_bit_log",
     "noisy_compare",

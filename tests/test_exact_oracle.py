@@ -20,7 +20,7 @@ from noisyquery.exact_oracle import (
     verify_registry,
     walk_branch_stats,
 )
-from noisyquery.oracles import BitInstance, ValueInstance, make_instance_or
+from noisyquery.oracles import BitInstance, NoisyOracle, ValueInstance, make_instance_or
 from noisyquery.primitives import vote_threshold, vote_threshold_log
 from noisyquery.toplevel import or_threshold
 
@@ -138,6 +138,16 @@ class TestEnumeration:
         result = enumerate_tournament(BitInstance(bits=(0, 0)), "noisy-or", 0.2, 0.25)
         assert result.error_probability == pytest.approx(0.19, abs=1e-12)
         assert result.expected_queries == pytest.approx(6.4, abs=1e-12)
+
+    def test_enumeration_builds_no_oracle(self, monkeypatch):
+        # The enumerator restates the algorithms, so it stays a referee
+        # independent of them: it never runs one on an oracle.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the enumerator built an oracle")
+
+        monkeypatch.setattr(NoisyOracle, "__init__", refuse)
+        for cfg in verify_registry():
+            enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
 
     def test_outcome_probabilities_sum_to_one(self):
         for cfg in verify_registry():
@@ -268,3 +278,41 @@ class TestVerifyChecks:
     def test_registry_is_enumerable(self):
         for cfg in verify_registry():
             enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
+
+
+# (error probability, expected queries) of every registry configuration,
+# pinned to 12 digits: a rewrite of the enumerator must keep its exact law.
+_REGISTRY_LAW = {
+    "tor-n2-hot": (0.0470383275261324, 13.376306620209059),
+    "tor-n2-zero": (0.03571428571428571, 13.376306620209059),
+    "tor-n3-mid": (0.028042441559961384, 25.52778888444622),
+    "tor-n4-zero": (0.01219512195121951, 33.33266693322669),
+    "tor-n4-pair": (0.014362274361864848, 56.58945351708719),
+    "tor-n8-tail": (0.029357184623644714, 70.82757910534411),
+    "tmax-n2": (0.03571428571428571, 5.571428571428571),
+    "tmax-n3-sorted": (0.006158238861950698, 26.958947848804232),
+    "tmax-n4-sorted": (0.02424152290303391, 23.414634146341456),
+    "tmax-n4-reloc": (0.024241522903033913, 7.317073170731705),
+    "tmax-n8-sorted": (0.028240533055070644, 56.74730107956813),
+    "nor-n2-zero": (0.19000000000000003, 6.400000000000002),
+    "nor-n3-zero": (0.036678571428571435, 10.953857142857146),
+    "nor-n3-one": (0.12439285714285717, 13.761857142857142),
+    "nor-n4-one": (0.044971182504531054, 48.05989677599472),
+    "nor-n4-zero": (0.0014512672696733778, 9.870774418021865),
+    "nmax-n2": (0.1, 3.2),
+    "nmax-n3-sorted": (0.07412793976056034, 7.99586990551043),
+    "nmax-n3-reloc": (0.14743444426156938, 7.99586990551043),
+    "nmax-n3-p15": (0.04366163219341453, 5.211928961694573),
+}
+
+
+@pytest.mark.parametrize("cfg", verify_registry(), ids=lambda cfg: cfg.name)
+def test_registry_law_is_pinned(cfg):
+    error, queries = _REGISTRY_LAW[cfg.name]
+    result = enumerate_tournament(cfg.instance, cfg.algorithm, cfg.delta, cfg.p)
+    assert result.error_probability == pytest.approx(error, rel=1e-12)
+    assert result.expected_queries == pytest.approx(queries, rel=1e-12)
+
+
+def test_registry_law_covers_the_registry():
+    assert sorted(_REGISTRY_LAW) == sorted(cfg.name for cfg in verify_registry())

@@ -21,12 +21,13 @@ from noisyquery.oracles import (
     _generator,
     BitInstance,
     NoisyOracle,
+    StopReport,
     TrialDraws,
     ValueInstance,
     make_instance_max,
     make_instance_or,
 )
-from noisyquery.primitives import StopReport, check_bit, check_bit_log, noisy_compare, noisy_compare_log
+from noisyquery.primitives import check_bit, check_bit_log, noisy_compare, noisy_compare_log
 from recording import RecordingOracle, ScriptedOracle
 
 

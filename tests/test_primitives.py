@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from noisyquery.errors import ContractViolation
 from noisyquery.exact_oracle import analyze_walk
-from noisyquery.oracles import BitInstance, NoisyOracle, ValueInstance
+from noisyquery.oracles import BitInstance, NoisyOracle, StopReport, ValueInstance
 from noisyquery.primitives import (
-    StopReport,
     check_bit,
     check_bit_log,
     noisy_compare,
