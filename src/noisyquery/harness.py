@@ -260,7 +260,8 @@ def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | No
         raise InvariantError(
             f"phase accounting {phase1} + {sub} != query count {total} for {config.algorithm}"
         )
-    return TrialStats(trial_index, output == target, total, phase1, sub)
+    # TrialStats from a tuple, without its Python-level __new__, as trial_records builds them.
+    return tuple.__new__(TrialStats, (trial_index, output == target, total, phase1, sub))
 
 
 # A row's trial records as three columns, in trial order: correct (0 or 1),

@@ -48,13 +48,14 @@ __all__ = [
 ]
 
 _BUF_CAP = 4096
-_PREFIX = (64, 512, _BUF_CAP)  # the channel's chunk sizes, then _BUF_CAP each; these first chunks are shared
+_PREFIX = (128, 448, _BUF_CAP)  # the channel's chunk sizes, then _BUF_CAP each; these first chunks are shared
 _PREFIX_LEN = sum(_PREFIX)
 _PASS_MIN = 32  # a named run's stops are read in numpy passes while it has this many walks left
 _BATCH = 1024  # a named run's walks are read this many at a time, so its arrays stay small
 _WORD = 0xFFFFFFFF
 _BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
 _SET_UP = 256  # trials whose first chunks TrialDraws.block draws and tabulates in one pass
+_NO_FLIPS = memoryview(b"")  # an oracle's buffer before its first chunk; read-only, so shared
 
 
 @lru_cache(maxsize=256)
@@ -347,7 +348,7 @@ class NoisyOracle:
     ) -> None:
         if not 0.0 < p < 0.5:
             raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
-        if draws is not None and (draws.master_seed, draws.trial_index) != (master_seed, trial_index):
+        if draws is not None and (draws.master_seed != master_seed or draws.trial_index != trial_index):
             raise ContractViolation(
                 f"draws of seed {draws.master_seed}, trial {draws.trial_index} "
                 f"given to an oracle of seed {master_seed}, trial {trial_index}"
@@ -356,36 +357,41 @@ class NoisyOracle:
         self.p = p
         self.master_seed = master_seed
         self.trial_index = trial_index
-        self._n = instance.n
         self.queries = 0
         # The instance's own tuples, read at i - 1: a trial copies nothing of size n.
         if isinstance(instance, BitInstance):
             self._bits: tuple[int, ...] | None = instance.bits
             self._values: tuple[float, ...] | None = None
+            self._n = len(instance.bits)
         else:
             self._bits = None
             self._values = instance.values
+            self._n = len(instance.values)
         self._draws = TrialDraws(master_seed, trial_index) if draws is None else draws
         self._rng: np.random.Generator | None = None
-        self._chunk = 0
-        self._buf = memoryview(b"")
+        # Draws that hold chunk 0's table at p, as a block's trials do at their rows' p, start the oracle on it.
+        table = None if draws is None else draws._tables.get((p, 0))
+        self._chunk = 0 if table is None else 1
+        self._buf = _NO_FLIPS if table is None else table
         self._pos = 0
-        self.pending: list[StopReport] = []  # the reports of the named run's walks not yet taken, last first
+        # The reports of the named run's walks not yet taken, last first; a shared empty tuple until a run is named.
+        self.pending: list[StopReport] | tuple[()] = ()
         self._firsts, self._seconds, self._named_k, self._walk = (), None, 0, 0
         self._alg_rng: np.random.Generator | None = None
 
     # -- randomness plumbing -------------------------------------------------
 
     def _refill(self) -> None:
-        # Chunk sizes follow a fixed schedule (64, 512, then 4096 flips),
+        # Chunk sizes follow a fixed schedule (128, 448, then 4096 flips),
         # and the channel draws one double per flip whatever the chunk
         # size, so the flip sequence is a pure function of
         # (master_seed, trial_index).  A chunk is kept as its running
         # margin: entry t is (unflipped - flipped) over flips 0..t of the
         # chunk, so a walk reads the margin of any run of flips as the
         # difference of two entries.  The first chunks are the shared
-        # prefix's tables; the private generator is created at the first
-        # chunk past them.
+        # prefix's tables; an oracle that started on chunk 0's table
+        # first refills at chunk 1.  The private generator is created at
+        # the first chunk past the prefix.
         chunk = self._chunk
         if chunk < len(_PREFIX):
             buf = self._draws.table(self.p, chunk)
@@ -544,8 +550,8 @@ class NoisyOracle:
         where the margin hits L + kZ at a point other than the last one it
         hit.  A numpy pass reads those stops off the chunk, over about the
         flips the walks left need, extended if they need more.  A walk that
-        crosses the chunk's end takes the jump loop, as do the last
-        _PASS_MIN - 1 walks.
+        crosses the chunk's end takes the jump loop, as do a walk from the
+        chunk's first flip and the last _PASS_MIN - 1 walks.
         """
         flips = k / (1.0 - 2.0 * self.p)  # a walk's expected flips, at most
         ts: list = []  # each walk's flips, and whether it ended up, a chunk of walks at a time
@@ -553,14 +559,14 @@ class NoisyOracle:
         hi = -1  # the end of the last pass, if it was in this chunk
         while count:
             buf, pos = self._buf, self._pos
-            if hi == len(buf) or len(buf) - pos < k or count < _PASS_MIN:
+            if not pos or hi == len(buf) or len(buf) - pos < k or count < _PASS_MIN:
                 up, t = self._jump(k)
                 ts.append((t,))
                 ups.append((up,))
                 count, hi = count - 1, -1  # the jump may have refilled: no pass has covered this chunk
                 continue
             hi = min(len(buf), max(hi, pos) + int(count * flips) + k)
-            seg = buf.obj[pos - 1 : hi]  # pos >= 1: a pass follows a walk in this chunk
+            seg = buf.obj[pos - 1 : hi]  # pos >= 1: a chunk's first walk takes the jump loop
             hits = _lattice(k)[seg - (seg[0] - _BUF_CAP)].nonzero()[0]
             levels = seg[hits]
             moves = (levels[1:] != levels[:-1]).nonzero()[0][:count]

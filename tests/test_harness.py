@@ -30,7 +30,7 @@ from noisyquery.harness import (
     trial_records,
     wilson_interval,
 )
-from noisyquery.oracles import BitInstance
+from noisyquery.oracles import BitInstance, TrialDraws
 from recording import RecordingOracle
 
 
@@ -268,6 +268,19 @@ class TestTrialSetUp:
         cfg = _config(n=self.N, instance="all_zero", trials=1)
         run_trials(cfg)
         assert self._traced_peak(lambda: run_trials(cfg)) < 100_000
+
+    @pytest.mark.parametrize("algorithm, instance, n", [("checkbit", "single_one:1", 1), ("noisycompare", "sorted", 2)])
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("delta", [0.05, 0.01, 0.001])
+    def test_a_one_walk_trial_is_its_record(self, algorithm, instance, n, p, delta):
+        # Every row of a 3 p x 3 delta one-walk sweep, over trials that cross
+        # the 256-trial set-up edge, each trial on draws set up at all three p.
+        cfg = _config(algorithm=algorithm, instance=instance, n=n, p=p, delta=delta, trials=300, seed=5)
+        records = trial_records(run_trials(cfg))
+        for t, draws in zip(range(cfg.trials), TrialDraws.block(cfg.seed, 0, cfg.trials, (0.1, 0.25, 0.4))):
+            for stats in (run_trial(cfg, t, draws), run_trial(cfg, t)):
+                assert type(stats) is harness.TrialStats
+                assert stats == records[t], t
 
 
 class TestWorkerCap:

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noisyquery import harness
+from noisyquery import harness, oracles
 from noisyquery.errors import ContractViolation
 from noisyquery.oracles import (
     _BLOCK,
+    _PREFIX,
     _PREFIX_LEN,
     _SET_UP,
     _block_states,
@@ -372,11 +373,12 @@ class TestDeterminism:
     def test_flip_rate_unaffected_by_buffer_boundaries(self):
         # The growth schedule of the internal noise buffer must not skew
         # flips near refill points; compare two read counts bracketing one.
+        first = _PREFIX[0]
         a = NoisyOracle(BitInstance(bits=(0,)), 0.25, master_seed=41, trial_index=0)
-        seq = [a.read_bit(1) for _ in range(130)]
+        seq = [a.read_bit(1) for _ in range(first + 66)]
         b = NoisyOracle(BitInstance(bits=(0,)), 0.25, master_seed=41, trial_index=0)
-        assert [b.read_bit(1) for _ in range(64)] == seq[:64]
-        assert [b.read_bit(1) for _ in range(66)] == seq[64:]
+        assert [b.read_bit(1) for _ in range(first)] == seq[:first]
+        assert [b.read_bit(1) for _ in range(66)] == seq[first:]
 
 
 @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=32))
@@ -393,8 +395,8 @@ def test_noiseless_channel_reads_truth(bits):
 
 BIT_INSTANCE = BitInstance(bits=(0, 1, 0, 1))
 VALUE_INSTANCE = ValueInstance(values=(3.0, 1.0, 4.0, 2.0))
-# Refill boundaries of the flip stream: chunks of 64, 512, then 4096 flips.
-REFILL_AT = (64, 64 + 512, 64 + 512 + 4096, 64 + 512 + 2 * 4096)
+# Refill boundaries of the flip stream: chunks of 128, 448, then 4096 flips.
+REFILL_AT = (128, 128 + 448, 128 + 448 + 4096, 128 + 448 + 2 * 4096)
 
 
 def _loop_walk(oracle, i, j, k):
@@ -470,7 +472,7 @@ class TestWalkMatchesQueryLoop:
     @pytest.mark.parametrize("k, p", [(600, 0.02), (600, 0.05), (5000, 0.02), (5000, 0.05)])
     @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 3)])
     def test_walks_longer_than_a_buffer(self, k, p, instance, j):
-        # One jump of k flips spans the 64- and 512-flip first chunks and, at
+        # One jump of k flips spans the 128- and 448-flip first chunks and, at
         # K = 5000, a 4096-flip one too.
         fast, slow = _twins(instance, p, 13, 6)
         walks = [(1, j, k)] * (2 if k == 600 else 5)
@@ -523,7 +525,7 @@ class TestWalkScriptedAndNoiseless:
         assert fast.queries == slow.queries == 6
         assert _single(fast, j) == _single(slow, j) == 1  # the next answer read is flip 6
 
-    @pytest.mark.parametrize("k", [1, 9, 600])  # 600 > the 64- and 512-flip first chunks
+    @pytest.mark.parametrize("k", [1, 9, 600])  # 600 > the 128- and 448-flip first chunks
     def test_noiseless_walk_takes_exactly_k(self, k):
         oracle = ScriptedOracle(BIT_INSTANCE)
         assert oracle.walk(2, None, k) == (True, k)
@@ -806,7 +808,7 @@ class TestNamedRuns:
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_every_threshold_across_the_prefix(self, instance, shared):
         # From K = 1 (about 10,500 walks, over ten batches) to K = 150, each
-        # run crosses the 64, 512 and 4096 refills, the end of the shared
+        # run crosses the refills at 128 and 576 flips, the end of the shared
         # prefix at 4,672 flips, and a refill of the private generator.
         p = 0.25
         for k in range(1, 151):
@@ -1038,7 +1040,7 @@ def assert_block_twin(draws, seed, trial, ps, late=False):
     """
     lone = TrialDraws(seed, trial)
     assert (draws.master_seed, draws.trial_index) == (seed, trial)
-    assert draws._chunks[0].tolist() == _generator(seed, trial, 0).random(64).tolist()
+    assert draws._chunks[0].tolist() == _generator(seed, trial, 0).random(_PREFIX[0]).tolist()
     if late:
         assert draws.continuation().random(8).tolist() == lone.continuation().random(8).tolist()
     for p in (*ps, 0.3):
@@ -1095,6 +1097,41 @@ class TestBlockDraws:
         for start, stop in ranges:
             for trial, draws in zip(range(start, stop), TrialDraws.block(3, start, stop, (0.25, 0.4)), strict=True):
                 assert_block_twin(draws, 3, trial, (0.25, 0.4), late=trial % 5 == 0)
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    @pytest.mark.parametrize("p", [0.1, 0.4])
+    def test_an_oracle_starts_on_its_chunk_0_table(self, instance, p, monkeypatch):
+        # A walk that ends in chunk 0 builds no table: _margins would raise.
+        draws = next(TrialDraws.block(3, 8, 9, (p, 0.25)))
+        table = draws.table(p, 0)
+        oracle = NoisyOracle(instance, p, 3, 8, draws)
+        assert oracle._buf.obj is table.obj and oracle._chunk == 1 and oracle._pos == 0
+        monkeypatch.setattr(oracles, "_margins", None)
+        i, j, _ = _run(instance, 1, 1)[0]
+        while oracle.queries < _PREFIX[0]:
+            oracle.walk(i, j, 1)
+        assert set(draws._tables) == {(p, 0), (0.25, 0)} and len(draws._chunks) == 1
+        # Without a table at its p an oracle draws nothing until its first walk.
+        lone = NoisyOracle(instance, 0.3, 3, 8, draws)
+        assert len(lone._buf) == 0 and lone._chunk == 0 and (0.3, 0) not in draws._tables
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
+    def test_oracles_on_chunk_0_tables_match_their_lone_twins(self, instance, p):
+        # From flip 0 at K = 1..150: a lone walk, a single query then a walk,
+        # and a named run of 1..40 walks, whose passes start after one jump.
+        seed, ks = 6, range(1, 151)
+        for k, draws in zip(ks, TrialDraws.block(seed, ks.start, ks.stop, (p, 0.3)), strict=True):
+            walks = _walks(instance, 40 - (k - 1) % 40)  # 40 walks down to 1: long runs at the smallest K
+            i, j = walks[0]
+            started, lone = NoisyOracle(instance, p, seed, k, draws), NoisyOracle(instance, p, seed, k)
+            assert started._chunk == 1
+            _assert_walks_match(started, lone, [(i, j, k)])
+            started, lone = NoisyOracle(instance, p, seed, k, draws), NoisyOracle(instance, p, seed, k)
+            assert _single(started, j) == _single(lone, j)
+            _assert_walks_match(started, lone, [(i, j, k)])
+            started, lone = NoisyOracle(instance, p, seed, k, draws), NoisyOracle(instance, p, seed, k)
+            _assert_run_matches_walks(started, lone, walks, k)
 
     def test_an_empty_range_hands_out_nothing(self):
         assert list(TrialDraws.block(2, 5, 5, [0.25])) == []
