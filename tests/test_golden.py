@@ -63,7 +63,9 @@ def test_output_matches_golden_file(name):
     assert _output(CASES[name]) == expected
 
 
-@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith(("run-", "sweep-checkbit", "sweep-noisycompare"))))
+@pytest.mark.parametrize(
+    "name", sorted(name for name in CASES if name.startswith(("run-", "sweep-checkbit", "sweep-noisycompare")))
+)
 def test_run_across_workers_matches_golden_file(name):
     # Trial records cross the worker pool and must come back unchanged; a
     # sweep's 1,000 trials split into jobs of 62, off the 256-trial set-up grid.
