@@ -130,7 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(render_csv([stats]), args.out)
     else:
-        _emit(render_json([stats], {0: trial_records(columns)} if args.raw_trials else None), args.out)
+        _emit(render_json([stats], trial_records(columns) if args.raw_trials else None), args.out)
     return _EXIT_OK
 
 
@@ -191,36 +191,31 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", default=None, help="output path (default: stdout)")
     b.set_defaults(func=_cmd_bounds)
 
-    r = sub.add_parser("run", help="run one Monte Carlo campaign")
-    r.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    r.add_argument(
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    common.add_argument(
         "--instance",
         required=True,
         help="family[:params], e.g. all_zero, single_one:3, literal:0,1,0, "
         "sorted, relocated:2, permuted:7, literal:1.5,2.5",
     )
+    common.add_argument("--trials", type=int, required=True)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--workers", type=int, default=1)
+
+    r = sub.add_parser("run", parents=[common], help="run one Monte Carlo campaign")
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--p", type=float, required=True)
     r.add_argument("--delta", type=float, required=True)
-    r.add_argument("--trials", type=int, required=True)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--out", default=None, help="output path (default: stdout)")
-    r.add_argument("--format", choices=("csv", "json"), default="csv")
     r.add_argument("--raw-trials", action="store_true", help="include per-trial records (json only)")
-    r.add_argument("--workers", type=int, default=1)
     r.set_defaults(func=_cmd_run)
 
-    s = sub.add_parser("sweep", help="run a grid of campaigns over n, p, delta")
-    s.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    s.add_argument("--instance", required=True)
+    s = sub.add_parser("sweep", parents=[common], help="run a grid of campaigns over n, p, delta")
     s.add_argument("--n", required=True, help="comma list (100,1000) or range start:stop:step")
     s.add_argument("--p", required=True, help="comma list or range")
     s.add_argument("--delta", required=True, help="comma list or range")
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out", default=None)
-    s.add_argument("--format", choices=("csv", "json"), default="csv")
-    s.add_argument("--workers", type=int, default=1)
     s.set_defaults(func=_cmd_sweep)
 
     v = sub.add_parser("verify", help="cross-check the exact oracles and enumerable configurations")

@@ -18,9 +18,10 @@ The implementations consume oracle answers query by query; the analysis
 here never draws a single random bit.  It shares only four definitions
 with them: the vote threshold
 (:func:`~noisyquery.primitives.vote_threshold` and its log form), the
-round schedule (:class:`~noisyquery.tournaments.RoundSchedule`), the OR
-survivor cutoff (:func:`~noisyquery.toplevel.or_threshold`) and the MAX
-sampling probability (:func:`~noisyquery.toplevel.sampling_probability`);
+round schedule (:func:`~noisyquery.tournaments.round_thresholds` and
+:func:`~noisyquery.tournaments.or_half`), the OR survivor cutoff
+(:func:`~noisyquery.toplevel.or_threshold`) and the MAX sampling
+probability (:func:`~noisyquery.toplevel.sampling_probability`);
 the tests pin the values of all four independently.  The enumerator
 restates each algorithm from these alone.
 """
@@ -39,7 +40,7 @@ from .errors import ContractViolation, EnumerationCapError
 from .oracles import BitInstance, ValueInstance
 from .primitives import vote_threshold
 from .toplevel import or_threshold, sampling_probability
-from .tournaments import RoundSchedule
+from .tournaments import or_half, round_thresholds
 
 __all__ = [
     "EnumerationResult",
@@ -56,7 +57,6 @@ __all__ = [
     "walk_branch_stats",
 ]
 
-_PATH_CAP = 10_000_000
 _FULL_ALGO_N_CAP = 4
 _FULL_ALGO_K_CAP = 8
 _TOURNAMENT_N_CAP = 8
@@ -66,9 +66,6 @@ _TOURNAMENT_N_CAP = 8
 class WalkAnalysis:
     """Closed-form absorption statistics of the +/-K walk with up-probability 1-p."""
 
-    p: float
-    threshold: int
-    lam: float
     error_probability: float
     expected_queries: float
 
@@ -96,9 +93,7 @@ def analyze_walk(p: float, threshold: int) -> WalkAnalysis:
     error = 1.0 / (1.0 + power)
     win = 1.0 / (1.0 + lam**-threshold)  # underflows to 0.0 where power overflows
     expected = (threshold - 2.0 * threshold * win) / (p - (1.0 - p))
-    return WalkAnalysis(
-        p=p, threshold=threshold, lam=lam, error_probability=error, expected_queries=expected
-    )
+    return WalkAnalysis(error_probability=error, expected_queries=expected)
 
 
 def analyze_walk_markov(p: float, threshold: int) -> WalkAnalysis:
@@ -127,13 +122,7 @@ def analyze_walk_markov(p: float, threshold: int) -> WalkAnalysis:
     lose = np.linalg.solve(eye - q_mat, lose_rhs)
     time = np.linalg.solve(eye - q_mat, np.ones(m))
     start = k - 1  # d = 0
-    return WalkAnalysis(
-        p=p,
-        threshold=threshold,
-        lam=(1.0 - p) / p,
-        error_probability=float(lose[start]),
-        expected_queries=float(time[start]),
-    )
+    return WalkAnalysis(error_probability=float(lose[start]), expected_queries=float(time[start]))
 
 
 @dataclass(frozen=True)
@@ -149,8 +138,6 @@ class WalkBranchStats:
     doubles as a solver check.
     """
 
-    p: float
-    threshold: int
     correct_prob: float
     error_prob: float
     expected_queries: float
@@ -210,8 +197,6 @@ def _branch_stats_cached(p: float, threshold: int) -> WalkBranchStats:
     e_win = w[start] / win
     e_lose = (t[start] - w[start]) / (one - win)
     return WalkBranchStats(
-        p=p,
-        threshold=threshold,
         correct_prob=float(win),
         error_prob=float(one - win),
         expected_queries=float(t[start]),
@@ -239,7 +224,7 @@ def tournament_max_cost(r: int, delta: float, p: float) -> float:
     expectation is composition-independent.
     """
     cost = 0.0
-    for k in RoundSchedule.for_size(r, delta).vote_thresholds(p):
+    for k in round_thresholds(r, delta, p):
         cost += r // 2 * analyze_walk(p, k).expected_queries
         r = (r + 1) // 2
     return cost
@@ -247,9 +232,9 @@ def tournament_max_cost(r: int, delta: float, p: float) -> float:
 
 def tournament_or_cost(r: int, delta: float, p: float) -> float:
     """Exact expected reads of an OR knockout over r entrants (final check included)."""
-    bracket, final = RoundSchedule.or_split(delta)
-    final_check = analyze_walk(p, vote_threshold(p, final)).expected_queries
-    return tournament_max_cost(r, bracket, p) + final_check
+    half = or_half(delta)
+    final_check = analyze_walk(p, vote_threshold(p, half)).expected_queries
+    return tournament_max_cost(r, half, p) + final_check
 
 
 def _binom_pmf_window(n: int, q: float) -> tuple[int, np.ndarray]:
@@ -285,8 +270,7 @@ def noisy_or_error_all_zero(n: int, delta: float, p: float) -> float:
     check does, independent of the bracket path.
     """
     err = analyze_walk(p, vote_threshold(p, delta)).error_probability
-    _, final = RoundSchedule.or_split(delta)
-    final_err = analyze_walk(p, vote_threshold(p, final)).error_probability
+    final_err = analyze_walk(p, vote_threshold(p, or_half(delta))).error_probability
     theta = or_threshold(n, delta)
     lo, pmf = _binom_pmf_window(n, err)
     error = 0.0
@@ -432,7 +416,7 @@ def _enum_knockout(entrants: tuple, delta: float, p: float, is_max: bool) -> lis
         truth, step = (lambda s: s[0][1] == 1), (lambda s, one: s[2:] + (s[not one],))
     leaves = [(1.0, 0.0, entrants)]
     size = len(entrants)
-    for k in RoundSchedule.for_size(size, delta).vote_thresholds(p):
+    for k in round_thresholds(size, delta, p):
         stats = walk_branch_stats(p, k)
         for _ in range(size // 2):
             leaves = _walk(leaves, stats, truth, step)
@@ -443,9 +427,9 @@ def _enum_knockout(entrants: tuple, delta: float, p: float, is_max: bool) -> lis
 
 
 def _enum_tournament_or(entrants: tuple, delta: float, p: float) -> list:
-    bracket, final = RoundSchedule.or_split(delta)
-    final_check = walk_branch_stats(p, vote_threshold(p, final))
-    leaves = _enum_knockout(entrants, bracket, p, is_max=False)
+    half = or_half(delta)
+    final_check = walk_branch_stats(p, vote_threshold(p, half))
+    leaves = _enum_knockout(entrants, half, p, is_max=False)
     return _walk(leaves, final_check, lambda s: s[0][1] == 1, lambda s, one: int(one))  # the winner's final check
 
 
@@ -497,12 +481,12 @@ def _reachable_thresholds(algorithm: str, n: int, delta: float, p: float) -> lis
     if algorithm == "noisy-or":
         theta = or_threshold(n, delta)
         size = max(min(n, math.ceil(theta) - 1), 1)
-        bracket, final = RoundSchedule.or_split(delta)
-        checks = [vote_threshold(p, delta), vote_threshold(p, final)]
+        bracket = or_half(delta)
+        checks = [vote_threshold(p, delta), vote_threshold(p, bracket)]
     else:
         size, bracket = n, delta
         checks = [vote_threshold(p, delta)]
-    return [*checks, *RoundSchedule.for_size(size, bracket).vote_thresholds(p)]
+    return [*checks, *round_thresholds(size, bracket, p)]
 
 
 # name -> (instance type, enumerator, largest input, largest reachable vote
@@ -544,10 +528,6 @@ def enumerate_tournament(
             raise EnumerationCapError(
                 f"{algorithm} enumeration capped at vote thresholds <= {k_cap}, got {k}"
             )
-    # Path count is dominated by one branch per primitive call.
-    paths = 2 ** (2 * n + 2) * (2**n if algorithm == "noisy-max" else 1)
-    if paths > _PATH_CAP:
-        raise EnumerationCapError(f"enumeration would visit ~{paths} paths, above {_PATH_CAP}")
     if not isinstance(instance, model):
         raise ContractViolation(f"{algorithm} needs a {model.__name__}")
     entrants = tuple(enumerate(instance.bits if model is BitInstance else instance.values, start=1))
@@ -661,7 +641,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
 
     # Enumeration agrees with hand-derivable structure.
     single = enumerate_tournament(BitInstance(bits=(0,)), "tournament-or", 0.25, 0.25)
-    cf1 = analyze_walk(0.25, vote_threshold(0.25, RoundSchedule.or_split(0.25)[1]))
+    cf1 = analyze_walk(0.25, vote_threshold(0.25, or_half(0.25)))
     ok = (
         _rel_err(single.error_probability, cf1.error_probability) < 1e-12
         and _rel_err(single.expected_queries, cf1.expected_queries) < 1e-12
@@ -669,7 +649,7 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
     checks.append(("enumeration: single-entrant OR = one stopped walk", ok, ""))
 
     pair = enumerate_tournament(ValueInstance(values=(1.0, 2.0)), "tournament-max", 0.1, 0.25)
-    (k2,) = RoundSchedule.for_size(2, 0.1).vote_thresholds(0.25)
+    (k2,) = round_thresholds(2, 0.1, 0.25)
     cf2 = analyze_walk(0.25, k2)
     ok = (
         _rel_err(pair.error_probability, cf2.error_probability) < 1e-12

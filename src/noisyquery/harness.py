@@ -31,7 +31,7 @@ from .errors import ContractViolation, InvariantError
 from .oracles import BitInstance, NoisyOracle, TrialDraws, ValueInstance, make_instance_max, make_instance_or
 from .primitives import check_bit, noisy_compare
 from .toplevel import noisy_max_report, noisy_or_report
-from .tournaments import RoundSchedule, tournament_max, tournament_or
+from .tournaments import or_half, tournament_max, tournament_or
 
 __all__ = [
     "AggregateStats",
@@ -54,34 +54,34 @@ __all__ = [
 ]
 
 
-# A runner maps (oracle, n, delta, p) to (output, phase-1 queries, subroutine
+# A runner maps (oracle, delta, p) to (output, phase-1 queries, subroutine
 # queries).  Each calls its algorithm by module-global name, so a tracer that
 # swaps module attributes sees the call; a table of function objects would not.
 
 
-def _run_checkbit(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+def _run_checkbit(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
     return (*check_bit(oracle, 1, delta, p), 0)
 
 
-def _run_noisycompare(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
+def _run_noisycompare(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
     return (*noisy_compare(oracle, 1, 2, delta, p), 0)
 
 
-def _run_tournament_or(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
-    return tournament_or(oracle, list(range(1, n + 1)), delta, p), 0, oracle.queries
+def _run_tournament_or(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
+    return tournament_or(oracle, list(range(1, oracle.instance.n + 1)), delta, p), 0, oracle.queries
 
 
-def _run_tournament_max(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
-    return tournament_max(oracle, list(range(1, n + 1)), delta, p), 0, oracle.queries
+def _run_tournament_max(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
+    return tournament_max(oracle, list(range(1, oracle.instance.n + 1)), delta, p), 0, oracle.queries
 
 
-def _run_noisy_or(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
-    report = noisy_or_report(oracle, n, delta, p)
+def _run_noisy_or(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
+    report = noisy_or_report(oracle, delta, p)
     return report.output, report.phase1_queries, report.subroutine_queries
 
 
-def _run_noisy_max(oracle: NoisyOracle, n: int, delta: float, p: float) -> tuple[int, int, int]:
-    report = noisy_max_report(oracle, n, delta, p)
+def _run_noisy_max(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
+    report = noisy_max_report(oracle, delta, p)
     return report.output, report.phase1_queries, report.subroutine_queries
 
 
@@ -140,7 +140,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if self.algorithm in ("tournament-or", "noisy-or"):
-            RoundSchedule.or_split(self.delta)
+            or_half(self.delta)
         if self.algorithm in ("noisycompare",) and self.n < 2:
             raise ContractViolation("noisycompare needs n >= 2")
         _cached_instance(self.instance, self.n, self.algorithm)  # the instance its trials will run on
@@ -254,7 +254,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | No
     """
     instance, target = _cached_instance(config.instance, config.n, config.algorithm)
     oracle = NoisyOracle(instance, config.p, config.seed, trial_index, draws)
-    output, phase1, sub = ALGORITHMS[config.algorithm][1](oracle, config.n, config.delta, config.p)
+    output, phase1, sub = ALGORITHMS[config.algorithm][1](oracle, config.delta, config.p)
     total = oracle.queries
     if phase1 + sub != total:
         raise InvariantError(
@@ -435,14 +435,9 @@ def render_csv(rows: Iterable[AggregateStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    rows: Sequence[AggregateStats], raw_trials: dict[int, Sequence[TrialStats]] | None = None
-) -> str:
-    """JSON rendering with the same fields; optional raw per-trial records."""
-    payload = []
-    for row_idx, stats in enumerate(rows):
-        record = dict(zip(CSV_COLUMNS, _row_values(stats)))
-        if raw_trials is not None and row_idx in raw_trials:
-            record["trials_raw"] = [t._asdict() for t in raw_trials[row_idx]]
-        payload.append(record)
+def render_json(rows: Sequence[AggregateStats], raw_trials: Sequence[TrialStats] | None = None) -> str:
+    """JSON rendering with the same fields; optional raw per-trial records of a one-row run."""
+    payload = [dict(zip(CSV_COLUMNS, _row_values(stats))) for stats in rows]
+    if raw_trials is not None:
+        payload[0]["trials_raw"] = [t._asdict() for t in raw_trials]
     return json.dumps(payload, indent=2) + "\n"

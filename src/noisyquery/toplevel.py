@@ -16,7 +16,7 @@ from .bounds import log_inverse
 from .errors import ContractViolation
 from .oracles import NoisyOracle
 from .primitives import check_bit, noisy_compare, vote_threshold
-from .tournaments import RoundSchedule, tournament_max, tournament_or
+from .tournaments import or_half, tournament_max, tournament_or
 
 __all__ = [
     "MaxRunReport",
@@ -71,8 +71,8 @@ class MaxRunReport:
     shortlist: tuple[int, ...]
 
 
-def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRunReport:
-    """Run the two-phase OR algorithm and report the phase breakdown.
+def noisy_or_report(oracle: NoisyOracle, delta: float, p: float) -> OrRunReport:
+    """Run the two-phase OR algorithm on the oracle's n bits and report the phase breakdown.
 
     Phase 1 checks every bit at tolerance delta, collecting the indices
     that answered 1.  No survivor means 0; at least
@@ -82,11 +82,8 @@ def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRu
     error is at most 2 delta.  A delta the tournament cannot split is
     refused before any query, whatever the bits turn out to be.
     """
-    if n < 1:
-        raise ContractViolation(f"n must be >= 1, got {n}")
-    RoundSchedule.or_split(delta)
-    if oracle.instance.n < n:
-        raise ContractViolation(f"oracle instance has {oracle.instance.n} bits, need {n}")
+    or_half(delta)
+    n = oracle.instance.n
     start = oracle.queries
     oracle.name_run(range(1, n + 1), None, vote_threshold(p, delta))
     survivors = [i for i in range(1, n + 1) if check_bit(oracle, i, delta, p).decision == 1]
@@ -99,8 +96,8 @@ def noisy_or_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> OrRu
     return OrRunReport(output, phase1, oracle.queries - start - phase1, tuple(survivors))
 
 
-def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> MaxRunReport:
-    """Run the two-phase MAX algorithm and report the phase breakdown.
+def noisy_max_report(oracle: NoisyOracle, delta: float, p: float) -> MaxRunReport:
+    """Run the two-phase MAX algorithm on the oracle's n values and report the phase breakdown.
 
     A subsample drawn with per-index probability 1/log n is tournamented
     to a champion; every unsampled element is compared against the
@@ -112,10 +109,7 @@ def noisy_max_report(oracle: NoisyOracle, n: int, delta: float, p: float) -> Max
     until nonempty, which leaves the conditional law of the sample
     unchanged.
     """
-    if n < 1:
-        raise ContractViolation(f"n must be >= 1, got {n}")
-    if oracle.instance.n < n:
-        raise ContractViolation(f"oracle instance has {oracle.instance.n} values, need {n}")
+    n = oracle.instance.n
     q = sampling_probability(n)
     rng = oracle.algorithm_rng
     if q >= 1.0:

@@ -22,53 +22,40 @@ from logs directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ContractViolation
 from .oracles import NoisyOracle
 from .primitives import check_bit, check_bit_log, noisy_compare_log, vote_threshold_log
 
-__all__ = ["RoundSchedule", "tournament_max", "tournament_or"]
+__all__ = ["or_half", "round_log_errors", "round_thresholds", "tournament_max", "tournament_or"]
 
-@dataclass(frozen=True)
-class RoundSchedule:
-    """The per-round error budget delta 2^-i of one bracket, held in log space."""
 
-    delta: float
-    rounds: int
+def round_log_errors(r: int, delta: float) -> list[float]:
+    """log of each round's tolerance delta 2^-i, i = 1..ceil(log2 r), for a bracket of r entrants.
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 0.5:
-            raise ContractViolation(f"delta must lie in (0, 1/2), got {self.delta}")
-        if self.rounds < 0:
-            raise ContractViolation(f"rounds must be >= 0, got {self.rounds}")
+    Exact where the tolerance itself underflows.
+    """
+    if r < 1:
+        raise ContractViolation(f"tournament size must be >= 1, got {r}")
+    if not 0.0 < delta < 0.5:
+        raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
+    return [math.log(delta) - i * math.log(2.0) for i in range(1, math.ceil(math.log2(r)) + 1)]
 
-    @classmethod
-    def for_size(cls, r: int, delta: float) -> "RoundSchedule":
-        if r < 1:
-            raise ContractViolation(f"tournament size must be >= 1, got {r}")
-        return cls(delta=delta, rounds=math.ceil(math.log2(r)))
 
-    @staticmethod
-    def or_split(delta: float) -> tuple[float, float]:
-        """(bracket, final check) tolerances of an OR tournament that may err with probability delta."""
-        if not 0.0 < delta < 0.5:
-            raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
-        half = delta / 2.0
-        if half == 0.0:
-            raise ContractViolation(f"delta {delta!r} is too small to split in half")
-        return half, half
+def round_thresholds(r: int, delta: float, p: float) -> list[int]:
+    """The vote threshold of each round of a bracket of r entrants at crossover probability p."""
+    return [vote_threshold_log(p, log_tol) for log_tol in round_log_errors(r, delta)]
 
-    def log_round_error(self, i: int) -> float:
-        """log of the round-i tolerance; exact where the tolerance itself underflows."""
-        if not 1 <= i <= max(self.rounds, 1):
-            raise ContractViolation(f"round index {i} outside 1..{self.rounds}")
-        return math.log(self.delta) - i * math.log(2.0)
 
-    def vote_thresholds(self, p: float) -> list[int]:
-        """The vote threshold of rounds 1..rounds at crossover probability p."""
-        return [vote_threshold_log(p, self.log_round_error(i)) for i in range(1, self.rounds + 1)]
+def or_half(delta: float) -> float:
+    """delta/2, the tolerance of both the bracket and the final check of an OR tournament erring at most delta."""
+    if not 0.0 < delta < 0.5:
+        raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
+    half = delta / 2.0
+    if half == 0.0:
+        raise ContractViolation(f"delta {delta!r} is too small to split in half")
+    return half
 
 
 def _play_rounds(entrants: Sequence[int], delta: float, play: Callable[[list, list, float], list[int]]) -> int:
@@ -77,11 +64,10 @@ def _play_rounds(entrants: Sequence[int], delta: float, play: Callable[[list, li
     The schedule refuses an empty bracket and a delta outside (0, 1/2)
     before any match is played.
     """
-    schedule = RoundSchedule.for_size(len(entrants), delta)
     survivors = list(entrants)
-    for i in range(1, schedule.rounds + 1):
+    for log_tol in round_log_errors(len(survivors), delta):
         r = len(survivors)
-        nxt = play(survivors[: r - r % 2 : 2], survivors[1::2], schedule.log_round_error(i))
+        nxt = play(survivors[: r - r % 2 : 2], survivors[1::2], log_tol)
         if r % 2 == 1:
             nxt.append(survivors[-1])
         survivors = nxt
@@ -97,14 +83,14 @@ def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: 
     A delta too small to halve is refused before any match is played.
     Each round's checks are named on the oracle as one run of walks.
     """
-    bracket_delta, final_delta = RoundSchedule.or_split(delta)
+    half = or_half(delta)
 
     def play(firsts: list[int], seconds: list[int], log_tol: float) -> list[int]:
         oracle.name_run(firsts, None, vote_threshold_log(p, log_tol))
         return [a if check_bit_log(oracle, a, log_tol, p).decision == 1 else b for a, b in zip(firsts, seconds)]
 
-    last = _play_rounds(indices, bracket_delta, play)
-    return check_bit(oracle, last, final_delta, p).decision
+    last = _play_rounds(indices, half, play)
+    return check_bit(oracle, last, half, p).decision
 
 
 def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: float) -> int:

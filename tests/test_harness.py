@@ -189,8 +189,8 @@ class TestTrials:
     def test_misreported_phase_split_is_caught(self, monkeypatch):
         model, runner, target = harness.ALGORITHMS["noisy-or"]
 
-        def misreporting(oracle, n, delta, p):
-            output, phase1, sub = runner(oracle, n, delta, p)
+        def misreporting(oracle, delta, p):
+            output, phase1, sub = runner(oracle, delta, p)
             return output, phase1, sub + 1
 
         monkeypatch.setitem(harness.ALGORITHMS, "noisy-or", (model, misreporting, target))
@@ -240,7 +240,7 @@ class TestQueryConservation:
         runner = harness.ALGORITHMS[algorithm][1]
         for trial in range(5):
             oracle = RecordingOracle(parse_instance_spec(instance, n, algorithm), cfg.p, seed, trial)
-            _, phase1, sub = runner(oracle, n, cfg.delta, cfg.p)
+            _, phase1, sub = runner(oracle, cfg.delta, cfg.p)
             assert oracle.walks
             assert sum(queries for *_, queries in oracle.walks) == oracle.queries == phase1 + sub
             assert run_trial(cfg, trial)[2:] == (oracle.queries, phase1, sub)
@@ -354,7 +354,7 @@ class TestRendering:
         columns = run_trials(cfg)
         stats = aggregate(cfg, columns)
         trials = trial_records(columns)
-        payload = json.loads(render_json([stats], {0: trials}))
+        payload = json.loads(render_json([stats], trials))
         assert payload[0]["algorithm"] == "checkbit"
         assert payload[0]["trials"] == 6
         assert len(payload[0]["trials_raw"]) == 6

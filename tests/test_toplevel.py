@@ -71,7 +71,7 @@ class TestSamplingProbability:
 class TestNoisyOrTraces:
     def test_all_zero_truthful_uses_n_times_threshold(self):
         oracle = ScriptedOracle(make_instance_or("all_zero", 3))
-        report = noisy_or_report(oracle, 3, 0.01, 0.25)
+        report = noisy_or_report(oracle, 0.01, 0.25)
         assert report.output == 0
         assert oracle.walks == [(i, None, 5, 5) for i in (1, 2, 3)]  # three truthful K=5 walks
         assert report.phase1_queries == oracle.queries == 15
@@ -83,7 +83,7 @@ class TestNoisyOrTraces:
         # more check of that bit, at half the tolerance.  Phase 1 runs at
         # K(0.05) = 3, the final check at K(0.025) = 4.
         oracle = ScriptedOracle(make_instance_or("single_one", 3, index=1))
-        report = noisy_or_report(oracle, 3, 0.05, 0.25)
+        report = noisy_or_report(oracle, 0.05, 0.25)
         assert report.output == 1
         assert report.survivors == (1,)
         assert oracle.walks == [(1, None, 3, 3), (2, None, 3, 3), (3, None, 3, 3), (1, None, 4, 4)]
@@ -93,14 +93,14 @@ class TestNoisyOrTraces:
     def test_delta_too_small_to_halve_is_refused_before_any_query(self):
         oracle = ScriptedOracle(make_instance_or("all_zero", 3))
         with pytest.raises(ContractViolation, match="too small to split in half"):
-            noisy_or_report(oracle, 3, 5e-324, 0.25)
+            noisy_or_report(oracle, 5e-324, 0.25)
         assert oracle.queries == 0
 
     def test_many_survivors_short_circuit(self):
         # All-ones with n = 8: eight survivors >= max(log 8, ...) ~ 2.08,
         # so the answer is declared without any tournament.
         oracle = ScriptedOracle(make_instance_or("literal", bits=(1,) * 8))
-        report = noisy_or_report(oracle, 8, 0.01, 0.25)
+        report = noisy_or_report(oracle, 0.01, 0.25)
         assert report.output == 1
         assert report.subroutine_queries == 0
         assert len(report.survivors) == 8
@@ -108,38 +108,38 @@ class TestNoisyOrTraces:
     def test_zero_certificate(self):
         # No survivor ever invokes the tournament.
         oracle = ScriptedOracle(make_instance_or("all_zero", 6))
-        report = noisy_or_report(oracle, 6, 0.05, 0.3)
+        report = noisy_or_report(oracle, 0.05, 0.3)
         assert report.output == 0
         assert report.subroutine_queries == 0
 
     def test_phase_accounting_matches_query_count(self):
         oracle = NoisyOracle(make_instance_or("single_one", 20, index=7), 0.25, master_seed=3)
-        report = noisy_or_report(oracle, 20, 0.05, 0.25)
+        report = noisy_or_report(oracle, 0.05, 0.25)
         assert report.phase1_queries + report.subroutine_queries == oracle.queries
 
     def test_n_one(self):
         oracle = ScriptedOracle(make_instance_or("literal", bits=(1,)))
-        assert noisy_or_report(oracle, 1, 0.01, 0.25).output == 1
+        assert noisy_or_report(oracle, 0.01, 0.25).output == 1
 
 
 class TestNoisyMaxTraces:
     def test_n_one_uses_no_queries(self):
         oracle = ScriptedOracle(ValueInstance(values=(3.0,)))
-        report = noisy_max_report(oracle, 1, 0.01, 0.25)
+        report = noisy_max_report(oracle, 0.01, 0.25)
         assert report.output == 1
         assert oracle.queries == 0
         assert report.sample == (1,)
 
     def test_n_two_samples_everything(self):
         oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0)))
-        report = noisy_max_report(oracle, 2, 0.1, 0.25)
+        report = noisy_max_report(oracle, 0.1, 0.25)
         assert report.sample == (1, 2)
         assert report.output == 2
         assert report.phase1_queries == 0  # empty complement
 
     def test_membership_invariants(self):
         oracle = NoisyOracle(make_instance_max("sorted", 40), 0.25, master_seed=11)
-        report = noisy_max_report(oracle, 40, 0.05, 0.25)
+        report = noisy_max_report(oracle, 0.05, 0.25)
         assert report.output in report.shortlist
         assert report.shortlist[0] == report.champion
         sample = set(report.sample)
@@ -149,7 +149,7 @@ class TestNoisyMaxTraces:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_unsampled_index_meets_the_champion_in_order(self, seed):
         oracle = RecordingOracle(make_instance_max("permuted", 300, seed=seed), 0.25, master_seed=seed)
-        report = noisy_max_report(oracle, 300, 0.05, 0.25)
+        report = noisy_max_report(oracle, 0.05, 0.25)
         sample = set(report.sample)
         others = [u for u in range(1, 301) if u not in sample]
         assert 0 < len(sample) < 300
@@ -158,21 +158,21 @@ class TestNoisyMaxTraces:
 
     def test_phase_accounting_matches_query_count(self):
         oracle = NoisyOracle(make_instance_max("sorted", 30), 0.2, master_seed=4)
-        report = noisy_max_report(oracle, 30, 0.05, 0.2)
+        report = noisy_max_report(oracle, 0.05, 0.2)
         assert report.phase1_queries + report.subroutine_queries == oracle.queries
 
     def test_noiseless_returns_argmax(self):
         oracle = ScriptedOracle(make_instance_max("relocated", 25, index=9))
-        assert noisy_max_report(oracle, 25, 0.05, 0.25).output == 9
+        assert noisy_max_report(oracle, 0.05, 0.25).output == 9
 
     def test_determinism(self):
         a = noisy_max_report(
             NoisyOracle(make_instance_max("sorted", 50), 0.25, master_seed=6, trial_index=2),
-            50, 0.05, 0.25,
+            0.05, 0.25,
         )
         b = noisy_max_report(
             NoisyOracle(make_instance_max("sorted", 50), 0.25, master_seed=6, trial_index=2),
-            50, 0.05, 0.25,
+            0.05, 0.25,
         )
         assert a == b
 
@@ -189,7 +189,7 @@ class TestStatisticalContracts:
         queries = 0
         for t in range(trials):
             oracle = NoisyOracle(instance, p, master_seed=21, trial_index=t)
-            rep = noisy_or_report(oracle, n, delta, p)
+            rep = noisy_or_report(oracle, delta, p)
             wrong += rep.output != 0
             queries += oracle.queries
         sigma = math.sqrt(exact_err * (1 - exact_err) / trials)
@@ -205,7 +205,7 @@ class TestStatisticalContracts:
         queries = 0
         for t in range(trials):
             oracle = NoisyOracle(instance, p, master_seed=22, trial_index=t)
-            rep = noisy_max_report(oracle, n, delta, p)
+            rep = noisy_max_report(oracle, delta, p)
             wrong += rep.output != n
             queries += oracle.queries
         assert wrong / trials <= 3 * delta
@@ -216,4 +216,4 @@ class TestStatisticalContracts:
 @settings(max_examples=20, deadline=None)
 def test_or_output_is_bit(seed):
     oracle = NoisyOracle(BitInstance(bits=(0, 1, 0, 0)), 0.3, master_seed=seed)
-    assert noisy_or_report(oracle, 4, 0.1, 0.3).output in (0, 1)
+    assert noisy_or_report(oracle, 0.1, 0.3).output in (0, 1)

@@ -14,68 +14,66 @@ from noisyquery.oracles import (
     make_instance_or,
 )
 from noisyquery.primitives import vote_threshold_log
-from noisyquery.tournaments import RoundSchedule, tournament_max, tournament_or
+from noisyquery.tournaments import or_half, round_log_errors, round_thresholds, tournament_max, tournament_or
 from recording import ScriptedOracle
 
 
-class TestRoundSchedule:
+class TestBracketSchedule:
     def test_first_round_is_half_delta(self):
-        schedule = RoundSchedule.for_size(8, 0.1)
-        assert math.exp(schedule.log_round_error(1)) == pytest.approx(0.05, rel=1e-12)
+        assert math.exp(round_log_errors(8, 0.1)[0]) == pytest.approx(0.05, rel=1e-12)
 
     def test_exponent_progression(self):
-        schedule = RoundSchedule.for_size(16, 0.1)
-        for i in range(1, 5):
-            assert schedule.log_round_error(i) == math.log(0.1) - i * math.log(2.0)
+        for i, log_tol in enumerate(round_log_errors(16, 0.1), start=1):
+            assert log_tol == math.log(0.1) - i * math.log(2.0)
 
     @pytest.mark.parametrize("delta", [0.4, 0.1, 1e-3, 1e-12])
     def test_round_tolerances_sum_below_delta(self, delta):
         # The true maximum plays at most one match a round, so its error is
         # at most the sum of the round tolerances.
-        schedule = RoundSchedule.for_size(1 << 30, delta)
-        total = sum(math.exp(schedule.log_round_error(i)) for i in range(1, schedule.rounds + 1))
+        total = sum(math.exp(log_tol) for log_tol in round_log_errors(1 << 30, delta))
         assert total <= delta
 
-    def test_or_split(self):
+    def test_or_half(self):
         # delta/2 to the bracket and delta/2 to the final check, so the
         # bracket's rounds and the final check together stay within delta.
-        assert RoundSchedule.or_split(0.1) == (0.05, 0.05)
-        assert sum(RoundSchedule.or_split(0.1)) == 0.1
+        assert or_half(0.1) == 0.05
+        assert 2 * or_half(0.1) == 0.1
 
-    def test_or_split_refuses_what_it_cannot_halve(self):
+    def test_or_half_refuses_what_it_cannot_halve(self):
         with pytest.raises(ContractViolation, match="too small"):
-            RoundSchedule.or_split(5e-324)
+            or_half(5e-324)
         with pytest.raises(ContractViolation, match="delta must lie"):
-            RoundSchedule.or_split(0.6)
+            or_half(0.6)
 
     def test_strictly_decreasing(self):
-        schedule = RoundSchedule.for_size(64, 0.2)
-        errors = [schedule.log_round_error(i) for i in range(1, 7)]
+        errors = round_log_errors(64, 0.2)
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_rounds_count(self):
-        assert RoundSchedule.for_size(1, 0.1).rounds == 0
-        assert RoundSchedule.for_size(2, 0.1).rounds == 1
-        assert RoundSchedule.for_size(3, 0.1).rounds == 2
-        assert RoundSchedule.for_size(1 << 20, 0.1).rounds == 20
+        assert len(round_log_errors(1, 0.1)) == 0
+        assert len(round_log_errors(2, 0.1)) == 1
+        assert len(round_log_errors(3, 0.1)) == 2
+        assert len(round_log_errors(1 << 20, 0.1)) == 20
 
     def test_deep_rounds_survive_underflow(self):
         # 1e-300 * 2^-90 is below the smallest subnormal float, but
         # log-space thresholds stay finite and exact.
-        schedule = RoundSchedule.for_size(1 << 90, 1e-300)
-        log_tol = schedule.log_round_error(90)
+        log_tol = round_log_errors(1 << 90, 1e-300)[89]
         assert math.isfinite(log_tol)
         assert math.exp(log_tol) == 0.0  # underflow is expected here
         k = vote_threshold_log(0.25, log_tol)
         assert k == math.ceil(-log_tol / math.log(3.0))
 
+    def test_thresholds_are_each_rounds_vote_threshold(self):
+        for r, delta, p in [(1, 0.1, 0.25), (5, 0.1, 0.25), (64, 1e-3, 0.4), (1 << 40, 1e-300, 0.1)]:
+            expected = [vote_threshold_log(p, log_tol) for log_tol in round_log_errors(r, delta)]
+            assert round_thresholds(r, delta, p) == expected
+
     def test_validation(self):
-        with pytest.raises(ContractViolation):
-            RoundSchedule.for_size(0, 0.1)
-        with pytest.raises(ContractViolation):
-            RoundSchedule.for_size(4, 0.7)
-        with pytest.raises(ContractViolation):
-            RoundSchedule.for_size(4, 0.1).log_round_error(9)
+        with pytest.raises(ContractViolation, match="tournament size"):
+            round_log_errors(0, 0.1)
+        with pytest.raises(ContractViolation, match="delta must lie"):
+            round_log_errors(4, 0.7)
 
 
 def _k(log_tol):
