@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _FULL_ALGO_N_CAP = 4
-_FULL_ALGO_K_CAP = 8
 _TOURNAMENT_N_CAP = 8
 
 
@@ -238,15 +237,19 @@ def tournament_or_cost(r: int, delta: float, p: float) -> float:
 
 
 def _binom_pmf_window(n: int, q: float) -> tuple[int, np.ndarray]:
-    """Binomial(n, q) pmf on a window covering all but ~1e-15 of the mass."""
+    """Binomial(n, q) pmf on mean +/- (12 sd + 16), all but ~1e-15 of the mass.
+
+    The 16 fixed terms keep a tail in the window where the sd is near 0,
+    such as the OR cutoff's declare-1 mass when few bits survive.
+    """
     if q <= 0.0:
         return 0, np.array([1.0])
     if q >= 1.0:
         return n, np.array([1.0])
     mean = n * q
     sd = math.sqrt(n * q * (1.0 - q))
-    lo = max(0, int(mean - 12.0 * sd - 2))
-    hi = min(n, int(mean + 12.0 * sd + 2))
+    lo = max(0, int(mean - 12.0 * sd - 16))
+    hi = min(n, int(mean + 12.0 * sd + 16))
     ks = np.arange(lo, hi + 1)
     log_pmf = (
         _lgamma_vec(n + 1)
@@ -296,8 +299,8 @@ def expected_queries_noisy_or(instance: BitInstance, delta: float, p: float) -> 
     ones = sum(instance.bits)
     zeros = n - ones
     # Survivor count = Binom(ones, 1-err) + Binom(zeros, err).
-    lo1, pmf1 = _binom_pmf_window(ones, 1.0 - err) if ones else (0, np.array([1.0]))
-    lo0, pmf0 = _binom_pmf_window(zeros, err) if zeros else (0, np.array([1.0]))
+    lo1, pmf1 = _binom_pmf_window(ones, 1.0 - err)
+    lo0, pmf0 = _binom_pmf_window(zeros, err)
     pmf = np.convolve(pmf1, pmf0)
     lo = lo1 + lo0
     theta = or_threshold(n, delta)
@@ -325,8 +328,8 @@ def expected_queries_noisy_max(n: int, delta: float, p: float) -> float:
     walk = analyze_walk(p, k)
     err = walk.error_probability
 
-    if q >= 1.0:
-        return tournament_max_cost(n, delta, p) + tournament_max_cost(1, delta, p)
+    if q >= 1.0:  # everything is sampled, so the sample champion is the whole shortlist
+        return tournament_max_cost(n, delta, p)
 
     # Sample size (conditioned nonempty) drives the first tournament and
     # the number of champion comparisons.
@@ -344,13 +347,14 @@ def expected_queries_noisy_max(n: int, delta: float, p: float) -> float:
     compares = (n - mean_sample) * walk.expected_queries
 
     # Rank J of the sample maximum (1 = global max) is geometric with rate
-    # q; given J = j the shortlist is 1 + Binom(j-1, 1-err) apparent
-    # beaters + Binom(n-j, (1-q) err) false positives from below.
+    # q, conditioned on J <= n; given J = j the shortlist is 1 +
+    # Binom(j-1, 1-err) apparent beaters + Binom(n-j, (1-q) err) false
+    # positives from below.
     second_tournament = 0.0
     tail = 1.0
     j = 1
     while j <= n and tail > 1e-14:
-        pj = (q * (1.0 - q) ** (j - 1)) / nonempty if j < n else tail / nonempty
+        pj = q * (1.0 - q) ** (j - 1) / nonempty
         lo_a, pmf_a = _binom_pmf_window(j - 1, 1.0 - err)
         lo_b, pmf_b = _binom_pmf_window(n - j, (1.0 - q) * err)
         pmf_z = np.convolve(pmf_a, pmf_b)
@@ -471,31 +475,14 @@ def _enum_noisy_max(entrants: tuple, delta: float, p: float) -> list:
     return _then(_then(samples, shortlists), lambda shortlist: _enum_tournament_max(shortlist, delta, p))
 
 
-def _reachable_thresholds(algorithm: str, n: int, delta: float, p: float) -> list[int]:
-    """Vote thresholds an algorithm can actually reach on an n-element input.
-
-    The OR algorithm only tournaments survivor sets strictly below its
-    count cutoff, so deep (huge-threshold) rounds are often unreachable
-    even when n alone would permit them.
-    """
-    if algorithm == "noisy-or":
-        theta = or_threshold(n, delta)
-        size = max(min(n, math.ceil(theta) - 1), 1)
-        bracket = or_half(delta)
-        checks = [vote_threshold(p, delta), vote_threshold(p, bracket)]
-    else:
-        size, bracket = n, delta
-        checks = [vote_threshold(p, delta)]
-    return [*checks, *round_thresholds(size, bracket, p)]
-
-
-# name -> (instance type, enumerator, largest input, largest reachable vote
-# threshold or None); names are the CLI's algorithm names.
+# name -> (instance type, enumerator, largest input); names are the CLI's
+# algorithm names.  The leaf count grows exponentially in n but not with the
+# vote thresholds: each walk is one two-way branch whatever its K.
 _ENUMERATORS = {
-    "tournament-or": (BitInstance, _enum_tournament_or, _TOURNAMENT_N_CAP, None),
-    "tournament-max": (ValueInstance, _enum_tournament_max, _TOURNAMENT_N_CAP, None),
-    "noisy-or": (BitInstance, _enum_noisy_or, _FULL_ALGO_N_CAP, _FULL_ALGO_K_CAP),
-    "noisy-max": (ValueInstance, _enum_noisy_max, _FULL_ALGO_N_CAP, _FULL_ALGO_K_CAP),
+    "tournament-or": (BitInstance, _enum_tournament_or, _TOURNAMENT_N_CAP),
+    "tournament-max": (ValueInstance, _enum_tournament_max, _TOURNAMENT_N_CAP),
+    "noisy-or": (BitInstance, _enum_noisy_or, _FULL_ALGO_N_CAP),
+    "noisy-max": (ValueInstance, _enum_noisy_max, _FULL_ALGO_N_CAP),
 }
 
 
@@ -508,9 +495,8 @@ def enumerate_tournament(
     """Exact output law of an algorithm on a tiny instance by full path enumeration.
 
     Supported algorithms: ``tournament-or``, ``tournament-max`` (inputs up
-    to 8 entrants), ``noisy-or``, ``noisy-max`` (inputs up to 4, with
-    every reachable vote threshold at most 8).  Configurations beyond the
-    caps are refused outright rather than approximated.
+    to 8 entrants), ``noisy-or``, ``noisy-max`` (inputs up to 4), at any
+    delta.  Larger inputs are refused outright rather than approximated.
     """
     if not 0.0 < delta < 0.5:
         raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
@@ -518,16 +504,9 @@ def enumerate_tournament(
         raise ContractViolation(f"p must lie in (0, 1/2), got {p}")
     if algorithm not in _ENUMERATORS:
         raise ContractViolation(f"unknown algorithm {algorithm!r}; choose from {', '.join(_ENUMERATORS)}")
-    model, enumerate_paths, n_cap, k_cap = _ENUMERATORS[algorithm]
-    n = instance.n
-    if n > n_cap:
-        raise EnumerationCapError(f"{algorithm} enumeration capped at n <= {n_cap}, got {n}")
-    if k_cap is not None:
-        k = max(_reachable_thresholds(algorithm, n, delta, p))
-        if k > k_cap:
-            raise EnumerationCapError(
-                f"{algorithm} enumeration capped at vote thresholds <= {k_cap}, got {k}"
-            )
+    model, enumerate_paths, n_cap = _ENUMERATORS[algorithm]
+    if instance.n > n_cap:
+        raise EnumerationCapError(f"{algorithm} enumeration capped at n <= {n_cap}, got {instance.n}")
     if not isinstance(instance, model):
         raise ContractViolation(f"{algorithm} needs a {model.__name__}")
     entrants = tuple(enumerate(instance.bits if model is BitInstance else instance.values, start=1))
@@ -579,13 +558,13 @@ def verify_registry() -> list[VerifyConfig]:
         VerifyConfig("tmax-n4-sorted", "tournament-max", v(1, 2, 3, 4), 0.05, 0.25),
         VerifyConfig("tmax-n4-reloc", "tournament-max", v(1, 4, 2, 3), 0.05, 0.1),
         VerifyConfig("tmax-n8-sorted", "tournament-max", v(*range(1, 9)), 0.05, 0.25),
-        # Full OR algorithm (n <= 4, reachable thresholds <= 8).
+        # Full OR algorithm (n <= 4).
         VerifyConfig("nor-n2-zero", "noisy-or", b(0, 0), 0.2, 0.25),
         VerifyConfig("nor-n3-zero", "noisy-or", b(0, 0, 0), 0.1, 0.25),
         VerifyConfig("nor-n3-one", "noisy-or", b(0, 1, 0), 0.1, 0.25),
         VerifyConfig("nor-n4-one", "noisy-or", b(1, 0, 0, 0), 0.05, 0.3),
         VerifyConfig("nor-n4-zero", "noisy-or", b(0, 0, 0, 0), 0.05, 0.1),
-        # Full MAX algorithm (n <= 3, reachable thresholds <= 8).
+        # Full MAX algorithm (n <= 3).
         VerifyConfig("nmax-n2", "noisy-max", v(1, 2), 0.2, 0.25),
         VerifyConfig("nmax-n3-sorted", "noisy-max", v(1, 2, 3), 0.25, 0.25),
         VerifyConfig("nmax-n3-reloc", "noisy-max", v(3, 1, 2), 0.25, 0.25),

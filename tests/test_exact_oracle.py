@@ -207,6 +207,31 @@ class TestEnumeration:
             enum.expected_queries, rel=1e-12
         )
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_max_predictor_equals_enumeration_at_small_delta(self, n):
+        # The predictor's one approximation is O(delta); the rank law of the
+        # sample maximum must otherwise be exact, the rank J = n included.
+        values = tuple(float(x) for x in range(1, n + 1))
+        enum = enumerate_tournament(ValueInstance(values=values), "noisy-max", 1e-12, 0.25)
+        assert expected_queries_noisy_max(n, 1e-12, 0.25) == pytest.approx(enum.expected_queries, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("n", [3, 4, 10, 100, 1000])
+    def test_or_error_predictor_counts_every_survivor_count(self, n, delta):
+        # Against enumeration where it is allowed, and otherwise against a
+        # sum over the whole survivor-count support, declare-1 tail included.
+        if n <= 4:
+            exact = enumerate_tournament(BitInstance(bits=(0,) * n), "noisy-or", delta, 0.25).error_probability
+        else:
+            err = analyze_walk(0.25, vote_threshold(0.25, delta)).error_probability
+            final_err = analyze_walk(0.25, vote_threshold(0.25, delta / 2)).error_probability
+            theta = or_threshold(n, delta)
+            exact = math.fsum(
+                math.comb(n, s) * err**s * (1.0 - err) ** (n - s) * (1.0 if s >= theta else final_err)
+                for s in range(1, n + 1)
+            )
+        assert noisy_or_error_all_zero(n, delta, 0.25) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_predictors_at_the_benchmark_point(self):
         # n = 1000, delta = 0.01, p = 0.25: MAX at 1.22x and OR at 1.19x
         # the leading-order budget.
@@ -214,6 +239,26 @@ class TestEnumeration:
         assert expected_queries_noisy_max(1000, 0.01, 0.25) / budget == pytest.approx(1.223, abs=1e-3)
         all_zero = make_instance_or("all_zero", 1000)
         assert expected_queries_noisy_or(all_zero, 0.01, 0.25) / budget == pytest.approx(1.189, abs=1e-3)
+
+
+_ALL_BITS_N4 = [tuple(m >> i & 1 for i in range(4)) for m in range(16)]
+_SMALL_DELTA_GRID = [(p, delta) for p in (0.1, 0.25, 0.4) for delta in (1e-4, 1e-8, 1e-12)]
+
+
+class TestBoundsAtSmallDelta:
+    @pytest.mark.parametrize("p, delta", _SMALL_DELTA_GRID)
+    def test_noisy_or_errs_at_most_two_delta(self, p, delta):
+        for bits in _ALL_BITS_N4:
+            result = enumerate_tournament(BitInstance(bits=bits), "noisy-or", delta, p)
+            assert sum(result.outcome_probs.values()) == pytest.approx(1.0, abs=1e-12)
+            assert result.error_probability <= 2 * delta, bits
+
+    @pytest.mark.parametrize("p, delta", _SMALL_DELTA_GRID)
+    def test_noisy_max_errs_at_most_three_delta(self, p, delta):
+        for values in [(1, 2, 3, 4), (4, 1, 2, 3), (2, 4, 1, 3)]:
+            result = enumerate_tournament(ValueInstance(values=tuple(map(float, values))), "noisy-max", delta, p)
+            assert sum(result.outcome_probs.values()) == pytest.approx(1.0, abs=1e-12)
+            assert result.error_probability <= 3 * delta, values
 
 
 class TestEnumerationCaps:
@@ -227,14 +272,16 @@ class TestEnumerationCaps:
         with pytest.raises(EnumerationCapError):
             enumerate_tournament(inst, "noisy-or", 0.1, 0.25)
 
-    def test_threshold_cap(self):
-        # delta = 0.2 stays enumerable.  At delta = 3e-4 the phase-1 walks
-        # need K = 8, but round two at delta/4 needs K = 9, above the cap.
-        inst = ValueInstance(values=(1.0, 2.0, 3.0))
-        enumerate_tournament(inst, "noisy-max", 0.2, 0.25)
-        assert vote_threshold(0.25, 3e-4) == 8
-        with pytest.raises(EnumerationCapError, match="vote thresholds <= 8, got 9"):
-            enumerate_tournament(inst, "noisy-max", 3e-4, 0.25)
+    def test_no_threshold_cap(self):
+        # Only n is capped: each walk is one two-way branch whatever its K.
+        # Round two of the MAX sample tournament at delta = 3e-4 needs K = 9,
+        # and the OR final check at delta = 1e-4 needs K = 10.
+        assert vote_threshold(0.25, 3e-4 / 4) == 9
+        result = enumerate_tournament(ValueInstance(values=(1.0, 2.0, 3.0)), "noisy-max", 3e-4, 0.25)
+        assert result.error_probability <= 3 * 3e-4
+        assert vote_threshold(0.25, 1e-4 / 2) == 10
+        result = enumerate_tournament(BitInstance(bits=(0, 0, 0, 0)), "noisy-or", 1e-4, 0.25)
+        assert result.error_probability <= 2 * 1e-4
 
     def test_unknown_algorithm(self):
         with pytest.raises(ContractViolation):
