@@ -81,12 +81,12 @@ def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: 
     advances the second.  The bracket plays at delta/2 and the last
     survivor is checked once more at delta/2; that decision is returned.
     A delta too small to halve is refused before any match is played.
-    Each round's checks are named on the oracle as one run of walks.
+    Each match is one lone walk.  An index out of range raises when it is
+    first checked, after the earlier checks have been walked.
     """
     half = or_half(delta)
 
     def play(firsts: list[int], seconds: list[int], log_tol: float) -> list[int]:
-        oracle.name_run(firsts, None, vote_threshold_log(p, log_tol))
         return [a if check_bit_log(oracle, a, log_tol, p).decision == 1 else b for a, b in zip(firsts, seconds)]
 
     last = _play_rounds(indices, half, play)
@@ -99,10 +99,10 @@ def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float, p:
     Each match compares the pair once through the stopping primitive: a
     "less-than" verdict advances the second element, anything else the
     first.  A single entrant is returned immediately with no queries.
-    Each round's comparisons are named on the oracle as one run of walks.
+    Each match is one lone walk.  A bad entrant raises at its first
+    match, after the earlier matches have been walked.
     """
     def play(firsts: list[int], seconds: list[int], log_tol: float) -> list[int]:
-        oracle.name_run(firsts, seconds, vote_threshold_log(p, log_tol))
         return [b if noisy_compare_log(oracle, a, b, log_tol, p).decision else a for a, b in zip(firsts, seconds)]
 
     return _play_rounds(indices, delta, play)

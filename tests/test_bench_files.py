@@ -4,7 +4,8 @@ A BENCH file banks a performance claim: the ``perfbench/run.py`` result
 lines of the parent commit and of the change, run in alternating pairs
 on one machine, plus that machine and its core count.  Its ``runs`` are
 the end-to-end runs (``--trace 0``), its ``trace_runs`` any ``--trace 1``
-runs, and its ``summary`` is read off ``runs``.
+runs, its ``holdout_runs`` any runs at a seed held out of ``seeds``, and
+its ``summary`` is read off ``runs``.
 """
 
 import json
@@ -24,7 +25,7 @@ def bench(request):
 
 
 def _lines(bench):
-    return bench["runs"] + bench.get("trace_runs", [])
+    return bench["runs"] + bench.get("trace_runs", []) + bench.get("holdout_runs", [])
 
 
 def test_names_its_machine_and_core_count(bench):
@@ -40,10 +41,11 @@ def test_both_sides_cover_the_same_workloads_and_seeds(bench):
         runs = [(r["workload"], r["seed"]) for r in bench["runs"] if r["side"] == side]
         assert sorted(runs) == sorted(expected), side
     assert {r["side"] for r in _lines(bench)} <= set(SIDES)
-    traced = {side: set() for side in SIDES}
-    for r in bench.get("trace_runs", []):
-        traced[r["side"]].add((r["workload"], r["seed"]))
-    assert traced["parent"] == traced["change"]
+    for extra in ("trace_runs", "holdout_runs"):
+        covered = {side: set() for side in SIDES}
+        for r in bench.get(extra, []):
+            covered[r["side"]].add((r["workload"], r["seed"]))
+        assert covered["parent"] == covered["change"], extra
 
 
 def test_every_line_is_correct_with_no_failed_operation(bench):
@@ -54,7 +56,7 @@ def test_every_line_is_correct_with_no_failed_operation(bench):
 
 
 def test_every_run_has_the_same_length(bench):
-    assert {r["seconds"] for r in bench["runs"]} == {bench["seconds"]}
+    assert {r["seconds"] for r in bench["runs"] + bench.get("holdout_runs", [])} == {bench["seconds"]}
 
 
 def test_summary_is_read_off_the_runs(bench):

@@ -66,12 +66,14 @@ class TestWalkClosedForm:
 
 
 class TestSolverAgreement:
+    # Error probabilities are compared with abs=0.0: pytest's default 1e-12
+    # absolute tolerance would pass any value at p = 0.05, K = 30 (≈1e-38).
     @pytest.mark.parametrize("p", [0.05, 0.1, 0.25, 0.4, 0.45])
     def test_markov_matches_closed_form_to_twelve_digits(self, p):
         for k in range(1, 31):
             cf = analyze_walk(p, k)
             mk = analyze_walk_markov(p, k)
-            assert mk.error_probability == pytest.approx(cf.error_probability, rel=1e-12)
+            assert mk.error_probability == pytest.approx(cf.error_probability, rel=1e-12, abs=0.0)
             assert mk.expected_queries == pytest.approx(cf.expected_queries, rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.05, 0.25, 0.45])
@@ -79,7 +81,7 @@ class TestSolverAgreement:
     def test_rational_branch_stats(self, p, k):
         cf = analyze_walk(p, k)
         br = walk_branch_stats(p, k)
-        assert br.error_prob == pytest.approx(cf.error_probability, rel=1e-13)
+        assert br.error_prob == pytest.approx(cf.error_probability, rel=1e-13, abs=0.0)
         assert br.expected_queries == pytest.approx(cf.expected_queries, rel=1e-13)
         # Symmetric barriers from a centered start: conditioning on the
         # absorbing side does not change the expected duration.

@@ -1,7 +1,10 @@
 """Knockout tournaments: schedule, bracket mechanics, traces, statistics."""
 
+import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,11 +14,12 @@ from noisyquery.oracles import (
     BitInstance,
     NoisyOracle,
     ValueInstance,
+    make_instance_max,
     make_instance_or,
 )
 from noisyquery.primitives import vote_threshold_log
 from noisyquery.tournaments import or_half, round_log_errors, round_thresholds, tournament_max, tournament_or
-from recording import ScriptedOracle
+from recording import RecordingOracle, ScriptedOracle
 
 
 class TestBracketSchedule:
@@ -171,6 +175,61 @@ class TestScheduleFidelity:
         ]  # fmt: skip
 
 
+class _NoRunOracle(RecordingOracle):
+    """A recording oracle on which naming a run fails the test."""
+
+    __slots__ = ()
+
+    def name_run(self, firsts, seconds, k):
+        raise AssertionError(f"a run of {len(firsts)} walks at k = {k} was named")
+
+
+def _entrants(kind, r):
+    """An instance of r elements for ``kind``'s tournament: a few scattered 1-bits, or a permutation."""
+    if kind == "or":
+        return BitInstance(bits=tuple(int(u < 0.05) for u in np.random.default_rng(r).random(r)))
+    return make_instance_max("permuted", r, seed=r)
+
+
+_TOURNAMENTS = {"or": tournament_or, "max": tournament_max}
+
+
+class TestLoneMatches:
+    @pytest.mark.parametrize("kind", ["or", "max"])
+    def test_tournaments_name_no_run(self, kind):
+        # 1..70 entrants: the first round of 64 or more plays 32 or more
+        # matches, the size at which a named run would read its stops in numpy passes.
+        play = _TOURNAMENTS[kind]
+        for r in range(1, 71):
+            instance, entrants = _entrants(kind, r), list(range(1, r + 1))
+            lone = _NoRunOracle(instance, 0.25, master_seed=41, trial_index=r)
+            plain = NoisyOracle(instance, 0.25, master_seed=41, trial_index=r)
+            assert play(lone, entrants, 0.05, 0.25) == play(plain, entrants, 0.05, 0.25), r
+            assert lone.queries == plain.queries, r
+            # The same walks, named a threshold at a time, answer as the lone matches did.
+            named = RecordingOracle(instance, 0.25, master_seed=41, trial_index=r)
+            for k, run in itertools.groupby(lone.walks, key=lambda walk: walk[2]):
+                run = list(run)
+                seconds = None if run[0][1] is None else [j for _, j, _, _ in run]
+                named.name_run([i for i, _, _, _ in run], seconds, k)
+                for i, j, _, _ in run:
+                    named.take(i, j)
+            assert named.walks == lone.walks, r
+
+    @pytest.mark.parametrize(
+        "kind,entrants,walk",
+        [("max", [1, 2, 3, 99], (3, 99)), ("or", [1, 2, 9, 3], (9, None))],
+    )
+    def test_bad_entrant_raises_at_its_first_match(self, kind, entrants, walk):
+        instance = _entrants(kind, 4 if kind == "max" else 3)
+        with pytest.raises(ContractViolation) as alone:
+            NoisyOracle(instance, 0.25).walk(*walk, 3)
+        oracle = NoisyOracle(instance, 0.25)
+        with pytest.raises(ContractViolation, match=re.escape(str(alone.value))):
+            _TOURNAMENTS[kind](oracle, entrants, 0.1, 0.25)
+        assert oracle.queries > 0  # the match before it was walked
+
+
 class TestNoiselessCorrectness:
     @given(
         bits=st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64),
@@ -188,8 +247,6 @@ class TestNoiselessCorrectness:
     )
     @settings(max_examples=60, deadline=None)
     def test_max_exact_on_noiseless_channel(self, n, seed):
-        from noisyquery.oracles import make_instance_max
-
         instance = make_instance_max("permuted", n, seed=seed)
         oracle = ScriptedOracle(instance)
         result = tournament_max(oracle, list(range(1, n + 1)), 0.05, 0.25)
