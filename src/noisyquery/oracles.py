@@ -22,7 +22,8 @@ A run of trials sets up their first chunks a block at a time
 (:meth:`TrialDraws.block`).
 
 A run of walks at one vote threshold is named first (:meth:`NoisyOracle.name_run`),
-its stops read in one numpy pass a chunk, and each walk taken as a ready report.
+its stops read in one numpy pass a chunk, and each walk taken as a ready report,
+checked against plain lists of its batch's indices.
 
 Indices are 1-based throughout, matching the usual [n] convention.
 """
@@ -56,6 +57,8 @@ _WORD = 0xFFFFFFFF
 _BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
 _SET_UP = 256  # trials whose first chunks TrialDraws.block draws and tabulates in one pass
 _NO_FLIPS = memoryview(b"")  # an oracle's buffer before its first chunk; read-only, so shared
+_FLIPS = np.arange(1, _BUF_CAP + 1, dtype=np.intp)  # entry t is the number of flips over draws 0..t
+_FLIPS.flags.writeable = False
 
 
 @lru_cache(maxsize=256)
@@ -160,7 +163,9 @@ def _row_seed() -> type[_RowSeed]:
 
 def _margins(draws: np.ndarray, p: float) -> np.ndarray:
     """The channel's running margin along the last axis: entry t is (unflipped - flipped) over draws 0..t."""
-    margin = np.add.accumulate(np.where(draws < p, -1, 1), axis=-1)  # a draw below p flips its answer
+    margin = np.add.accumulate(draws >= p, axis=-1, dtype=np.intp)  # unflipped answers; a draw below p flips its answer
+    margin += margin
+    margin -= _FLIPS[: draws.shape[-1]]  # 2 * unflipped - all flips
     margin.flags.writeable = False  # a trial's tables are read by every oracle of the trial
     return margin
 
@@ -334,7 +339,8 @@ class NoisyOracle:
         "_bits", "_values", "_n",  # the hidden instance
         "_draws", "_rng", "_chunk",  # the shared prefix, the private generator past it, the next chunk's number
         "_buf", "_pos",  # the current chunk and the next flip
-        "pending", "_firsts", "_seconds", "_named_k", "_walk",  # the named run, and its next walk's number
+        "pending", "_firsts", "_seconds", "_named_k",  # the named run, set by name_run
+        "_batch_firsts", "_batch_seconds", "_walk", "_batch_end",  # the read batch, its next walk, the run's next batch
         "_alg_rng",
     )  # fmt: skip
 
@@ -376,7 +382,6 @@ class NoisyOracle:
         self._pos = 0
         # The reports of the named run's walks not yet taken, last first; a shared empty tuple until a run is named.
         self.pending: list[StopReport] | tuple[()] = ()
-        self._firsts, self._seconds, self._named_k, self._walk = (), None, 0, 0
         self._alg_rng: np.random.Generator | None = None
 
     # -- randomness plumbing -------------------------------------------------
@@ -451,7 +456,7 @@ class NoisyOracle:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
         if seconds is not None and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
-        self._firsts, self._seconds, self._named_k, self._walk = firsts, seconds, k, 0
+        self._firsts, self._seconds, self._named_k = firsts, seconds, k
         for start in range(_BATCH, len(firsts), _BATCH):
             self._batch(start)
         if len(firsts):
@@ -459,19 +464,21 @@ class NoisyOracle:
 
     def take(self, i: int, j: int | None) -> StopReport:
         """The report of the named run's next walk, which must be walk (i, j), else this raises; counts its queries."""
-        pending, w, seconds = self.pending, self._walk, self._seconds
-        if not pending or i != self._firsts[w] or j != (None if seconds is None else seconds[w]):
+        pending, w = self.pending, self._walk
+        if not pending or i != self._batch_firsts[w] or j != self._batch_seconds[w]:
             raise ContractViolation(f"walk ({i}, {j}) is not the next walk of a named run")
         self._walk = w + 1
         report = pending.pop()
         self.queries += report[1]
-        if not pending and w + 1 < len(self._firsts):
-            self._batch(w + 1, read=True)
+        if not pending and self._batch_end < len(self._firsts):
+            self._batch(self._batch_end, read=True)
         return report
 
     def _batch(self, start: int, read: bool = False) -> None:
         """Check walks start..start + _BATCH of the run, a bad one raising as alone; if ``read``, queue their reports.
 
+        A read batch keeps its walks' first and second indices (None for bit
+        reads) as plain lists, which :meth:`take` checks each walk against.
         A batch of fewer than _PASS_MIN walks is checked and read a walk at a
         time, since numpy would cost more than it saves.
         """
@@ -482,6 +489,7 @@ class NoisyOracle:
             truths = [self._truth(i, j) for i, j in zip(firsts, seconds)]
             stops = [self._jump(k) for _ in truths] if read else []
             codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)][::-1]
+            firsts, seconds = list(firsts), list(seconds)
         else:
             f, s = _intp(firsts), _intp(seconds) if pairs else None
             bad = (f < 1) | (f > self._n) if s is None else (f < 1) | (f > self._n) | (s < 1) | (s > self._n) | (f == s)
@@ -494,7 +502,10 @@ class NoisyOracle:
             truths = table[f - 1] if s is None else table[f - 1] < table[s - 1]
             ts, ups = self._run(k, len(f))
             codes = (4 * ts + (truths == ups) + 2 * pairs)[::-1].tolist()
+            firsts, seconds = f.tolist(), s.tolist() if pairs else seconds
         if read:
+            self._batch_firsts, self._batch_seconds, self._walk = firsts, seconds, 0
+            self._batch_end = start + len(firsts)
             self.pending = list(map(_REPORTS.__getitem__, codes))
 
     def _truth(self, i: int, j: int | None) -> int | bool:

@@ -31,9 +31,8 @@ class RecordingOracle(NoisyOracle):
         return report
 
     def take(self, i: int, j: int | None):
-        k = self._named_k
-        report = super().take(i, j)
-        self.walks.append((i, j, k, report.queries_used))
+        report = super().take(i, j)  # a run's threshold is set only once it is named
+        self.walks.append((i, j, self._named_k, report.queries_used))
         return report
 
 

@@ -5,7 +5,10 @@ lines of the parent commit and of the change, run in alternating pairs
 on one machine, plus that machine and its core count.  Its ``runs`` are
 the end-to-end runs (``--trace 0``), its ``trace_runs`` any ``--trace 1``
 runs, its ``holdout_runs`` any runs at a seed held out of ``seeds``, and
-its ``summary`` is read off ``runs``.
+its ``summary`` is read off ``runs``: each side's median, and, over the
+pairs (one run a side for each workload and seed), how many the change
+won or tied and the relative change of the median, each metric's better
+direction taken from ``BENCHMARK.json``.
 """
 
 import json
@@ -17,6 +20,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 SIDES = ("parent", "change")
+HIGHER_IS_BETTER = {
+    metric["name"]: metric["better"] == "higher"
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 
 
 @pytest.fixture(params=BENCH_FILES, ids=lambda path: path.name)
@@ -70,3 +77,17 @@ def test_summary_is_read_off_the_runs(bench):
                     if r["workload"] == workload and r["side"] == side
                 ]
                 assert by_side[side]["median"] == pytest.approx(statistics.median(values)), (workload, name)
+
+
+def test_pair_counts_and_median_change_are_read_off_the_runs(bench):
+    for workload, metrics in bench["summary"].items():
+        for name, summary in metrics.items():
+            pairs = {}
+            for r in bench["runs"]:
+                if r["workload"] == workload:
+                    pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
+            gains = [(v["change"] - v["parent"]) * (1 if HIGHER_IS_BETTER[name] else -1) for v in pairs.values()]
+            assert summary["change_better_pairs"] == sum(g > 0 for g in gains), (workload, name)
+            assert summary["tied_pairs"] == sum(g == 0 for g in gains), (workload, name)
+            medians = [statistics.median(v[side] for v in pairs.values()) for side in SIDES]
+            assert summary["median_change"] == pytest.approx(medians[1] / medians[0] - 1), (workload, name)

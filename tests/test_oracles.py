@@ -892,6 +892,39 @@ class TestNamedRunContracts:
             named.take(i, j)  # the run is over
         assert [_single(named, j) for _ in range(3)] == [_single(alone, j) for _ in range(3)]
 
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_a_walk_not_next_at_a_batch_edge_raises_before_anything_moves(self, instance):
+        # 2,049 walks are read in batches of 1,024, 1,024 and 1; walk 1,024
+        # is the first of the second batch, read when walk 1,023 was taken.
+        named, alone = _twins(instance, 0.25, 3, 1)
+        walks = _walks(instance, 2049)
+        _name(named, walks, 4)
+        for i, j in walks[:1024]:
+            assert named.take(i, j) == alone.walk(i, j, 4)
+        assert len(named.pending) == 1024
+        i, j = walks[1024]
+        wrong = [
+            lambda: named.take(*walks[1023]),  # the last walk of the first batch, again
+            lambda: named.take(*walks[1025]),  # a later walk of the run
+            lambda: named.take(i, 3 if j is None else None),  # the other channel
+            lambda: named.take(1 + i % 4, j),  # another first index
+            lambda: named.walk(i, j, 4),  # the same walk, alone
+            lambda: _name(named, walks, 4),  # another run
+        ]
+        position = (named._chunk, named._pos)
+        for call in wrong:
+            with pytest.raises(ContractViolation):
+                call()
+            assert named.queries == alone.queries and len(named.pending) == 1024
+            assert (named._chunk, named._pos) == position  # the next flips are the same
+        for i, j in walks[1024:]:
+            assert named.take(i, j) == alone.walk(i, j, 4)
+            assert named.queries == alone.queries
+        assert not named.pending
+        with pytest.raises(ContractViolation):
+            named.take(i, j)  # the run is over
+        assert [_single(named, j) for _ in range(3)] == [_single(alone, j) for _ in range(3)]
+
     @pytest.mark.parametrize("instance, firsts, seconds", [
         (BIT_INSTANCE, [], None), (BIT_INSTANCE, range(1, 1), None), (VALUE_INSTANCE, [], []),
     ])
