@@ -122,7 +122,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    config.validate()
     check_workers(args.workers)
     print(f"running {config.trials} trials of {config.algorithm} ...", file=sys.stderr)
     columns = run_trials(config, workers=args.workers)
@@ -135,21 +134,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = ExperimentConfig(
-        algorithm=args.algorithm,
-        instance=args.instance,
-        n=1,
-        p=0.25,
-        delta=0.01,
-        trials=args.trials,
-        seed=args.seed,
-    )
     try:
         n_grid = _parse_grid(args.n, int)
         p_grid = _parse_grid(args.p, float)
         delta_grid = _parse_grid(args.delta, float)
     except ValueError as exc:  # int()/float() parse failures
         raise ContractViolation(f"bad grid value: {exc}") from exc
+    if not n_grid or not p_grid or not delta_grid:  # the base below is the first grid point
+        raise ContractViolation("sweep grids must be nonempty")
+    base = ExperimentConfig(
+        algorithm=args.algorithm,
+        instance=args.instance,
+        n=n_grid[0],
+        p=p_grid[0],
+        delta=delta_grid[0],
+        trials=args.trials,
+        seed=args.seed,
+    )
     configs = sweep_configs(base, n_grid, p_grid, delta_grid)  # every row is checked before the progress line
     check_workers(args.workers)
     print(f"sweeping {len(configs)} grid points ...", file=sys.stderr)

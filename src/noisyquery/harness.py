@@ -116,7 +116,7 @@ _Z95 = 1.959963984540054
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One fully-specified Monte Carlo campaign."""
+    """One fully-specified Monte Carlo campaign; it checks itself when it is built."""
 
     algorithm: str
     instance: str
@@ -126,7 +126,7 @@ class ExperimentConfig:
     trials: int
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise ContractViolation(f"n must be >= 1, got {self.n}")
         if self.n > _N_CAP:
@@ -306,7 +306,7 @@ def check_workers(workers: int) -> None:
 
 
 def _run_rows(configs: Sequence[ExperimentConfig], workers: int) -> list[Columns]:
-    """Every trial of validated rows of one seed and trial count, as each row's columns.
+    """Every trial of rows of one seed and trial count, as each row's columns.
 
     With workers > 1 the trials are split into blocks of trial indices,
     each a job that runs every row, on one pool of at most as many
@@ -334,7 +334,6 @@ def _run_rows(configs: Sequence[ExperimentConfig], workers: int) -> list[Columns
 
 def run_trials(config: ExperimentConfig, workers: int = 1) -> Columns:
     """All trials of a campaign as its columns, in trial order regardless of worker count."""
-    config.validate()
     return _run_rows([config], workers)[0]
 
 
@@ -382,23 +381,19 @@ def sweep_configs(
     p_grid: Sequence[float],
     delta_grid: Sequence[float],
 ) -> list[ExperimentConfig]:
-    """The validated config of every (n, p, delta) grid point, in row order."""
+    """The config of every (n, p, delta) grid point, in row order; each checks itself as it is built."""
     if not n_grid or not p_grid or not delta_grid:
         raise ContractViolation("sweep grids must be nonempty")
-    configs = [replace(base, n=n, p=p, delta=delta) for n in n_grid for p in p_grid for delta in delta_grid]
-    for cfg in configs:
-        cfg.validate()
-    return configs
+    return [replace(base, n=n, p=p, delta=delta) for n in n_grid for p in p_grid for delta in delta_grid]
 
 
 def run_sweep(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[AggregateStats]:
     """One aggregated row per config of ``sweep_configs``; rows are independent runs.
 
-    The configs are the checked, n-major rows of one base config, which
-    are not checked again.  Every row reuses the base seed, so each row
-    is identical to a standalone run of its configuration.  The rows of
-    each n run together, each trial running them all on its one shared
-    prefix of channel draws.
+    The configs are the n-major rows of one base config.  Every row
+    reuses the base seed, so each row is identical to a standalone run
+    of its configuration.  The rows of each n run together, each trial
+    running them all on its one shared prefix of channel draws.
     """
     rows = []
     # One n's rows at a time keep its instance cached for all its trials

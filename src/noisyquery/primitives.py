@@ -67,8 +67,9 @@ def vote_threshold_log(p: float, log_delta: float) -> int:
 
 
 # Each primitive is one walk.  While the caller's named run has walks left
-# (``oracle.pending``), the walk is that run's next one, taken as its ready
-# report at the run's threshold; otherwise it is walked alone.
+# (``oracle.pending``), check_bit and noisy_compare take its next report, at
+# the run's threshold.  The ``_log`` forms serve tournament matches, which
+# no run names, so they always walk alone.
 
 
 def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:
@@ -84,9 +85,7 @@ def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport
 
 
 def check_bit_log(oracle: NoisyOracle, i: int, log_delta: float, p: float) -> StopReport:
-    """As :func:`check_bit` with the tolerance given as log(delta)."""
-    if oracle.pending:
-        return oracle.take(i, None)
+    """As :func:`check_bit` with the tolerance given as log(delta), always walked alone."""
     return oracle.walk(i, None, vote_threshold_log(p, log_delta))
 
 
@@ -102,7 +101,5 @@ def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -
 
 
 def noisy_compare_log(oracle: NoisyOracle, i: int, j: int, log_delta: float, p: float) -> StopReport:
-    """As :func:`noisy_compare` with the tolerance given as log(delta)."""
-    if oracle.pending:
-        return oracle.take(i, j)
+    """As :func:`noisy_compare` with the tolerance given as log(delta), always walked alone."""
     return oracle.walk(i, j, vote_threshold_log(p, log_delta))

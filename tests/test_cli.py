@@ -322,6 +322,33 @@ class TestSweepCommand:
         assert "configuration error" in err and reason in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n_grid, code", [("10,20", 0), ("3", 2), ("10,3", 2)])
+    def test_every_grid_point_is_checked_before_the_progress_line(self, n_grid, code, capsys):
+        # single_one:5 needs n >= 5; the base config is the first grid point.
+        args = [
+            "sweep", "--algorithm", "checkbit", "--instance", "single_one:5",
+            "--n", n_grid, "--p", "0.25", "--delta", "0.05", "--trials", "5",
+        ]  # fmt: skip
+        assert main(args) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == "" and "sweeping" not in captured.err
+            assert "single_one requires 1 <= index <= 3, got 5" in captured.err
+        else:
+            assert len(captured.out.splitlines()) == 3 and "sweeping 2 grid points" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--n", "--p", "--delta"])
+    def test_empty_grid_exits_two(self, flag, capsys):
+        args = [
+            "sweep", "--algorithm", "checkbit", "--instance", "single_one:1",
+            "--n", "1", "--p", "0.25", "--delta", "0.05", "--trials", "5",
+        ]  # fmt: skip
+        args[args.index(flag) + 1] = ","
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: sweep grids must be nonempty\n"
+
     def test_range_cap_is_inclusive(self):
         assert _parse_grid("1:10000:1", int) == list(range(1, 10001))
         assert len(_parse_grid("0:0.9999:0.0001", float)) == 10_000

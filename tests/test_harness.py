@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -72,35 +73,55 @@ def _config(**overrides):
 
 class TestConfigValidation:
     def test_valid_config_passes(self):
-        _config().validate()
+        assert _config().n == 1
+        assert not hasattr(ExperimentConfig, "validate")
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, message",
         [
-            {"algorithm": "quicksort"},
-            {"n": 0},
-            {"p": 0.5},
-            {"p": 0.0},
-            {"delta": 0.5},
-            {"trials": 0},
-            {"instance": "mystery"},
-            {"instance": "single_one:9"},          # index out of range for n=1
-            {"instance": "literal:0,1"},           # wrong length for n=1
-            {"algorithm": "noisycompare", "instance": "sorted"},  # n=1 too small
-            {"algorithm": "noisy-max", "instance": "literal:nan,1", "n": 2},  # argmax undefined
-            {"algorithm": "noisy-or", "instance": "all_zero:7", "n": 3},  # all_zero takes no parameter
-            {"algorithm": "noisy-max", "instance": "sorted:abc", "n": 3},  # sorted takes no parameter
-            {"algorithm": "noisy-or", "instance": "all_zero", "delta": 5e-324},  # too small to halve
-            {"algorithm": "tournament-or", "delta": 5e-324},  # too small to halve
+            ({"algorithm": "quicksort"}, "unknown algorithm 'quicksort'; choose from checkbit, tournament-or, "
+             "noisy-or, noisycompare, tournament-max, noisy-max"),
+            ({"n": 0}, "n must be >= 1, got 0"),
+            ({"p": 0.5}, "p must lie in (0, 1/2), got 0.5"),
+            ({"p": 0.0}, "p must lie in (0, 1/2), got 0.0"),
+            ({"delta": 0.5}, "delta must lie in (0, 1/2), got 0.5"),
+            ({"trials": 0}, "trials must be >= 1, got 0"),
+            ({"instance": "mystery"}, "bad instance parameters in 'mystery': unknown OR instance family "
+             "'mystery' (expected all_zero, single_one or literal)"),
+            # index out of range for n=1
+            ({"instance": "single_one:9"}, "bad instance parameters in 'single_one:9': "
+             "single_one requires 1 <= index <= 1, got 9"),
+            # wrong length for n=1
+            ({"instance": "literal:0,1"}, "bad instance parameters in 'literal:0,1': "
+             "literal bits have length 2, expected n=1"),
+            # n=1 too small
+            ({"algorithm": "noisycompare", "instance": "sorted"}, "noisycompare needs n >= 2"),
+            # argmax undefined
+            ({"algorithm": "noisy-max", "instance": "literal:nan,1", "n": 2}, "bad instance parameters in "
+             "'literal:nan,1': values must not be NaN; the argmax is otherwise ill-defined"),
+            # all_zero and sorted take no parameter
+            ({"algorithm": "noisy-or", "instance": "all_zero:7", "n": 3},
+             "bad instance parameters in 'all_zero:7': all_zero takes no parameter"),
+            ({"algorithm": "noisy-max", "instance": "sorted:abc", "n": 3},
+             "bad instance parameters in 'sorted:abc': sorted takes no parameter"),
+            # too small to halve
+            ({"algorithm": "noisy-or", "instance": "all_zero", "delta": 5e-324},
+             "delta 5e-324 is too small to split in half"),
+            ({"algorithm": "tournament-or", "delta": 5e-324}, "delta 5e-324 is too small to split in half"),
         ],
     )
-    def test_rejects(self, overrides):
-        with pytest.raises(ContractViolation):
-            _config(**overrides).validate()
+    def test_rejects(self, overrides, message):
+        with pytest.raises(ContractViolation) as built:
+            _config(**overrides)
+        assert str(built.value) == message
+        # replace builds a new config, which checks itself the same way.
+        with pytest.raises(ContractViolation) as replaced:
+            replace(_config(), **overrides)
+        assert str(replaced.value) == message
 
     def test_smallest_delta_is_valid_where_no_tournament_splits_it(self):
-        _config(delta=5e-324).validate()
-        _config(algorithm="noisy-max", instance="sorted", n=3, delta=5e-324).validate()
+        assert _config(delta=5e-324).delta == 5e-324
+        assert _config(algorithm="noisy-max", instance="sorted", n=3, delta=5e-324).delta == 5e-324
 
     def test_instance_spec_families(self):
         assert parse_instance_spec("all_zero", 3, "noisy-or").bits == (0, 0, 0)
@@ -388,7 +409,7 @@ class TestSweep:
         ],
     )
     def test_every_row_equals_its_standalone_trials(self, algorithm, instance, n_grid, p_grid, delta_grid, workers):
-        base = _config(algorithm=algorithm, instance=instance, trials=6, seed=5)
+        base = _config(algorithm=algorithm, instance=instance, n=n_grid[0], trials=6, seed=5)
         configs = sweep_configs(base, n_grid, p_grid, delta_grid)
         standalone = [run_trials(cfg) for cfg in configs]
         if algorithm == "noisy-or":

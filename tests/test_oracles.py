@@ -28,7 +28,7 @@ from noisyquery.oracles import (
     make_instance_max,
     make_instance_or,
 )
-from noisyquery.primitives import check_bit, check_bit_log, noisy_compare, noisy_compare_log
+from noisyquery.primitives import check_bit, check_bit_log, noisy_compare, noisy_compare_log, vote_threshold_log
 from recording import RecordingOracle, ScriptedOracle
 
 
@@ -855,12 +855,36 @@ class TestNamedRuns:
         _name(bits, [(2, None), (1, None)], 7)
         _name(values, [(1, 2), (3, 4)], 7)
         # The run's threshold stands, whatever tolerance the primitive is given.
-        reports = [check_bit(bits, 2, 0.01, 0.25), check_bit_log(bits, 1, -50.0, 0.25)]
-        reports += [noisy_compare(values, 1, 2, 0.01, 0.25), noisy_compare_log(values, 3, 4, -50.0, 0.25)]
+        reports = [check_bit(bits, 2, 0.01, 0.25), check_bit(bits, 1, 1e-20, 0.25)]
+        reports += [noisy_compare(values, 1, 2, 0.01, 0.25), noisy_compare(values, 3, 4, 1e-20, 0.25)]
         assert all(type(r) is StopReport for r in reports)
         assert [type(r.decision) for r in reports] == [int, int, bool, bool]
         assert [w[2] for w in bits.walks + values.walks] == [7] * 4
         assert [w[3] for w in bits.walks + values.walks] == [r.queries_used for r in reports]
+
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_log_primitives_walk_alone_and_are_refused_during_a_named_run(self, instance):
+        # A tournament match is never a run's walk.  While a run has walks
+        # left, walk refuses the _log form, and nothing moves.
+        named, alone = RecordingOracle(instance, 0.25, 3, 1), NoisyOracle(instance, 0.25, 3, 1)
+        walks = _walks(instance, 3)
+        i, j = walks[0]
+
+        def log_walk(oracle):
+            if j is None:
+                return check_bit_log(oracle, i, -50.0, 0.25)
+            return noisy_compare_log(oracle, i, j, -50.0, 0.25)
+
+        _name(named, walks, 4)
+        with pytest.raises(ContractViolation, match="named run has 3 walks left"):
+            log_walk(named)
+        assert named.queries == 0 and len(named.pending) == 3 and named.walks == []
+        for a, b in walks:
+            assert named.take(a, b) == alone.walk(a, b, 4)
+        # With the run over, it walks alone at its own threshold.
+        k = vote_threshold_log(0.25, -50.0)
+        assert log_walk(named) == alone.walk(i, j, k)
+        assert named.walks[-1] == (i, j, k, named.queries - sum(w[3] for w in named.walks[:-1]))
 
 
 class TestNamedRunContracts:
