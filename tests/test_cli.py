@@ -62,6 +62,22 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert "p must lie in (0, 1/2)" in err
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            (["--n", "10", "--delta", "0.7", "--p", "0.7"], "delta must lie in (0, 1/2), got 0.7"),
+            (["--n", "0", "--delta", "0.01", "--p", "0.7"], "n must be >= 1, got 0"),
+            (["--n", "10", "--delta", "0.01", "--p", "1.5"], "p must lie in [0, 1], got 1.5"),
+            (["--n", "10", "--delta", "0.01", "--p", "0.5"], "p must lie in (0, 1/2), got 0.5"),
+        ],
+    )
+    def test_the_first_bad_parameter_names_the_refusal(self, capsys, point, message):
+        # delta is checked first, then the bounds in the order they print.
+        assert main(["bounds", *point]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
     def test_n_too_large_for_a_float_exits_two(self, capsys):
         # The budgets multiply and divide by n as a float; 10**400 has none.
         argv = ["bounds", "--delta", "0.01", "--p", "0.25", "--n"]

@@ -49,6 +49,8 @@ CASES = {
         "--p", "0.1,0.3", "--delta", "0.05", "--trials", "100", "--seed", _SEED, "--format", "json",
     ],
     "bounds.txt": ["bounds", "--n", "1000", "--delta", "0.01", "--p", "0.25"],
+    # 1/delta and (1-p)/p overflow; the printout takes the subnormal branches.
+    "bounds-subnormal.txt": ["bounds", "--n", "10", "--delta", "1e-309", "--p", "1e-310"],
     "verify-mc200.txt": ["verify", "--mc-trials", "200"],
 }
 
