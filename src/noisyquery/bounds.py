@@ -1,7 +1,7 @@
 """Closed-form query-complexity bounds for noisy OR/MAX computation.
 
 All divergences and logarithms are natural (nats) unless a name says
-otherwise; :class:`BoundReport` gives the binary entropy in nats and in
+otherwise; ``noisyquery bounds`` prints the binary entropy in nats and in
 bits.
 """
 
@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import ContractViolation
 
 __all__ = [
-    "BoundReport",
     "binary_entropy",
     "checkbit_budget",
     "kl_pq",
@@ -22,7 +20,6 @@ __all__ = [
     "lecam_floor",
     "log_inverse",
     "log_odds",
-    "make_bound_report",
     "regime_label",
     "regime_ratio",
     "upper_budget",
@@ -132,42 +129,3 @@ def regime_label(ratio: float) -> str:
         return "o(1)-like: linear term dominates, bounds tight"
     return "Theta(1): constant gap, bounds tight up to constant"
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All closed-form bound quantities for one (n, delta, p) point."""
-
-    n: int
-    delta: float
-    p: float
-    d_kl: float            # nats
-    entropy_nats: float
-    entropy_bits: float
-    upper_budget: float    # achievable expected queries, leading term
-    lower_budget: float    # minimum expected queries forced by the error floor
-    checkbit_budget: float
-    regime_ratio: float
-    regime: str
-
-    def lecam_floor(self, m: float) -> float:
-        """Error floor at expected-query budget m for this report's (n, p)."""
-        return lecam_floor(self.n, m, self.p)
-
-
-def make_bound_report(n: int, delta: float, p: float) -> BoundReport:
-    """Evaluate every bound expression at one parameter point."""
-    _require(0.0 < delta < 0.5, f"delta must lie in (0, 1/2), got {delta}")
-    h = binary_entropy(p)
-    return BoundReport(
-        n=n,
-        delta=delta,
-        p=p,
-        d_kl=kl_pq(p),
-        entropy_nats=h,
-        entropy_bits=h / math.log(2.0),
-        upper_budget=upper_budget(n, delta, p),
-        lower_budget=lecam_budget(n, delta, p),
-        checkbit_budget=checkbit_budget(delta, p),
-        regime_ratio=regime_ratio(delta, p),
-        regime=regime_label(regime_ratio(delta, p)),
-    )

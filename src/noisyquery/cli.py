@@ -8,11 +8,21 @@ standard error.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .bounds import make_bound_report
+from .bounds import (
+    binary_entropy,
+    checkbit_budget,
+    kl_pq,
+    lecam_budget,
+    lecam_floor,
+    regime_label,
+    regime_ratio,
+    upper_budget,
+)
 from .errors import ContractViolation, InvariantError
 from .exact_oracle import run_verify_checks
 from .harness import (
@@ -89,22 +99,30 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    report = make_bound_report(args.n, args.delta, args.p)
+    n, delta, p = args.n, args.delta, args.p
+    if not 0.0 < delta < 0.5:  # checked first, so it wins over every refusal below
+        raise ContractViolation(f"delta must lie in (0, 1/2), got {delta}")
+    entropy = binary_entropy(p)
+    d_kl = kl_pq(p)
+    upper = upper_budget(n, delta, p)
+    lower = lecam_budget(n, delta, p)
+    per_bit = checkbit_budget(delta, p)
+    ratio = regime_ratio(delta, p)
     lines = [
         "# convention: divergences and log(1/delta) in nats; capacity term 1-H(p) uses bits",
-        f"n                        {report.n}",
-        f"p                        {report.p!r}",
-        f"delta                    {report.delta!r}",
-        f"d_kl_nats                {report.d_kl!r}",
-        f"entropy_nats             {report.entropy_nats!r}",
-        f"entropy_bits             {report.entropy_bits!r}",
-        f"upper_budget             {report.upper_budget!r}",
-        f"lower_budget_lecam       {report.lower_budget!r}",
-        f"checkbit_budget_per_bit  {report.checkbit_budget!r}",
-        f"lecam_floor_at_m0        {report.lecam_floor(0.0)!r}",
-        f"lecam_floor_at_upper     {report.lecam_floor(report.upper_budget)!r}",
-        f"regime_ratio             {report.regime_ratio!r}",
-        f"regime                   {report.regime}",
+        f"n                        {n}",
+        f"p                        {p!r}",
+        f"delta                    {delta!r}",
+        f"d_kl_nats                {d_kl!r}",
+        f"entropy_nats             {entropy!r}",
+        f"entropy_bits             {entropy / math.log(2.0)!r}",
+        f"upper_budget             {upper!r}",
+        f"lower_budget_lecam       {lower!r}",
+        f"checkbit_budget_per_bit  {per_bit!r}",
+        f"lecam_floor_at_m0        {lecam_floor(n, 0.0, p)!r}",
+        f"lecam_floor_at_upper     {lecam_floor(n, upper, p)!r}",
+        f"regime_ratio             {ratio!r}",
+        f"regime                   {regime_label(ratio)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return _EXIT_OK

@@ -366,7 +366,7 @@ def aggregate(config: ExperimentConfig, columns: Columns) -> AggregateStats:
         subroutine_mean_queries=(sum(queries) - phase1_total) / m,
         theory_upper_budget=budget,
         theory_lecam_m_at_delta=lecam_budget(config.n, config.delta, config.p),
-        ratio_mean_over_upper=mean_q / budget if budget > 0 else math.inf,
+        ratio_mean_over_upper=mean_q / budget,  # a config's n, delta and p make the budget positive and finite
     )
 
 

@@ -446,9 +446,10 @@ class NoisyOracle:
     def name_run(self, firsts: Sequence[int], seconds: Sequence[int] | None, k: int) -> None:
         """Name the walks (firsts[w], seconds[w] or None for bit reads) at threshold k, to be taken in turn.
 
-        Every walk is checked before anything moves.  The stops of _BATCH
-        walks at a time are read ahead, moving the flip stream on, but each
-        walk's queries are counted when it is taken.  An empty run does nothing.
+        Every walk is checked, in walk order, before anything moves, so a bad
+        run raises its first bad walk's message.  The stops of _BATCH walks at
+        a time are read ahead, moving the flip stream on, but each walk's
+        queries are counted when it is taken.  An empty run does nothing.
         """
         if self.pending:
             raise ContractViolation(f"a run named while the last one has {len(self.pending)} walks left")
@@ -457,8 +458,9 @@ class NoisyOracle:
         if seconds is not None and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
         self._firsts, self._seconds, self._named_k = firsts, seconds, k
-        for start in range(_BATCH, len(firsts), _BATCH):
-            self._batch(start)
+        if len(firsts) > _BATCH:  # check every batch before the first is read
+            for start in range(0, len(firsts), _BATCH):
+                self._batch(start)
         if len(firsts):
             self._batch(0, read=True)
 
@@ -493,8 +495,9 @@ class NoisyOracle:
         else:
             f, s = _intp(firsts), _intp(seconds) if pairs else None
             bad = (f < 1) | (f > self._n) if s is None else (f < 1) | (f > self._n) | (s < 1) | (s > self._n) | (f == s)
-            if bad.any() or (self._bits is None) != pairs:
-                w = int(bad.argmax())
+            wrong_channel = (self._bits is None) != pairs
+            if wrong_channel or bad.any():
+                w = 0 if wrong_channel else int(bad.argmax())  # on the wrong channel, every walk is bad
                 self._truth(int(f[w]), int(s[w]) if pairs else None)  # raises as that walk would alone
             if not read:
                 return

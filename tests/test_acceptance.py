@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from noisyquery.bounds import lecam_budget, lecam_floor, make_bound_report, upper_budget
+from noisyquery.bounds import lecam_budget, lecam_floor, upper_budget
 from noisyquery.exact_oracle import analyze_walk, enumerate_tournament, verify_registry
 from noisyquery.harness import ExperimentConfig, aggregate, render_csv, run_experiment, run_trials
 from noisyquery.primitives import vote_threshold
@@ -222,12 +222,12 @@ def test_criterion_7_lower_bound_consistency():
                 if abs(floor - delta / 16) > 1e-9 * delta:
                     failures.append(f"(n={n}, p={p}, delta={delta}): floor is not delta/16")
     # Reported anchors.
-    report = make_bound_report(1000, 0.01, 0.25)
-    if report.lecam_floor(0.0) != 0.25:
+    if lecam_floor(1000, 0.0, 0.25) != 0.25:
         failures.append("zero-query floor is not 1/4")
-    if abs(report.lower_budget - 5859.894082871708) > 1e-6:
-        failures.append(f"floor-matching budget {report.lower_budget} drifted")
-    if abs(report.lower_budget - 5859.93) > 0.05:
+    lower_budget = lecam_budget(1000, 0.01, 0.25)
+    if abs(lower_budget - 5859.894082871708) > 1e-6:
+        failures.append(f"floor-matching budget {lower_budget} drifted")
+    if abs(lower_budget - 5859.93) > 0.05:
         failures.append("floor-matching budget disagrees with the published anchor")
     ok = _report(
         "7 (error-floor formula consistency)",

@@ -14,11 +14,11 @@ from noisyquery.bounds import (
     lecam_floor,
     log_inverse,
     log_odds,
-    make_bound_report,
     regime_label,
     regime_ratio,
     upper_budget,
 )
+from noisyquery.cli import main
 from noisyquery.errors import ContractViolation
 from noisyquery.primitives import vote_threshold, vote_threshold_log
 
@@ -122,7 +122,7 @@ class TestUpperBudget:
         assert lecam_budget(1000, 0.01, 0.25) == pytest.approx(5859.93, rel=1e-5)
         assert lecam_floor(100, 100, 0.1) == pytest.approx(0.043096, rel=3e-4)
 
-    @pytest.mark.parametrize("bound", [upper_budget, lecam_budget, lecam_floor, make_bound_report])
+    @pytest.mark.parametrize("bound", [upper_budget, lecam_budget, lecam_floor])
     def test_n_beyond_the_largest_float_refused(self, bound):
         # A ContractViolation, not an OverflowError from converting n to a float.
         with pytest.raises(ContractViolation, match="n must be at most"):
@@ -146,8 +146,7 @@ class TestSubnormalDelta:
         assert upper_budget(1000, delta, 0.25) == 1000 * -math.log(delta) / kl_pq(0.25)
         assert lecam_budget(1000, delta, 0.25) == pytest.approx(1000 * -math.log(4 * delta) / kl_pq(0.25))
         assert regime_ratio(delta, 0.25) == -math.log(delta) / math.log(4.0)
-        report = make_bound_report(1000, delta, 0.25)
-        assert report.checkbit_budget == math.ceil(-math.log(delta) / math.log(3.0)) / 0.5
+        assert checkbit_budget(delta, 0.25) == math.ceil(-math.log(delta) / math.log(3.0)) / 0.5
 
 
 class TestSubnormalP:
@@ -168,11 +167,10 @@ class TestSubnormalP:
         assert kl_pq(p) == -math.log(p)
         assert vote_threshold(p, 0.01) == 1  # a single read decides at odds beyond 1e308
         assert vote_threshold_log(p, math.log(0.01)) == 1
-        report = make_bound_report(10, 0.01, p)
-        assert report.checkbit_budget == 1.0
-        assert report.lecam_floor(0.0) == 0.25
-        assert all(math.isfinite(x) for x in (report.d_kl, report.upper_budget, report.regime_ratio))
-        assert report.regime_ratio == log_inverse(0.01) / -math.log(p)
+        assert checkbit_budget(0.01, p) == 1.0
+        assert lecam_floor(10, 0.0, p) == 0.25
+        assert all(math.isfinite(x) for x in (kl_pq(p), upper_budget(10, 0.01, p), regime_ratio(0.01, p)))
+        assert regime_ratio(0.01, p) == log_inverse(0.01) / -math.log(p)
 
 
 class TestPerPrimitiveBudgets:
@@ -238,16 +236,18 @@ class TestRegimeClassifier:
         assert "linear term" in regime_label(0.01)
 
 
-class TestBoundReport:
-    def test_fields_coherent(self):
-        rep = make_bound_report(1000, 0.01, 0.25)
-        assert rep.upper_budget == pytest.approx(8383.613097157539, rel=1e-13)
-        assert rep.lower_budget == pytest.approx(5859.894082871708, rel=1e-13)
-        assert rep.entropy_bits == pytest.approx(0.8112781244591328, rel=1e-13)
-        assert rep.lecam_floor(0.0) == 0.25
-        assert rep.lecam_floor(rep.lower_budget) == pytest.approx(0.01, rel=1e-10)
-        assert rep.d_kl > 0 and rep.upper_budget > 0 and rep.lower_budget > 0
+class TestOnePoint:
+    """The quantities ``noisyquery bounds`` prints at n = 1000, delta = 0.01, p = 0.25."""
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ContractViolation):
-            make_bound_report(10, 0.5, 0.25)
+    def test_values_coherent(self):
+        upper, lower = upper_budget(1000, 0.01, 0.25), lecam_budget(1000, 0.01, 0.25)
+        assert upper == pytest.approx(8383.613097157539, rel=1e-13)
+        assert lower == pytest.approx(5859.894082871708, rel=1e-13)
+        assert binary_entropy(0.25) / math.log(2.0) == pytest.approx(0.8112781244591328, rel=1e-13)
+        assert lecam_floor(1000, 0.0, 0.25) == 0.25
+        assert lecam_floor(1000, lower, 0.25) == pytest.approx(0.01, rel=1e-10)
+        assert kl_pq(0.25) > 0 and upper > 0 and lower > 0
+
+    def test_rejects_bad_delta(self, capsys):
+        assert main(["bounds", "--n", "10", "--delta", "0.5", "--p", "0.25"]) == 2
+        assert capsys.readouterr().err == "configuration error: delta must lie in (0, 1/2), got 0.5\n"

@@ -778,6 +778,14 @@ class TestRunsMatchReferee:
 # ---------------------------------------------------------------------------
 
 
+def _spliced(entries, changes):
+    """A copy of ``entries`` with entry w set to changes[w]."""
+    out = list(entries)
+    for w, x in changes.items():
+        out[w] = x
+    return out
+
+
 def _name(oracle, walks, k):
     """Names ``walks``, a list of (i, j), as one run at threshold k."""
     oracle.name_run([i for i, _ in walks], None if walks[0][1] is None else [j for _, j in walks], k)
@@ -978,6 +986,11 @@ class TestNamedRunContracts:
             (VALUE_INSTANCE, [1, 2] * 200, [2, 1] * 199 + [2, 2], 3, (2, 2)),
             (BIT_INSTANCE, [1, 2] * 200, [2, 1] * 200, 3, (1, 2)),
             (VALUE_INSTANCE, [1, 2] * 200, None, 3, (1, None)),
+            # Runs of several batches, bad early and again in a later batch: the early walk's message.
+            (BIT_INSTANCE, _spliced([1, 2, 3, 4] * 500, {3: 0, 1200: 5000}), None, 3, (0, None)),
+            (VALUE_INSTANCE, [1, 2] * 1000, _spliced([2, 1] * 1000, {5: 2, 1500: 9999}), 3, (2, 2)),
+            # Comparisons on a bit instance, with a pair out of range past walk 0: walk 0's message.
+            (BIT_INSTANCE, _spliced([1, 2] * 20, {5: 6}), _spliced([2, 1] * 20, {5: 500}), 3, (1, 2)),
         ],
     )
     def test_bad_runs_raise_before_anything_moves(self, instance, firsts, seconds, k, bad):
@@ -989,6 +1002,7 @@ class TestNamedRunContracts:
                 fresh.walk(*bad, 3)
             assert str(from_run.value) == str(alone.value)
         assert oracle.queries == 0 and not oracle.pending
+        assert (oracle._chunk, oracle._pos) == (fresh._chunk, fresh._pos)
         j_ok = None if isinstance(instance, BitInstance) else 2
         assert [_single(oracle, j_ok) for _ in range(5)] == [_single(fresh, j_ok) for _ in range(5)]
 
