@@ -60,11 +60,13 @@ __all__ = [
 
 
 def _run_checkbit(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    return (*check_bit(oracle, 1, delta, p), 0)
+    decision, queries = check_bit(oracle, 1, delta, p)
+    return decision, queries, 0
 
 
 def _run_noisycompare(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    return (*noisy_compare(oracle, 1, 2, delta, p), 0)
+    decision, queries = noisy_compare(oracle, 1, 2, delta, p)
+    return decision, queries, 0
 
 
 def _run_tournament_or(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
@@ -286,10 +288,10 @@ def _run_block(configs: Sequence[ExperimentConfig], start: int, stop: int) -> li
     for t, draws in zip(range(start, stop), TrialDraws.block(configs[0].seed, start, stop, ps)):
         for config, (correct, queries, phase1) in zip(configs, columns):
             # By module-global name, so a tracer that swaps run_trial sees every (row, trial).
-            stats = run_trial(config, t, draws)
-            correct.append(stats.correct)
-            queries.append(stats.queries)
-            phase1.append(stats.phase1_queries)
+            _, right, total, first, _ = run_trial(config, t, draws)
+            correct.append(right)
+            queries.append(total)
+            phase1.append(first)
     return columns
 
 

@@ -17,13 +17,17 @@ SeedSequence.
 The first 4,672 draws of a trial's channel are held by one
 :class:`TrialDraws`, which every oracle of that trial may share: a sweep
 runs each of its rows on the trial's one set of draws, whatever p the
-row has.  Draws past that prefix come from each oracle's own generator.
-A run of trials sets up their first chunks a block at a time
+row has.  The prefix is read in chunks of 128, 448 and 4,096 flips;
+draws past it come from each oracle's own generator, in private chunks
+of 8,192.  A run of trials sets up their first chunks a block at a time
 (:meth:`TrialDraws.block`).
 
 A run of walks at one vote threshold is named first (:meth:`NoisyOracle.name_run`),
-its stops read in one numpy pass a chunk, and each walk taken as a ready report,
-checked against plain lists of its batch's indices.
+from lists, ranges or integer arrays of indices, taken as they are.  Its
+stops are read in one numpy pass a chunk into two preallocated arrays, its
+batch's reports are one gather off a table of shared reports by code, and
+each walk is taken as a ready report, checked against plain lists of its
+batch's indices.
 
 Indices are 1-based throughout, matching the usual [n] convention.
 """
@@ -48,8 +52,8 @@ __all__ = [
     "make_instance_or",
 ]
 
-_BUF_CAP = 4096
-_PREFIX = (128, 448, _BUF_CAP)  # the channel's chunk sizes, then _BUF_CAP each; these first chunks are shared
+_BUF_CAP = 8192  # the flips of each private chunk, past the prefix; no chunk is longer
+_PREFIX = (128, 448, 4096)  # the channel's first chunk sizes, shared by a trial's oracles
 _PREFIX_LEN = sum(_PREFIX)
 _PASS_MIN = 32  # a named run's stops are read in numpy passes while it has this many walks left
 _BATCH = 1024  # a named run's walks are read this many at a time, so its arrays stay small
@@ -63,17 +67,24 @@ _FLIPS.flags.writeable = False
 
 @lru_cache(maxsize=256)
 def _lattice(k: int) -> np.ndarray:
-    """Mask over the margin offsets -_BUF_CAP.._BUF_CAP, from index 0: True at multiples of k."""
+    """Mask over the margin offsets ±_BUF_CAP, from index 0: True at multiples of k; no chunk is longer."""
     mask = np.zeros(2 * _BUF_CAP + 1, dtype=bool)
     mask[_BUF_CAP % k :: k] = True
     return mask
 
 
 def _intp(indices: Sequence[int]) -> np.ndarray:
-    """Indices as an intp array; a range costs no loop."""
+    """Indices as an integer array: a range costs no loop, an array (name_run's, of integers) is taken as it is."""
+    if isinstance(indices, np.ndarray):
+        return indices
     if isinstance(indices, range):
         return np.arange(indices.start, indices.stop, indices.step)
     return np.fromiter(indices, np.intp, len(indices))
+
+
+def _plain(indices: Sequence[int | None]) -> list[int | None]:
+    """Indices as a list of Python ints (or Nones)."""
+    return indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
 
 
 def _words(key: int) -> list[int]:
@@ -253,14 +264,33 @@ class StopReport(NamedTuple):
     queries_used: int
 
 
+_REPORTS_CAP = 1 << 14  # the most entries the dict and the dense table of shared reports each hold
+
+
 class _Reports(dict):
-    """Shared reports by code 4 * queries + 2 * (a comparison) + decision, built at first use; holds 16,384 at most."""
+    """Shared reports by code 4 * queries + 2 * (a comparison) + decision, built at first use; holds 16,384 at most.
+
+    ``_dense`` holds the same reports as an object array by code, grown on
+    demand to a power of two of at most 16,384, so a batch's are one gather.
+    """
+
+    _dense = np.empty(0, dtype=object)
 
     def __missing__(self, code: int) -> StopReport:
-        if len(self) >= 1 << 14:
+        if len(self) >= _REPORTS_CAP:
             self.clear()
         report = self[code] = tuple.__new__(StopReport, (bool(code & 1) if code & 2 else code & 1, code >> 2))
         return report
+
+    def gather(self, codes: np.ndarray) -> list[StopReport]:
+        """The reports of a nonempty array of codes; a code past the dense table's bound is looked up."""
+        top = int(codes.max())
+        if top >= len(self._dense):
+            if top >= _REPORTS_CAP:
+                return list(map(self.__getitem__, codes.tolist()))
+            size = min(_REPORTS_CAP, 1 << top.bit_length())
+            self._dense = np.fromiter(map(self.__getitem__, range(size)), dtype=object, count=size)
+        return self._dense[codes].tolist()
 
 
 _REPORTS = _Reports()
@@ -387,7 +417,7 @@ class NoisyOracle:
     # -- randomness plumbing -------------------------------------------------
 
     def _refill(self) -> None:
-        # Chunk sizes follow a fixed schedule (128, 448, then 4096 flips),
+        # Chunk sizes follow a fixed schedule (128, 448, 4096, then 8192 flips),
         # and the channel draws one double per flip whatever the chunk
         # size, so the flip sequence is a pure function of
         # (master_seed, trial_index).  A chunk is kept as its running
@@ -450,6 +480,8 @@ class NoisyOracle:
         run raises its first bad walk's message.  The stops of _BATCH walks at
         a time are read ahead, moving the flip stream on, but each walk's
         queries are counted when it is taken.  An empty run does nothing.
+        Indices given as a numpy array are read as they are, and must be of
+        an integer dtype.
         """
         if self.pending:
             raise ContractViolation(f"a run named while the last one has {len(self.pending)} walks left")
@@ -457,6 +489,9 @@ class NoisyOracle:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
         if seconds is not None and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
+        for indices in (firsts, seconds):
+            if isinstance(indices, np.ndarray) and indices.dtype.kind not in "iu":
+                raise ContractViolation(f"a run's indices must be integers, got an array of {indices.dtype}")
         self._firsts, self._seconds, self._named_k = firsts, seconds, k
         if len(firsts) > _BATCH:  # check every batch before the first is read
             for start in range(0, len(firsts), _BATCH):
@@ -482,18 +517,25 @@ class NoisyOracle:
         A read batch keeps its walks' first and second indices (None for bit
         reads) as plain lists, which :meth:`take` checks each walk against.
         A batch of fewer than _PASS_MIN walks is checked and read a walk at a
-        time, since numpy would cost more than it saves.
+        time, since numpy would cost more than it saves.  A larger one is
+        checked in numpy, or walk by walk if an index does not fit intp.
         """
         k, pairs = self._named_k, self._seconds is not None
         firsts = self._firsts[start : start + _BATCH]
         seconds = self._seconds[start : start + _BATCH] if pairs else [None] * len(firsts)
         if len(firsts) < _PASS_MIN:
+            firsts, seconds = _plain(firsts), _plain(seconds)
             truths = [self._truth(i, j) for i, j in zip(firsts, seconds)]
             stops = [self._jump(k) for _ in truths] if read else []
-            codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)][::-1]
-            firsts, seconds = list(firsts), list(seconds)
+            codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)]
+            pending = list(map(_REPORTS.__getitem__, reversed(codes)))
         else:
-            f, s = _intp(firsts), _intp(seconds) if pairs else None
+            try:
+                f, s = _intp(firsts), _intp(seconds) if pairs else None
+            except OverflowError:  # an index past intp is out of range, so some walk raises
+                for i, j in zip(firsts, seconds):
+                    self._truth(i, j)
+                raise
             bad = (f < 1) | (f > self._n) if s is None else (f < 1) | (f > self._n) | (s < 1) | (s > self._n) | (f == s)
             wrong_channel = (self._bits is None) != pairs
             if wrong_channel or bad.any():
@@ -504,12 +546,12 @@ class NoisyOracle:
             table = self.instance.array
             truths = table[f - 1] if s is None else table[f - 1] < table[s - 1]
             ts, ups = self._run(k, len(f))
-            codes = (4 * ts + (truths == ups) + 2 * pairs)[::-1].tolist()
+            pending = _REPORTS.gather((4 * ts + (truths == ups) + 2 * pairs)[::-1])
             firsts, seconds = f.tolist(), s.tolist() if pairs else seconds
         if read:
             self._batch_firsts, self._batch_seconds, self._walk = firsts, seconds, 0
             self._batch_end = start + len(firsts)
-            self.pending = list(map(_REPORTS.__getitem__, codes))
+            self.pending = pending
 
     def _truth(self, i: int, j: int | None) -> int | bool:
         """The true answer of bit i, or of values[i] < values[j]; refuses bad arguments."""
@@ -568,29 +610,32 @@ class NoisyOracle:
         chunk's first flip and the last _PASS_MIN - 1 walks.
         """
         flips = k / (1.0 - 2.0 * self.p)  # a walk's expected flips, at most
-        ts: list = []  # each walk's flips, and whether it ended up, a chunk of walks at a time
-        ups: list = []
+        ts = np.empty(count, dtype=np.intp)  # each walk's flips
+        ups = np.empty(count, dtype=bool)  # whether each walk ended up
+        done = 0
         hi = -1  # the end of the last pass, if it was in this chunk
-        while count:
+        while done < count:
+            left = count - done
             buf, pos = self._buf, self._pos
-            if not pos or hi == len(buf) or len(buf) - pos < k or count < _PASS_MIN:
-                up, t = self._jump(k)
-                ts.append((t,))
-                ups.append((up,))
-                count, hi = count - 1, -1  # the jump may have refilled: no pass has covered this chunk
+            if not pos or hi == len(buf) or len(buf) - pos < k or left < _PASS_MIN:
+                ups[done], ts[done] = self._jump(k)
+                done, hi = done + 1, -1  # the jump may have refilled: no pass has covered this chunk
                 continue
-            hi = min(len(buf), max(hi, pos) + int(count * flips) + k)
+            hi = min(len(buf), max(hi, pos) + int(left * flips) + k)
             seg = buf.obj[pos - 1 : hi]  # pos >= 1: a chunk's first walk takes the jump loop
             hits = _lattice(k)[seg - (seg[0] - _BUF_CAP)].nonzero()[0]
             levels = seg[hits]
-            moves = (levels[1:] != levels[:-1]).nonzero()[0][:count]
+            steps = levels[1:] - levels[:-1]  # 0 where the margin hit its last level again, else ±k
+            moves = steps.nonzero()[0][:left]
             if len(moves):
                 # A stop at entry h of seg ends its walk at flip pos + h.
                 stops = hits[1:][moves]
-                ts.append(stops - np.append(0, stops[:-1]))
-                ups.append(levels[1:][moves] > levels[:-1][moves])
-                count, self._pos = count - len(stops), pos + int(stops[-1])
-        return np.concatenate(ts), np.concatenate(ups)
+                end = done + len(stops)
+                ts[done] = stops[0]
+                np.subtract(stops[1:], stops[:-1], out=ts[done + 1 : end])
+                np.greater(steps[moves], 0, out=ups[done:end])
+                done, self._pos = end, pos + int(stops[-1])
+        return ts, ups
 
 
 def make_instance_or(

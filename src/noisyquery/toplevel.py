@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import log_inverse
 from .errors import ContractViolation
 from .oracles import NoisyOracle
@@ -113,20 +115,22 @@ def noisy_max_report(oracle: NoisyOracle, delta: float, p: float) -> MaxRunRepor
     q = sampling_probability(n)
     rng = oracle.algorithm_rng
     if q >= 1.0:
-        sample, others = list(range(1, n + 1)), []
+        sample, unsampled = list(range(1, n + 1)), np.empty(0, dtype=np.intp)
     else:
         while True:
             mask = rng.random(n) < q
             if mask.any():
                 break
         sample = (mask.nonzero()[0] + 1).tolist()
-        others = ((~mask).nonzero()[0] + 1).tolist()  # the unsampled indices, in order
+        unsampled = (~mask).nonzero()[0] + 1  # the unsampled indices, in order
+    others = unsampled.tolist()
     start = oracle.queries
 
     champion = tournament_max(oracle, sample, delta, p)
     before_compares = oracle.queries
 
-    oracle.name_run([champion] * len(others), others, vote_threshold(p, delta))
+    # The run is named from the index arrays, which the oracle reads as they are.
+    oracle.name_run(np.full(len(others), champion), unsampled, vote_threshold(p, delta))
     shortlist = [champion, *(u for u in others if noisy_compare(oracle, champion, u, delta, p).decision)]
     phase1 = oracle.queries - before_compares
 

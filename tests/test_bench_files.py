@@ -20,6 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 SIDES = ("parent", "change")
+# Claims whose change alters queries by design, so their sides differ in queries_per_trial.
+QUERIES_CHANGED = {"BENCH_halving_schedule.json", "BENCH_since_e54aa4f.json"}
 HIGHER_IS_BETTER = {
     metric["name"]: metric["better"] == "higher"
     for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -91,3 +93,20 @@ def test_pair_counts_and_median_change_are_read_off_the_runs(bench):
             assert summary["tied_pairs"] == sum(g == 0 for g in gains), (workload, name)
             medians = [statistics.median(v[side] for v in pairs.values()) for side in SIDES]
             assert summary["median_change"] == pytest.approx(medians[1] / medians[0] - 1), (workload, name)
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in BENCH_FILES if path.name not in QUERIES_CHANGED], ids=lambda path: path.name
+)
+def test_queries_per_trial_are_identical_seed_by_seed(path):
+    bench = json.loads(path.read_text())
+    by_run = {}
+    for r in bench["runs"] + bench.get("holdout_runs", []):
+        by_run.setdefault((r["workload"], r["seed"]), {})[r["side"]] = r["result"]["metrics"]["queries_per_trial"]
+    assert by_run
+    for run, sides in by_run.items():
+        assert sides["parent"]["value"] == sides["change"]["value"], run
+
+
+def test_the_files_exempt_from_the_query_check_exist():
+    assert QUERIES_CHANGED <= {path.name for path in BENCH_FILES}

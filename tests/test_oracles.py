@@ -15,11 +15,14 @@ from noisyquery import harness, oracles
 from noisyquery.errors import ContractViolation
 from noisyquery.oracles import (
     _BLOCK,
+    _FLIPS,
     _PREFIX,
     _PREFIX_LEN,
+    _REPORTS,
     _SET_UP,
     _block_states,
     _generator,
+    _lattice,
     BitInstance,
     NoisyOracle,
     StopReport,
@@ -395,8 +398,9 @@ def test_noiseless_channel_reads_truth(bits):
 
 BIT_INSTANCE = BitInstance(bits=(0, 1, 0, 1))
 VALUE_INSTANCE = ValueInstance(values=(3.0, 1.0, 4.0, 2.0))
-# Refill boundaries of the flip stream: chunks of 128, 448, then 4096 flips.
-REFILL_AT = (128, 128 + 448, 128 + 448 + 4096, 128 + 448 + 2 * 4096)
+# Refill boundaries of the flip stream: shared chunks of 128, 448 and 4096
+# flips, then private chunks of 8192; the last two are private refills.
+REFILL_AT = (128, 128 + 448, 128 + 448 + 4096, 128 + 448 + 4096 + 8192, 128 + 448 + 4096 + 2 * 8192)
 
 
 def _loop_walk(oracle, i, j, k):
@@ -469,17 +473,19 @@ class TestWalkMatchesQueryLoop:
             ended_on_boundary |= boundary in totals
         assert ended_on_boundary
 
-    @pytest.mark.parametrize("k, p", [(600, 0.02), (600, 0.05), (5000, 0.02), (5000, 0.05)])
+    @pytest.mark.parametrize("k, p", [(600, 0.02), (600, 0.05), (5000, 0.02), (5000, 0.05), (9000, 0.02)])
     @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 3)])
     def test_walks_longer_than_a_buffer(self, k, p, instance, j):
-        # One jump of k flips spans the 128- and 448-flip first chunks and, at
-        # K = 5000, a 4096-flip one too.
+        # One jump of k flips spans the 128- and 448-flip first chunks, at
+        # K = 5000 a 4096-flip one too, and at K = 9000 an 8192-flip one.
         fast, slow = _twins(instance, p, 13, 6)
         walks = [(1, j, k)] * (2 if k == 600 else 5)
         totals = _assert_walks_match(fast, slow, walks)
         assert totals[0] >= k
-        if k == 5000:
+        if k >= 5000:
             assert totals[0] > REFILL_AT[2] and totals[-1] > REFILL_AT[3]
+        if k == 9000:
+            assert totals[-1] > REFILL_AT[4]
 
     @pytest.mark.parametrize("boundary", REFILL_AT[:2])
     @pytest.mark.parametrize("j", [None, 2])
@@ -718,12 +724,16 @@ class TestRunsMatchReferee:
 
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("instance", _CHANNELS)
-    @pytest.mark.parametrize("k, p", [(2, 0.02), (5, 0.25), (9, 0.45), (20, 0.25), (60, 0.1), (100, 0.33)])
+    @pytest.mark.parametrize(
+        "k, p",
+        [(1, 0.1), (2, 0.02), (5, 0.25), (9, 0.45), (17, 0.25), (20, 0.25), (60, 0.1), (100, 0.33), (150, 0.25)],
+    )
     def test_long_runs_across_every_refill(self, instance, k, p, named, shared):
-        count = int(2.2 * REFILL_AT[3] * (1 - 2 * p) / k) + 1
+        flips = k / (1 - 2 * p) * math.tanh(k * math.log((1 - p) / p) / 2)  # a walk's expected flips
+        count = int(1.3 * REFILL_AT[-1] / flips) + 1
         draws = _read_past_the_prefix(instance, 0.3, 8, 1) if shared else None
         results = _assert_matches_referee(instance, p, 8, 1, _run(instance, k, count), named, draws)
-        assert sum(t for _, t in results) > REFILL_AT[3]
+        assert sum(t for _, t in results) > REFILL_AT[-1]
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     @pytest.mark.parametrize("k", [2, 5, 9])
@@ -826,25 +836,27 @@ class TestNamedRuns:
             totals = _assert_run_matches_walks(named, alone, _walks(instance, int(1.2 * REFILL_AT[3] / flips)), k)
             assert totals[-1] > REFILL_AT[3], k
 
-    @pytest.mark.parametrize("k, p", [(600, 0.02), (5000, 0.02), (5000, 0.05)])
+    @pytest.mark.parametrize("k, p", [(600, 0.02), (5000, 0.02), (5000, 0.05), (9000, 0.02)])
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_thresholds_beyond_a_chunk(self, instance, k, p):
         named, alone = _twins(instance, p, 13, 6)
         totals = _assert_run_matches_walks(named, alone, _walks(instance, 10 if k == 600 else 5), k)
-        assert totals[0] >= k and totals[-1] > REFILL_AT[2]
+        assert totals[0] >= k and totals[-1] > REFILL_AT[2 if k < 9000 else 4]
 
     @pytest.mark.parametrize("boundary", REFILL_AT)
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_runs_from_just_before_a_refill(self, instance, boundary):
         # Single queries bring both twins to within a few flips of a
-        # boundary; a run of short walks then starts there.
+        # boundary; runs of walks then start there, the first crossing it.
         j = _walks(instance, 1)[0][1]
         for lead in range(1, 12):
             named, alone = _twins(instance, 0.25, 5, lead)
             for _ in range(boundary - lead):
                 assert _single(named, j) == _single(alone, j)
-            for k in (2, 5):
-                _assert_run_matches_walks(named, alone, _walks(instance, 60), k)
+            for k in (1, 2, 5, 17, 150):
+                totals = _assert_run_matches_walks(named, alone, _walks(instance, 60), k)
+                if k == 1:
+                    assert totals[-1] > boundary, lead
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_runs_of_the_algorithms_shapes(self, instance):
@@ -869,6 +881,34 @@ class TestNamedRuns:
         assert [type(r.decision) for r in reports] == [int, int, bool, bool]
         assert [w[2] for w in bits.walks + values.walks] == [7] * 4
         assert [w[3] for w in bits.walks + values.walks] == [r.queries_used for r in reports]
+
+    @pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint16])
+    @pytest.mark.parametrize("count", [10, 700, 2600])
+    def test_a_champion_run_named_from_arrays_is_the_run_named_from_lists(self, count, dtype):
+        # The MAX champion comparisons name their run from the index arrays
+        # they hold: the champion against each unsampled index, in order.
+        # Runs of under _PASS_MIN walks, of one batch, and of three.
+        champion, rng = 1234, np.random.default_rng(count)
+        others = np.flatnonzero(rng.random(3000) < count / 3000) + 1
+        others = others[others != champion].astype(dtype)
+        arrays, lists = _twins(make_instance_max("sorted", 3000), 0.25, 7, 3)
+        arrays.name_run(np.full(len(others), champion, dtype=dtype), others, 5)
+        lists.name_run([champion] * len(others), others.tolist(), 5)
+        for u in others.tolist():
+            report = arrays.take(champion, u)
+            assert report == lists.take(champion, u) and type(report.decision) is bool
+            assert arrays.queries == lists.queries
+        assert not arrays.pending and (arrays._chunk, arrays._pos) == (lists._chunk, lists._pos)
+        assert [_single(arrays, 2) for _ in range(3)] == [_single(lists, 2) for _ in range(3)]
+
+    def test_a_batch_gathers_the_shared_reports_by_code(self):
+        # Codes up to 16,383 are read off a dense table; past it, off the dict.
+        for codes in ([20, 21, 4 * 4095 + 3], [22, 4 * 17_500 + 1, 23]):
+            reports = _REPORTS.gather(np.array(codes)[::-1])
+            assert reports == [_REPORTS[code] for code in reversed(codes)]
+            assert [type(r) for r in reports] == [StopReport] * 3
+            assert [type(r.decision) for r in reports] == [bool if c & 2 else int for c in reversed(codes)]
+        assert len(_REPORTS._dense) == 1 << 14
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_log_primitives_walk_alone_and_are_refused_during_a_named_run(self, instance):
@@ -991,6 +1031,16 @@ class TestNamedRunContracts:
             (VALUE_INSTANCE, [1, 2] * 1000, _spliced([2, 1] * 1000, {5: 2, 1500: 9999}), 3, (2, 2)),
             # Comparisons on a bit instance, with a pair out of range past walk 0: walk 0's message.
             (BIT_INSTANCE, _spliced([1, 2] * 20, {5: 6}), _spliced([2, 1] * 20, {5: 500}), 3, (1, 2)),
+            # Indices past int64 in runs long enough for a numpy pass: the first bad walk's message.
+            (make_instance_or("all_zero", 100), [2**70, *range(1, 40)], None, 5, (2**70, None)),
+            (make_instance_or("all_zero", 100), [*range(1, 41), -(2**70)], None, 5, (-(2**70), None)),
+            (VALUE_INSTANCE, [1, 2] * 20, _spliced([2, 1] * 20, {10: 2**64}), 3, (1, 2**64)),
+            (VALUE_INSTANCE, _spliced([1, 2] * 20, {3: 3}), _spliced([2, 1] * 20, {3: 3, 10: 2**64}), 3, (3, 3)),
+            # Index arrays of a dtype other than integers, short and long.
+            (BIT_INSTANCE, np.array([1.0, 2.0]), None, 3, None),
+            (BIT_INSTANCE, np.array([1.0, 2.0] * 20), None, 3, None),
+            (VALUE_INSTANCE, np.array([1, 2] * 20), np.array([2.0, 1.0] * 20), 3, None),
+            (VALUE_INSTANCE, np.array([True, True]), np.array([2, 3]), 3, None),
         ],
     )
     def test_bad_runs_raise_before_anything_moves(self, instance, firsts, seconds, k, bad):
@@ -1015,6 +1065,20 @@ class TestNamedRunContracts:
 class TestSharedDraws:
     def test_prefix_is_the_first_three_chunks(self):
         assert _PREFIX_LEN == REFILL_AT[2] == 4672
+
+    def test_no_chunk_is_longer_than_the_lattice_reaches(self):
+        # A pass reads a chunk's margins as offsets into _lattice(k), which
+        # spans len(_FLIPS) either way; from a longer chunk it would index the
+        # mask with negative offsets, which numpy wraps silently.
+        oracle = NoisyOracle(BIT_INSTANCE, 0.25, 3, 1)
+        lengths = []
+        for _ in REFILL_AT:
+            oracle._refill()
+            lengths.append(len(oracle._buf))
+        assert lengths == np.diff((0, *REFILL_AT)).tolist()
+        assert max(lengths) <= len(_FLIPS)
+        for k in (1, 2, 5, 17, 150, 9000):
+            assert len(_lattice(k)) == 2 * len(_FLIPS) + 1, k
 
     @pytest.mark.numpy_mirror
     def test_advance_matches_drawing_the_prefix(self):
@@ -1069,7 +1133,7 @@ class TestSharedDraws:
                 for i, j, k in walks[stretch * 400 : stretch * 400 + 400]:
                     assert row.walk(i, j, k) == twin.walk(i, j, k)
                     assert row.queries == twin.queries
-        assert all(row.queries > _PREFIX_LEN + 4096 for row in rows)
+        assert all(row.queries > REFILL_AT[3] for row in rows)  # past the first private refill
         assert [row._rng is prefix_rng for row in rows].count(True) == 1
 
     def test_the_first_continuation_is_the_prefix_generator(self):
