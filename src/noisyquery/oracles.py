@@ -270,8 +270,8 @@ _REPORTS_CAP = 1 << 14  # the most entries the dict and the dense table of share
 class _Reports(dict):
     """Shared reports by code 4 * queries + 2 * (a comparison) + decision, built at first use; holds 16,384 at most.
 
-    ``_dense`` holds the same reports as an object array by code, grown on
-    demand to a power of two of at most 16,384, so a batch's are one gather.
+    ``_dense`` holds reports equal to these as an object array by code, grown
+    on demand to a power of two of at most 16,384, so a batch's are one gather.
     """
 
     _dense = np.empty(0, dtype=object)

@@ -129,7 +129,6 @@ def noisy_max_report(oracle: NoisyOracle, delta: float, p: float) -> MaxRunRepor
     champion = tournament_max(oracle, sample, delta, p)
     before_compares = oracle.queries
 
-    # The run is named from the index arrays, which the oracle reads as they are.
     oracle.name_run(np.full(len(others), champion), unsampled, vote_threshold(p, delta))
     shortlist = [champion, *(u for u in others if noisy_compare(oracle, champion, u, delta, p).decision)]
     phase1 = oracle.queries - before_compares

@@ -847,16 +847,18 @@ class TestNamedRuns:
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_runs_from_just_before_a_refill(self, instance, boundary):
         # Single queries bring both twins to within a few flips of a
-        # boundary; runs of walks then start there, the first crossing it.
+        # boundary; a run of walks then starts there and crosses it.  From
+        # one flip before it, the first walk of K >= 2 straddles it.
         j = _walks(instance, 1)[0][1]
-        for lead in range(1, 12):
-            named, alone = _twins(instance, 0.25, 5, lead)
-            for _ in range(boundary - lead):
-                assert _single(named, j) == _single(alone, j)
-            for k in (1, 2, 5, 17, 150):
+        for k in (1, 2, 5, 17, 150):
+            for lead in range(1, 12):
+                named, alone = _twins(instance, 0.25, 5, lead)
+                for _ in range(boundary - lead):
+                    assert _single(named, j) == _single(alone, j)
                 totals = _assert_run_matches_walks(named, alone, _walks(instance, 60), k)
-                if k == 1:
-                    assert totals[-1] > boundary, lead
+                assert totals[-1] > boundary, (k, lead)
+                if k > 1 and lead == 1:
+                    assert totals[0] > boundary, k
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_runs_of_the_algorithms_shapes(self, instance):
