@@ -30,7 +30,7 @@ from .bounds import lecam_budget, upper_budget
 from .errors import ContractViolation, InvariantError
 from .oracles import BitInstance, NoisyOracle, TrialDraws, ValueInstance, make_instance_max, make_instance_or
 from .primitives import check_bit, noisy_compare
-from .toplevel import noisy_max_report, noisy_or_report
+from .toplevel import RunReport, noisy_max_report, noisy_or_report
 from .tournaments import or_half, tournament_max, tournament_or
 
 __all__ = [
@@ -54,37 +54,36 @@ __all__ = [
 ]
 
 
-# A runner maps (oracle, delta, p) to (output, phase-1 queries, subroutine
-# queries).  Each calls its algorithm by module-global name, so a tracer that
-# swaps module attributes sees the call; a table of function objects would not.
+# A runner maps (oracle, delta) to (output, phase-1 queries, subroutine
+# queries); p is the oracle's.  Each calls its algorithm by module-global name,
+# so a tracer that swaps module attributes sees the call; a table of function
+# objects would not.
 
 
-def _run_checkbit(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    decision, queries = check_bit(oracle, 1, delta, p)
+def _run_checkbit(oracle: NoisyOracle, delta: float) -> tuple[int, int, int]:
+    decision, queries = check_bit(oracle, 1, delta, oracle.p)
     return decision, queries, 0
 
 
-def _run_noisycompare(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    decision, queries = noisy_compare(oracle, 1, 2, delta, p)
+def _run_noisycompare(oracle: NoisyOracle, delta: float) -> tuple[int, int, int]:
+    decision, queries = noisy_compare(oracle, 1, 2, delta, oracle.p)
     return decision, queries, 0
 
 
-def _run_tournament_or(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    return tournament_or(oracle, list(range(1, oracle.instance.n + 1)), delta, p), 0, oracle.queries
+def _run_tournament_or(oracle: NoisyOracle, delta: float) -> tuple[int, int, int]:
+    return tournament_or(oracle, list(range(1, oracle.instance.n + 1)), delta), 0, oracle.queries
 
 
-def _run_tournament_max(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    return tournament_max(oracle, list(range(1, oracle.instance.n + 1)), delta, p), 0, oracle.queries
+def _run_tournament_max(oracle: NoisyOracle, delta: float) -> tuple[int, int, int]:
+    return tournament_max(oracle, list(range(1, oracle.instance.n + 1)), delta), 0, oracle.queries
 
 
-def _run_noisy_or(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    report = noisy_or_report(oracle, delta, p)
-    return report.output, report.phase1_queries, report.subroutine_queries
+def _run_noisy_or(oracle: NoisyOracle, delta: float) -> RunReport:
+    return noisy_or_report(oracle, delta)
 
 
-def _run_noisy_max(oracle: NoisyOracle, delta: float, p: float) -> tuple[int, int, int]:
-    report = noisy_max_report(oracle, delta, p)
-    return report.output, report.phase1_queries, report.subroutine_queries
+def _run_noisy_max(oracle: NoisyOracle, delta: float) -> RunReport:
+    return noisy_max_report(oracle, delta)
 
 
 def _literal(parse: Callable[[str], int | float]) -> Callable[[str], tuple]:
@@ -256,7 +255,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | No
     """
     instance, target = _cached_instance(config.instance, config.n, config.algorithm)
     oracle = NoisyOracle(instance, config.p, config.seed, trial_index, draws)
-    output, phase1, sub = ALGORITHMS[config.algorithm][1](oracle, config.delta, config.p)
+    output, phase1, sub = ALGORITHMS[config.algorithm][1](oracle, config.delta)
     total = oracle.queries
     if phase1 + sub != total:
         raise InvariantError(

@@ -264,22 +264,25 @@ class StopReport(NamedTuple):
     queries_used: int
 
 
-_REPORTS_CAP = 1 << 14  # the most entries the dict and the dense table of shared reports each hold
+_REPORTS_CAP = 1 << 14  # codes below it are shared: the dict and the dense table each hold 16,384 at most
 
 
 class _Reports(dict):
-    """Shared reports by code 4 * queries + 2 * (a comparison) + decision, built at first use; holds 16,384 at most.
+    """Reports by code 4 * queries + 2 * (a comparison) + decision, one shared object per code below 16,384.
 
-    ``_dense`` holds reports equal to these as an object array by code, grown
-    on demand to a power of two of at most 16,384, so a batch's are one gather.
+    A code below the cap (a walk of fewer than 4,096 queries) is stored at
+    first use, so the dict never holds more than 16,384; a larger code gets
+    a fresh report each time.  ``_dense`` holds the stored reports
+    themselves as an object array by code, grown on demand to a power of
+    two of at most 16,384, so a batch's are one gather.
     """
 
     _dense = np.empty(0, dtype=object)
 
     def __missing__(self, code: int) -> StopReport:
-        if len(self) >= _REPORTS_CAP:
-            self.clear()
-        report = self[code] = tuple.__new__(StopReport, (bool(code & 1) if code & 2 else code & 1, code >> 2))
+        report = tuple.__new__(StopReport, (bool(code & 1) if code & 2 else code & 1, code >> 2))
+        if code < _REPORTS_CAP:
+            self[code] = report
         return report
 
     def gather(self, codes: np.ndarray) -> list[StopReport]:

@@ -5,12 +5,15 @@ the full tolerance delta and reserve the expensive knockout tournament
 for a sublinear shortlist: the OR algorithm tournaments only the bits
 whose individual checks returned 1, the MAX algorithm only a random
 subsample plus the elements that beat the subsample's champion.
+
+Each takes an oracle and delta, reads n and the crossover probability p
+off the oracle, and returns a :class:`RunReport`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +24,7 @@ from .primitives import check_bit, noisy_compare, vote_threshold
 from .tournaments import or_half, tournament_max, tournament_or
 
 __all__ = [
-    "MaxRunReport",
-    "OrRunReport",
+    "RunReport",
     "noisy_max_report",
     "noisy_or_report",
     "or_threshold",
@@ -51,29 +53,15 @@ def sampling_probability(n: int) -> float:
     return min(1.0, 1.0 / math.log(n))
 
 
-@dataclass(frozen=True)
-class OrRunReport:
-    """Outcome and per-phase accounting of one OR run."""
+class RunReport(NamedTuple):
+    """Outcome and per-phase query accounting of one run of either algorithm."""
 
     output: int
-    phase1_queries: int       # the n individual bit checks
-    subroutine_queries: int   # the shortlist tournament, if it ran
-    survivors: tuple[int, ...]
+    phase1_queries: int       # OR: the n bit checks; MAX: the comparisons against the sample champion
+    subroutine_queries: int   # the tournaments that ran
 
 
-@dataclass(frozen=True)
-class MaxRunReport:
-    """Outcome and per-phase accounting of one MAX run."""
-
-    output: int
-    phase1_queries: int       # the comparisons against the sample champion
-    subroutine_queries: int   # both tournaments
-    sample: tuple[int, ...]
-    champion: int             # winner of the sample tournament
-    shortlist: tuple[int, ...]
-
-
-def noisy_or_report(oracle: NoisyOracle, delta: float, p: float) -> OrRunReport:
+def noisy_or_report(oracle: NoisyOracle, delta: float) -> RunReport:
     """Run the two-phase OR algorithm on the oracle's n bits and report the phase breakdown.
 
     Phase 1 checks every bit at tolerance delta, collecting the indices
@@ -85,20 +73,20 @@ def noisy_or_report(oracle: NoisyOracle, delta: float, p: float) -> OrRunReport:
     refused before any query, whatever the bits turn out to be.
     """
     or_half(delta)
-    n = oracle.instance.n
+    n, p = oracle.instance.n, oracle.p
     start = oracle.queries
     oracle.name_run(range(1, n + 1), None, vote_threshold(p, delta))
     survivors = [i for i in range(1, n + 1) if check_bit(oracle, i, delta, p).decision == 1]
     phase1 = oracle.queries - start
     if not survivors:
-        return OrRunReport(0, phase1, 0, ())
+        return RunReport(0, phase1, 0)
     if len(survivors) >= or_threshold(n, delta):
-        return OrRunReport(1, phase1, 0, tuple(survivors))
-    output = tournament_or(oracle, survivors, delta, p)
-    return OrRunReport(output, phase1, oracle.queries - start - phase1, tuple(survivors))
+        return RunReport(1, phase1, 0)
+    output = tournament_or(oracle, survivors, delta)
+    return RunReport(output, phase1, oracle.queries - start - phase1)
 
 
-def noisy_max_report(oracle: NoisyOracle, delta: float, p: float) -> MaxRunReport:
+def noisy_max_report(oracle: NoisyOracle, delta: float) -> RunReport:
     """Run the two-phase MAX algorithm on the oracle's n values and report the phase breakdown.
 
     A subsample drawn with per-index probability 1/log n is tournamented
@@ -111,7 +99,7 @@ def noisy_max_report(oracle: NoisyOracle, delta: float, p: float) -> MaxRunRepor
     until nonempty, which leaves the conditional law of the sample
     unchanged.
     """
-    n = oracle.instance.n
+    n, p = oracle.instance.n, oracle.p
     q = sampling_probability(n)
     rng = oracle.algorithm_rng
     if q >= 1.0:
@@ -126,21 +114,12 @@ def noisy_max_report(oracle: NoisyOracle, delta: float, p: float) -> MaxRunRepor
     others = unsampled.tolist()
     start = oracle.queries
 
-    champion = tournament_max(oracle, sample, delta, p)
+    champion = tournament_max(oracle, sample, delta)
     before_compares = oracle.queries
 
     oracle.name_run(np.full(len(others), champion), unsampled, vote_threshold(p, delta))
     shortlist = [champion, *(u for u in others if noisy_compare(oracle, champion, u, delta, p).decision)]
     phase1 = oracle.queries - before_compares
 
-    output = tournament_max(oracle, shortlist, delta, p)
-    sub = oracle.queries - start - phase1
-    return MaxRunReport(
-        output=output,
-        phase1_queries=phase1,
-        subroutine_queries=sub,
-        sample=tuple(sample),
-        champion=champion,
-        shortlist=tuple(shortlist),
-    )
-
+    output = tournament_max(oracle, shortlist, delta)
+    return RunReport(output, phase1, oracle.queries - start - phase1)

@@ -12,7 +12,7 @@ the pair (keeping it on a 1, else keeping the second) and finishes with
 one more check of the survivor; it gives delta/2 to its bracket and
 delta/2 to its final check, so it too errs at most delta.  The MAX
 variant decides each match with a noisy comparison and returns the
-survivor directly.
+survivor directly.  Both read the crossover probability p off the oracle.
 
 Round tolerances underflow any float for deep brackets and small delta,
 so the schedule is carried in log space and vote thresholds are computed
@@ -74,7 +74,7 @@ def _play_rounds(entrants: Sequence[int], delta: float, play: Callable[[list, li
     return survivors[0]
 
 
-def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: float) -> int:
+def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float) -> int:
     """Estimate the OR of the bits at ``indices``; error probability at most delta.
 
     Matches check only the first element of each pair: a 1 keeps it, a 0
@@ -84,7 +84,7 @@ def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: 
     Each match is one lone walk.  An index out of range raises when it is
     first checked, after the earlier checks have been walked.
     """
-    half = or_half(delta)
+    half, p = or_half(delta), oracle.p
 
     def play(firsts: list[int], seconds: list[int], log_tol: float) -> list[int]:
         return [a if check_bit_log(oracle, a, log_tol, p).decision == 1 else b for a, b in zip(firsts, seconds)]
@@ -93,7 +93,7 @@ def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: 
     return check_bit(oracle, last, half, p).decision
 
 
-def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float, p: float) -> int:
+def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float) -> int:
     """Return the index of the (estimated) maximum among ``indices``.
 
     Each match compares the pair once through the stopping primitive: a
@@ -102,6 +102,8 @@ def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float, p:
     Each match is one lone walk.  A bad entrant raises at its first
     match, after the earlier matches have been walked.
     """
+    p = oracle.p
+
     def play(firsts: list[int], seconds: list[int], log_tol: float) -> list[int]:
         return [b if noisy_compare_log(oracle, a, b, log_tol, p).decision else a for a, b in zip(firsts, seconds)]
 

@@ -70,13 +70,14 @@ class ScriptedOracle(RecordingOracle):
 
     Each answer is the truth XOR its flip.  Past the end of the script
     no answer is flipped, so ``ScriptedOracle(instance)`` is the
-    noiseless channel.  The oracle's p, 0.25, sets only how far a named
-    run's passes read, not which answers flip.  The script stands in for
-    the oracle's draws, both the trial's shared prefix and the oracle's
+    noiseless channel.  The oracle's p (0.25 unless given) sets the
+    thresholds an algorithm run on it walks at, and how far a named run's
+    passes read, not which answers flip.  The script stands in for the
+    oracle's draws, both the trial's shared prefix and the oracle's
     private continuation past it.
     """
 
     __slots__ = ()
 
-    def __init__(self, instance, flips=()) -> None:
-        super().__init__(instance, 0.25, draws=_ScriptedDraws(flips))
+    def __init__(self, instance, flips=(), p=0.25) -> None:
+        super().__init__(instance, p, draws=_ScriptedDraws(flips))

@@ -210,8 +210,8 @@ class TestTrials:
     def test_misreported_phase_split_is_caught(self, monkeypatch):
         model, runner, target = harness.ALGORITHMS["noisy-or"]
 
-        def misreporting(oracle, delta, p):
-            output, phase1, sub = runner(oracle, delta, p)
+        def misreporting(oracle, delta):
+            output, phase1, sub = runner(oracle, delta)
             return output, phase1, sub + 1
 
         monkeypatch.setitem(harness.ALGORITHMS, "noisy-or", (model, misreporting, target))
@@ -261,7 +261,7 @@ class TestQueryConservation:
         runner = harness.ALGORITHMS[algorithm][1]
         for trial in range(5):
             oracle = RecordingOracle(parse_instance_spec(instance, n, algorithm), cfg.p, seed, trial)
-            _, phase1, sub = runner(oracle, cfg.delta, cfg.p)
+            _, phase1, sub = runner(oracle, cfg.delta)
             assert oracle.walks
             assert sum(queries for *_, queries in oracle.walks) == oracle.queries == phase1 + sub
             assert run_trial(cfg, trial)[2:] == (oracle.queries, phase1, sub)

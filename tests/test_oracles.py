@@ -19,6 +19,7 @@ from noisyquery.oracles import (
     _PREFIX,
     _PREFIX_LEN,
     _REPORTS,
+    _REPORTS_CAP,
     _SET_UP,
     _block_states,
     _generator,
@@ -904,13 +905,23 @@ class TestNamedRuns:
         assert [_single(arrays, 2) for _ in range(3)] == [_single(lists, 2) for _ in range(3)]
 
     def test_a_batch_gathers_the_shared_reports_by_code(self):
-        # Codes up to 16,383 are read off a dense table; past it, off the dict.
+        # Codes up to 16,383 are read off a dense table; past it, built afresh.
         for codes in ([20, 21, 4 * 4095 + 3], [22, 4 * 17_500 + 1, 23]):
             reports = _REPORTS.gather(np.array(codes)[::-1])
             assert reports == [_REPORTS[code] for code in reversed(codes)]
             assert [type(r) for r in reports] == [StopReport] * 3
             assert [type(r.decision) for r in reports] == [bool if c & 2 else int for c in reversed(codes)]
         assert len(_REPORTS._dense) == 1 << 14
+
+    def test_a_code_keeps_one_report_object(self):
+        # A code at or past the cap gets a report that is not stored, so the
+        # dict never fills up and clears: the dict and the dense table keep
+        # one object per code.
+        _REPORTS.gather(np.array([401]))
+        for code in range(_REPORTS_CAP, 2 * _REPORTS_CAP + 1):
+            assert _REPORTS[code] == (bool(code & 1) if code & 2 else code & 1, code >> 2)
+        assert _REPORTS[5] is _REPORTS._dense[5]
+        assert len(_REPORTS) <= _REPORTS_CAP
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_log_primitives_walk_alone_and_are_refused_during_a_named_run(self, instance):

@@ -17,7 +17,7 @@ from noisyquery.oracles import (
     make_instance_max,
     make_instance_or,
 )
-from noisyquery.primitives import vote_threshold_log
+from noisyquery.primitives import vote_threshold, vote_threshold_log
 from noisyquery.tournaments import or_half, round_log_errors, round_thresholds, tournament_max, tournament_or
 from recording import RecordingOracle, ScriptedOracle
 
@@ -90,12 +90,12 @@ class TestTournamentOrTraces:
         # K(0.025) = 4, one round-two check at K(0.0125) = 4, then the
         # final check at K(0.05) = 3: 15 reads total.
         oracle = ScriptedOracle(make_instance_or("all_zero", 4))
-        assert tournament_or(oracle, [1, 2, 3, 4], 0.1, 0.25) == 0
+        assert tournament_or(oracle, [1, 2, 3, 4], 0.1) == 0
         assert oracle.queries == 15
 
     def test_single_index_degenerates_to_final_check(self):
         oracle = ScriptedOracle(make_instance_or("literal", bits=(1,)))
-        assert tournament_or(oracle, [1], 0.1, 0.25) == 1
+        assert tournament_or(oracle, [1], 0.1) == 1
         assert oracle.walks == [(1, None, 3, 3)]  # K(0.05) at p = 0.25; K(0.1) would be 2
 
     def test_first_element_asymmetry(self):
@@ -103,19 +103,19 @@ class TestTournamentOrTraces:
         # run over (0, 1) must read index 1 in round one, then index 2 in
         # the final check, never reading 1 again.
         oracle = ScriptedOracle(make_instance_or("literal", bits=(0, 1)))
-        assert tournament_or(oracle, [1, 2], 0.1, 0.25) == 1
+        assert tournament_or(oracle, [1, 2], 0.1) == 1
         # K(0.025) on index 1, decided 0, so 2 advances; then the final K(0.05) on 2.
         assert oracle.walks == [(1, None, 4, 4), (2, None, 3, 3)]
 
     def test_empty_indices_rejected(self):
         oracle = ScriptedOracle(make_instance_or("all_zero", 2))
         with pytest.raises(ContractViolation):
-            tournament_or(oracle, [], 0.1, 0.25)
+            tournament_or(oracle, [], 0.1)
 
     def test_delta_range(self):
         oracle = ScriptedOracle(make_instance_or("all_zero", 2))
         with pytest.raises(ContractViolation):
-            tournament_or(oracle, [1, 2], 0.5, 0.25)
+            tournament_or(oracle, [1, 2], 0.5)
 
 
 class TestTournamentMaxTraces:
@@ -124,12 +124,12 @@ class TestTournamentMaxTraces:
         # plays (2,3); truthful comparisons crown index 3.
         # Round one at K(0.05) = 3, round two at K(0.025) = 4.
         oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0, 3.0)))
-        assert tournament_max(oracle, [1, 2, 3], 0.1, 0.25) == 3
+        assert tournament_max(oracle, [1, 2, 3], 0.1) == 3
         assert oracle.walks == [(1, 2, 3, 3), (2, 3, 4, 4)]
 
     def test_single_index_returns_without_queries(self):
         oracle = ScriptedOracle(ValueInstance(values=(4.0,)))
-        assert tournament_max(oracle, [1], 0.1, 0.25) == 1
+        assert tournament_max(oracle, [1], 0.1) == 1
         assert oracle.walks == [] and oracle.queries == 0
 
     def test_bye_carries_last_entrant(self):
@@ -137,13 +137,13 @@ class TestTournamentMaxTraces:
         # round 1 plays (1,2) and (3,4) and carries 5; winners 1 and 4 meet
         # in round 2 with 5 carried again; round 3 plays (1,5).
         oracle = ScriptedOracle(ValueInstance(values=(5.0, 1.0, 2.0, 3.0, 4.0)))
-        assert tournament_max(oracle, [1, 2, 3, 4, 5], 0.1, 0.25) == 1
+        assert tournament_max(oracle, [1, 2, 3, 4, 5], 0.1) == 1
         k1, k2, k3 = (_k(math.log(0.1) - rnd * math.log(2.0)) for rnd in (1, 2, 3))
         assert oracle.walks == [(1, 2, k1, k1), (3, 4, k1, k1), (1, 4, k2, k2), (1, 5, k3, k3)]
 
     def test_subset_of_indices(self):
         oracle = ScriptedOracle(ValueInstance(values=(9.0, 1.0, 7.0, 3.0)))
-        assert tournament_max(oracle, [2, 3, 4], 0.05, 0.25) == 3
+        assert tournament_max(oracle, [2, 3, 4], 0.05) == 3
 
 
 class TestScheduleFidelity:
@@ -151,7 +151,7 @@ class TestScheduleFidelity:
         # Every round-one check of a zero advances the second entrant, and the
         # bracket plays round i at (delta/2) 2^-i; the final check is at delta/2.
         oracle = ScriptedOracle(make_instance_or("all_zero", 8))
-        assert tournament_or(oracle, list(range(1, 9)), 0.05, 0.25) == 0
+        assert tournament_or(oracle, list(range(1, 9)), 0.05) == 0
         k = {rnd: _k(math.log(0.025) - rnd * math.log(2.0)) for rnd in (1, 2, 3)}
         final = _k(math.log(0.025))
         assert oracle.walks == [
@@ -165,7 +165,7 @@ class TestScheduleFidelity:
         # 11 -> 6 -> 3 -> 2 -> 1: the larger value wins every noiseless match,
         # and the odd entrant out is carried after the winners.
         oracle = ScriptedOracle(ValueInstance(values=tuple(float(v) for v in range(1, 12))))
-        assert tournament_max(oracle, list(range(1, 12)), 0.1, 0.25) == 11
+        assert tournament_max(oracle, list(range(1, 12)), 0.1) == 11
         k = {rnd: _k(math.log(0.1) - rnd * math.log(2.0)) for rnd in (1, 2, 3, 4)}
         assert oracle.walks == [
             *((a, a + 1, k[1], k[1]) for a in (1, 3, 5, 7, 9)),
@@ -173,6 +173,29 @@ class TestScheduleFidelity:
             (4, 8, k[3], k[3]),
             (8, 11, k[4], k[4]),
         ]  # fmt: skip
+
+
+def _match_thresholds(r, delta, p):
+    """The k of each match of a knockout over r entrants, in play order."""
+    ks = []
+    for k in round_thresholds(r, delta, p):
+        ks += [k] * (r // 2)
+        r -= r // 2
+    return ks
+
+
+class TestThresholdsFollowTheOraclesP:
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
+    def test_or_rounds_and_final_check(self, p):
+        oracle = RecordingOracle(BitInstance(bits=(0, 1) * 6 + (0,)), p, master_seed=7)
+        tournament_or(oracle, list(range(1, 14)), 0.05)
+        assert [k for _, _, k, _ in oracle.walks] == [*_match_thresholds(13, 0.025, p), vote_threshold(p, 0.025)]
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
+    def test_max_rounds(self, p):
+        oracle = RecordingOracle(make_instance_max("permuted", 13, seed=2), p, master_seed=7)
+        tournament_max(oracle, list(range(1, 14)), 0.05)
+        assert [k for _, _, k, _ in oracle.walks] == _match_thresholds(13, 0.05, p)
 
 
 class _NoRunOracle(RecordingOracle):
@@ -204,7 +227,7 @@ class TestLoneMatches:
             instance, entrants = _entrants(kind, r), list(range(1, r + 1))
             lone = _NoRunOracle(instance, 0.25, master_seed=41, trial_index=r)
             plain = NoisyOracle(instance, 0.25, master_seed=41, trial_index=r)
-            assert play(lone, entrants, 0.05, 0.25) == play(plain, entrants, 0.05, 0.25), r
+            assert play(lone, entrants, 0.05) == play(plain, entrants, 0.05), r
             assert lone.queries == plain.queries, r
             # The same walks, named a threshold at a time, answer as the lone matches did.
             named = RecordingOracle(instance, 0.25, master_seed=41, trial_index=r)
@@ -226,7 +249,7 @@ class TestLoneMatches:
             NoisyOracle(instance, 0.25).walk(*walk, 3)
         oracle = NoisyOracle(instance, 0.25)
         with pytest.raises(ContractViolation, match=re.escape(str(alone.value))):
-            _TOURNAMENTS[kind](oracle, entrants, 0.1, 0.25)
+            _TOURNAMENTS[kind](oracle, entrants, 0.1)
         assert oracle.queries > 0  # the match before it was walked
 
 
@@ -238,7 +261,7 @@ class TestNoiselessCorrectness:
     def test_or_exact_on_noiseless_channel(self, bits):
         instance = BitInstance(bits=tuple(bits))
         oracle = ScriptedOracle(instance)
-        result = tournament_or(oracle, list(range(1, len(bits) + 1)), 0.05, 0.25)
+        result = tournament_or(oracle, list(range(1, len(bits) + 1)), 0.05)
         assert result == instance.truth()
 
     @given(
@@ -249,7 +272,7 @@ class TestNoiselessCorrectness:
     def test_max_exact_on_noiseless_channel(self, n, seed):
         instance = make_instance_max("permuted", n, seed=seed)
         oracle = ScriptedOracle(instance)
-        result = tournament_max(oracle, list(range(1, n + 1)), 0.05, 0.25)
+        result = tournament_max(oracle, list(range(1, n + 1)), 0.05)
         assert result == instance.truth()
 
 
@@ -260,13 +283,13 @@ class TestBracketConservation:
         values = tuple(float(v) for v in range(1, n + 1))
         oracle = NoisyOracle(ValueInstance(values=values), 0.4, master_seed=seed)
         indices = list(range(1, n + 1))
-        assert tournament_max(oracle, indices, 0.2, 0.4) in indices
+        assert tournament_max(oracle, indices, 0.2) in indices
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=40, deadline=None)
     def test_or_output_is_a_bit_under_noise(self, seed):
         oracle = NoisyOracle(BitInstance(bits=(0, 1, 0)), 0.4, master_seed=seed)
-        assert tournament_or(oracle, [1, 2, 3], 0.2, 0.4) in (0, 1)
+        assert tournament_or(oracle, [1, 2, 3], 0.2) in (0, 1)
 
 
 class TestStatisticalAgreement:
@@ -284,7 +307,7 @@ class TestStatisticalAgreement:
         queries = 0
         for t in range(trials):
             oracle = NoisyOracle(instance, p, master_seed=808, trial_index=t)
-            out = tournament_or(oracle, list(range(1, len(bits) + 1)), delta, p)
+            out = tournament_or(oracle, list(range(1, len(bits) + 1)), delta)
             wrong += out != instance.truth()
             queries += oracle.queries
         sigma = math.sqrt(exact.error_probability * (1 - exact.error_probability) / trials)
@@ -299,7 +322,7 @@ class TestStatisticalAgreement:
         queries = 0
         for t in range(trials):
             oracle = NoisyOracle(instance, 0.3, master_seed=809, trial_index=t)
-            wrong += tournament_max(oracle, [1, 2, 3], 0.05, 0.3) != 3
+            wrong += tournament_max(oracle, [1, 2, 3], 0.05) != 3
             queries += oracle.queries
         sigma = math.sqrt(exact.error_probability * (1 - exact.error_probability) / trials)
         assert abs(wrong / trials - exact.error_probability) <= 4 * sigma
