@@ -23,7 +23,6 @@ from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import groupby
-from multiprocessing import get_context
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bounds import lecam_budget, upper_budget
@@ -324,6 +323,8 @@ def _run_rows(configs: Sequence[ExperimentConfig], workers: int) -> list[Columns
     size = max(1, trials // (workers * 8))
     jobs = [(configs, t, min(t + size, trials)) for t in range(0, trials, size)]
     columns = [_columns() for _ in configs]
+    from multiprocessing import get_context  # loaded only where a pool starts
+
     with get_context("fork").Pool(workers) as pool:
         # starmap returns the blocks in job order, so trials stay in index order.
         for block in pool.starmap(_run_block, jobs, chunksize=1):

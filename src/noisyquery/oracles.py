@@ -23,7 +23,7 @@ of 8,192.  A run of trials sets up their first chunks a block at a time
 (:meth:`TrialDraws.block`).
 
 A run of walks at one vote threshold is named first (:meth:`NoisyOracle.name_run`),
-from lists, ranges or integer arrays of indices, taken as they are.  Its
+from integer arrays of indices, taken as they are.  Its
 stops are read in one numpy pass a chunk into two preallocated arrays, its
 batch's reports are one gather off a table of shared reports by code, and
 each walk is taken as a ready report, checked against plain lists of its
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple
 
 import numpy as np
 
@@ -71,20 +71,6 @@ def _lattice(k: int) -> np.ndarray:
     mask = np.zeros(2 * _BUF_CAP + 1, dtype=bool)
     mask[_BUF_CAP % k :: k] = True
     return mask
-
-
-def _intp(indices: Sequence[int]) -> np.ndarray:
-    """Indices as an integer array: a range costs no loop, an array (name_run's, of integers) is taken as it is."""
-    if isinstance(indices, np.ndarray):
-        return indices
-    if isinstance(indices, range):
-        return np.arange(indices.start, indices.stop, indices.step)
-    return np.fromiter(indices, np.intp, len(indices))
-
-
-def _plain(indices: Sequence[int | None]) -> list[int | None]:
-    """Indices as a list of Python ints (or Nones)."""
-    return indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
 
 
 def _words(key: int) -> list[int]:
@@ -476,25 +462,25 @@ class NoisyOracle:
         self.queries += t
         return _REPORTS[4 * t + (truth == up) + (0 if j is None else 2)]
 
-    def name_run(self, firsts: Sequence[int], seconds: Sequence[int] | None, k: int) -> None:
+    def name_run(self, firsts: np.ndarray, seconds: np.ndarray | None, k: int) -> None:
         """Name the walks (firsts[w], seconds[w] or None for bit reads) at threshold k, to be taken in turn.
 
-        Every walk is checked, in walk order, before anything moves, so a bad
-        run raises its first bad walk's message.  The stops of _BATCH walks at
-        a time are read ahead, moving the flip stream on, but each walk's
-        queries are counted when it is taken.  An empty run does nothing.
-        Indices given as a numpy array are read as they are, and must be of
-        an integer dtype.
+        The indices are integer numpy arrays, read as they are.  Every walk is
+        checked, in walk order, before anything moves, so a bad run raises its
+        first bad walk's message.  The stops of _BATCH walks at a time are read
+        ahead, moving the flip stream on, but each walk's queries are counted
+        when it is taken.  An empty run does nothing.
         """
         if self.pending:
             raise ContractViolation(f"a run named while the last one has {len(self.pending)} walks left")
         if k < 1:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
+        for indices in (firsts,) if seconds is None else (firsts, seconds):
+            if not isinstance(indices, np.ndarray) or indices.dtype.kind not in "iu":
+                got = f"an array of {indices.dtype}" if isinstance(indices, np.ndarray) else type(indices).__name__
+                raise ContractViolation(f"a run's indices must be an integer array, got {got}")
         if seconds is not None and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
-        for indices in (firsts, seconds):
-            if isinstance(indices, np.ndarray) and indices.dtype.kind not in "iu":
-                raise ContractViolation(f"a run's indices must be integers, got an array of {indices.dtype}")
         self._firsts, self._seconds, self._named_k = firsts, seconds, k
         if len(firsts) > _BATCH:  # check every batch before the first is read
             for start in range(0, len(firsts), _BATCH):
@@ -520,25 +506,19 @@ class NoisyOracle:
         A read batch keeps its walks' first and second indices (None for bit
         reads) as plain lists, which :meth:`take` checks each walk against.
         A batch of fewer than _PASS_MIN walks is checked and read a walk at a
-        time, since numpy would cost more than it saves.  A larger one is
-        checked in numpy, or walk by walk if an index does not fit intp.
+        time, since numpy would cost more than it saves; a larger one is
+        checked and read in numpy.
         """
         k, pairs = self._named_k, self._seconds is not None
-        firsts = self._firsts[start : start + _BATCH]
-        seconds = self._seconds[start : start + _BATCH] if pairs else [None] * len(firsts)
-        if len(firsts) < _PASS_MIN:
-            firsts, seconds = _plain(firsts), _plain(seconds)
+        f = self._firsts[start : start + _BATCH]
+        s = self._seconds[start : start + _BATCH] if pairs else None
+        if len(f) < _PASS_MIN:
+            firsts, seconds = f.tolist(), s.tolist() if pairs else [None] * len(f)
             truths = [self._truth(i, j) for i, j in zip(firsts, seconds)]
             stops = [self._jump(k) for _ in truths] if read else []
             codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)]
             pending = list(map(_REPORTS.__getitem__, reversed(codes)))
         else:
-            try:
-                f, s = _intp(firsts), _intp(seconds) if pairs else None
-            except OverflowError:  # an index past intp is out of range, so some walk raises
-                for i, j in zip(firsts, seconds):
-                    self._truth(i, j)
-                raise
             bad = (f < 1) | (f > self._n) if s is None else (f < 1) | (f > self._n) | (s < 1) | (s > self._n) | (f == s)
             wrong_channel = (self._bits is None) != pairs
             if wrong_channel or bad.any():
@@ -550,7 +530,7 @@ class NoisyOracle:
             truths = table[f - 1] if s is None else table[f - 1] < table[s - 1]
             ts, ups = self._run(k, len(f))
             pending = _REPORTS.gather((4 * ts + (truths == ups) + 2 * pairs)[::-1])
-            firsts, seconds = f.tolist(), s.tolist() if pairs else seconds
+            firsts, seconds = f.tolist(), s.tolist() if pairs else [None] * len(f)
         if read:
             self._batch_firsts, self._batch_seconds, self._walk = firsts, seconds, 0
             self._batch_end = start + len(firsts)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import log_inverse
 from .errors import ContractViolation
-from .oracles import NoisyOracle
+from .oracles import _BATCH, NoisyOracle
 from .primitives import check_bit, noisy_compare, vote_threshold
 from .tournaments import or_half, tournament_max, tournament_or
 
@@ -75,8 +75,11 @@ def noisy_or_report(oracle: NoisyOracle, delta: float) -> RunReport:
     or_half(delta)
     n, p = oracle.instance.n, oracle.p
     start = oracle.queries
-    oracle.name_run(range(1, n + 1), None, vote_threshold(p, delta))
-    survivors = [i for i in range(1, n + 1) if check_bit(oracle, i, delta, p).decision == 1]
+    k, survivors = vote_threshold(p, delta), []
+    for first in range(1, n + 1, _BATCH):  # a run a read batch long, so no array of n indices is held
+        stop = min(first + _BATCH, n + 1)
+        oracle.name_run(np.arange(first, stop), None, k)
+        survivors += [i for i in range(first, stop) if check_bit(oracle, i, delta, p).decision == 1]
     phase1 = oracle.queries - start
     if not survivors:
         return RunReport(0, phase1, 0)

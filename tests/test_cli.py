@@ -526,3 +526,15 @@ def test_importing_the_package_loads_no_module():
     # Each name is imported from its module; the package re-exports nothing.
     code = "import sys, noisyquery; print([m for m in sys.modules if m.startswith('noisyquery.')])"
     assert _fresh_python(code) == "[]"
+
+
+def test_a_one_worker_run_leaves_multiprocessing_unloaded():
+    # The pool's module is imported only where a pool starts.
+    code = (
+        "import contextlib, io, sys, noisyquery.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(['run', '--algorithm', 'noisy-or', '--instance', 'all_zero', '--n', '50',"
+        " '--p', '0.25', '--delta', '0.01', '--trials', '8', '--workers', '1'])\n"
+        "print(code, 'multiprocessing' in sys.modules)"
+    )
+    assert _fresh_python(code) == "0 False"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
@@ -52,7 +53,7 @@ def _serial_pool(monkeypatch, cpus):
         def starmap(self, fn, jobs, chunksize=1):
             return [fn(*job) for job in jobs]
 
-    monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=SerialPool))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return sizes
 

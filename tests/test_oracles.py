@@ -1,6 +1,7 @@
 """Instances, the noisy channel, query accounting, and the determinism contract."""
 
 import math
+import multiprocessing
 import os
 import pickle
 import tracemalloc
@@ -641,7 +642,7 @@ def _assert_matches_referee(instance, p, seed, trial, ops, named=False, draws=No
             while end < len(ops) and ops[end][2] == k:
                 end += 1
             run = ops[n:end]
-            oracle.name_run([w[0] for w in run], None if j is None else [w[1] for w in run], k)
+            oracle.name_run(np.array([w[0] for w in run]), None if j is None else np.array([w[1] for w in run]), k)
             got = []
             for w, (i, j, _) in enumerate(run):
                 report = oracle.take(i, j)
@@ -799,7 +800,7 @@ def _spliced(entries, changes):
 
 def _name(oracle, walks, k):
     """Names ``walks``, a list of (i, j), as one run at threshold k."""
-    oracle.name_run([i for i, _ in walks], None if walks[0][1] is None else [j for _, j in walks], k)
+    oracle.name_run(np.array([i for i, _ in walks]), None if walks[0][1] is None else np.array([j for _, j in walks]), k)
 
 
 def _assert_run_matches_walks(named, alone, walks, k):
@@ -885,24 +886,23 @@ class TestNamedRuns:
         assert [w[2] for w in bits.walks + values.walks] == [7] * 4
         assert [w[3] for w in bits.walks + values.walks] == [r.queries_used for r in reports]
 
-    @pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint16])
+    @pytest.mark.parametrize("dtype", [np.intp, np.int32, np.uint16, np.uint64])
     @pytest.mark.parametrize("count", [10, 700, 2600])
-    def test_a_champion_run_named_from_arrays_is_the_run_named_from_lists(self, count, dtype):
+    def test_a_champion_run_named_from_arrays_is_the_lone_walks(self, count, dtype):
         # The MAX champion comparisons name their run from the index arrays
         # they hold: the champion against each unsampled index, in order.
         # Runs of under _PASS_MIN walks, of one batch, and of three.
         champion, rng = 1234, np.random.default_rng(count)
         others = np.flatnonzero(rng.random(3000) < count / 3000) + 1
         others = others[others != champion].astype(dtype)
-        arrays, lists = _twins(make_instance_max("sorted", 3000), 0.25, 7, 3)
-        arrays.name_run(np.full(len(others), champion, dtype=dtype), others, 5)
-        lists.name_run([champion] * len(others), others.tolist(), 5)
+        named, alone = _twins(make_instance_max("sorted", 3000), 0.25, 7, 3)
+        named.name_run(np.full(len(others), champion, dtype=dtype), others, 5)
         for u in others.tolist():
-            report = arrays.take(champion, u)
-            assert report == lists.take(champion, u) and type(report.decision) is bool
-            assert arrays.queries == lists.queries
-        assert not arrays.pending and (arrays._chunk, arrays._pos) == (lists._chunk, lists._pos)
-        assert [_single(arrays, 2) for _ in range(3)] == [_single(lists, 2) for _ in range(3)]
+            report = named.take(champion, u)
+            assert report == alone.walk(champion, u, 5) and type(report.decision) is bool
+            assert named.queries == alone.queries
+        assert not named.pending and (named._chunk, named._pos) == (alone._chunk, alone._pos)
+        assert [_single(named, 2) for _ in range(3)] == [_single(alone, 2) for _ in range(3)]
 
     def test_a_batch_gathers_the_shared_reports_by_code(self):
         # Codes up to 16,383 are read off a dense table; past it, built afresh.
@@ -1011,7 +1011,9 @@ class TestNamedRunContracts:
         assert [_single(named, j) for _ in range(3)] == [_single(alone, j) for _ in range(3)]
 
     @pytest.mark.parametrize("instance, firsts, seconds", [
-        (BIT_INSTANCE, [], None), (BIT_INSTANCE, range(1, 1), None), (VALUE_INSTANCE, [], []),
+        (BIT_INSTANCE, np.empty(0, dtype=np.intp), None),
+        (BIT_INSTANCE, np.arange(1, 1), None),
+        (VALUE_INSTANCE, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint16)),
     ])
     def test_an_empty_run_is_a_no_op(self, instance, firsts, seconds):
         oracle, fresh = _twins(instance, 0.25, 3, 1)
@@ -1044,19 +1046,19 @@ class TestNamedRunContracts:
             (VALUE_INSTANCE, [1, 2] * 1000, _spliced([2, 1] * 1000, {5: 2, 1500: 9999}), 3, (2, 2)),
             # Comparisons on a bit instance, with a pair out of range past walk 0: walk 0's message.
             (BIT_INSTANCE, _spliced([1, 2] * 20, {5: 6}), _spliced([2, 1] * 20, {5: 500}), 3, (1, 2)),
-            # Indices past int64 in runs long enough for a numpy pass: the first bad walk's message.
-            (make_instance_or("all_zero", 100), [2**70, *range(1, 40)], None, 5, (2**70, None)),
-            (make_instance_or("all_zero", 100), [*range(1, 41), -(2**70)], None, 5, (-(2**70), None)),
-            (VALUE_INSTANCE, [1, 2] * 20, _spliced([2, 1] * 20, {10: 2**64}), 3, (1, 2**64)),
-            (VALUE_INSTANCE, _spliced([1, 2] * 20, {3: 3}), _spliced([2, 1] * 20, {3: 3, 10: 2**64}), 3, (3, 3)),
-            # Index arrays of a dtype other than integers, short and long.
-            (BIT_INSTANCE, np.array([1.0, 2.0]), None, 3, None),
-            (BIT_INSTANCE, np.array([1.0, 2.0] * 20), None, 3, None),
-            (VALUE_INSTANCE, np.array([1, 2] * 20), np.array([2.0, 1.0] * 20), 3, None),
-            (VALUE_INSTANCE, np.array([True, True]), np.array([2, 3]), 3, None),
+            # A uint64 index past intp, short and long runs: the first bad walk's message.
+            (BIT_INSTANCE, np.array([1, 2**63, 2], np.uint64), None, 3, (2**63, None)),
+            (make_instance_or("all_zero", 100), np.array([2**63, *range(1, 40)], np.uint64), None, 5, (2**63, None)),
+            (VALUE_INSTANCE, [1, 2] * 20, np.array(_spliced([2, 1] * 20, {10: 2**63}), np.uint64), 3, (1, 2**63)),
+            (
+                VALUE_INSTANCE, _spliced([1, 2] * 20, {3: 3}),
+                np.array(_spliced([2, 1] * 20, {3: 3, 10: 2**63}), np.uint64), 3, (3, 3),
+            ),
         ],
     )
     def test_bad_runs_raise_before_anything_moves(self, instance, firsts, seconds, k, bad):
+        # Lists here stand for the int64 arrays they convert to.
+        firsts, seconds = np.asarray(firsts), None if seconds is None else np.asarray(seconds)
         oracle, fresh = _twins(instance, 0.25, 3, 1)
         with pytest.raises(ContractViolation) as from_run:
             oracle.name_run(firsts, seconds, k)
@@ -1068,6 +1070,30 @@ class TestNamedRunContracts:
         assert (oracle._chunk, oracle._pos) == (fresh._chunk, fresh._pos)
         j_ok = None if isinstance(instance, BitInstance) else 2
         assert [_single(oracle, j_ok) for _ in range(5)] == [_single(fresh, j_ok) for _ in range(5)]
+
+    @pytest.mark.parametrize(
+        "instance, firsts, seconds, got",
+        [
+            (BIT_INSTANCE, [1, 2], None, "list"),
+            (BIT_INSTANCE, [], None, "list"),
+            (BIT_INSTANCE, range(1, 3), None, "range"),
+            (VALUE_INSTANCE, np.array([1, 2]), [2, 1], "list"),
+            (BIT_INSTANCE, np.array([1.0, 2.0]), None, "an array of float64"),
+            (BIT_INSTANCE, np.array([1.0, 2.0] * 20), None, "an array of float64"),
+            (VALUE_INSTANCE, np.array([1, 2] * 20), np.array([2.0, 1.0] * 20), "an array of float64"),
+            (VALUE_INSTANCE, np.array([True, True]), np.array([2, 3]), "an array of bool"),
+            (BIT_INSTANCE, np.array([2**70, 1], dtype=object), None, "an array of object"),
+        ],
+    )
+    def test_a_run_of_anything_but_integer_arrays_is_refused(self, instance, firsts, seconds, got):
+        oracle, fresh = _twins(instance, 0.25, 3, 1)
+        with pytest.raises(ContractViolation) as refused:
+            oracle.name_run(firsts, seconds, 3)
+        assert str(refused.value) == f"a run's indices must be an integer array, got {got}"
+        assert oracle.queries == 0 and oracle.pending == ()
+        assert (oracle._chunk, oracle._pos) == (fresh._chunk, fresh._pos)
+        j = None if isinstance(instance, BitInstance) else 2
+        assert [_single(oracle, j) for _ in range(5)] == [_single(fresh, j) for _ in range(5)]
 
 
 # ---------------------------------------------------------------------------
@@ -1236,7 +1262,7 @@ class TestBlockDraws:
                 jobs.extend(args)
                 return []
 
-        monkeypatch.setattr(harness, "get_context", lambda method: SimpleNamespace(Pool=RecordingPool))
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=RecordingPool))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         row = harness.ExperimentConfig("checkbit", "single_one:1", 1, 0.25, 0.05, 600, seed=3)
         harness._run_rows([row, replace(row, p=0.4)], 2)

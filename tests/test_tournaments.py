@@ -233,8 +233,8 @@ class TestLoneMatches:
             named = RecordingOracle(instance, 0.25, master_seed=41, trial_index=r)
             for k, run in itertools.groupby(lone.walks, key=lambda walk: walk[2]):
                 run = list(run)
-                seconds = None if run[0][1] is None else [j for _, j, _, _ in run]
-                named.name_run([i for i, _, _, _ in run], seconds, k)
+                seconds = None if run[0][1] is None else np.array([j for _, j, _, _ in run])
+                named.name_run(np.array([i for i, _, _, _ in run]), seconds, k)
                 for i, j, _, _ in run:
                     named.take(i, j)
             assert named.walks == lone.walks, r
