@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Iterator, NamedTuple
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +61,6 @@ _WORD = 0xFFFFFFFF
 _BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
 _SET_UP = 256  # trials whose first chunks TrialDraws.block draws and tabulates in one pass
 _NO_FLIPS = memoryview(b"")  # an oracle's buffer before its first chunk; read-only, so shared
-_FLIPS = np.arange(1, _BUF_CAP + 1, dtype=np.intp)  # entry t is the number of flips over draws 0..t
-_FLIPS.flags.writeable = False
 
 
 @lru_cache(maxsize=256)
@@ -160,9 +158,10 @@ def _row_seed() -> type[_RowSeed]:
 
 def _margins(draws: np.ndarray, p: float) -> np.ndarray:
     """The channel's running margin along the last axis: entry t is (unflipped - flipped) over draws 0..t."""
-    margin = np.add.accumulate(draws >= p, axis=-1, dtype=np.intp)  # unflipped answers; a draw below p flips its answer
+    margin = (draws >= p).astype(np.intp)  # a draw below p flips its answer
     margin += margin
-    margin -= _FLIPS[: draws.shape[-1]]  # 2 * unflipped - all flips
+    margin -= 1  # +1 for an unflipped answer, -1 for a flipped one
+    np.add.accumulate(margin, axis=-1, out=margin)
     margin.flags.writeable = False  # a trial's tables are read by every oracle of the trial
     return margin
 
@@ -558,28 +557,29 @@ class NoisyOracle:
 
         The margin m = (answers equal to the truth) - (flipped answers), the net
         vote when the truth is 1, is the table entry at a jump's last flip less
-        base, the entry before the walk.  The walk cannot stop within k - |m|
-        flips, so it jumps that far at a time, stopping short at the chunk's end,
-        which is refilled only if the walk goes on, exactly where single queries
-        would refill it; the next chunk counts from 0, so base becomes -m.
+        base, the entry before the walk, so the walk stops at entry base ± k.  It
+        cannot stop within k - |m| flips, so it jumps that far at a time, stopping
+        short at the chunk's end, which is refilled only if the walk goes on, as
+        single queries would; a walk from the end refills before its first flip.
+        The next chunk counts from 0: base and both bounds drop by the entry at
+        the old chunk's end, and the walk's first position by the chunk's length.
         """
         buf, pos = self._buf, self._pos
-        end = len(buf)
-        base = buf[pos - 1] if pos else 0
-        m = t = 0
-        while -k < m < k:
-            if pos == end:
-                self._refill()
-                buf, pos, base = self._buf, 0, -m
-                end = len(buf)
-            nxt = pos + k - (m if m > 0 else -m)
-            if nxt > end:
-                nxt = end
-            m = buf[nxt - 1] - base
-            t += nxt - pos
-            pos = nxt
+        end, start = len(buf), pos  # the walk has taken pos - start flips
+        m = base = buf[pos - 1] if pos else 0
+        lo, hi = base - k, base + k
+        while lo < m < hi:
+            pos += hi - m if m > base else m - lo
+            if pos < end:
+                m = buf[pos - 1]
+            else:
+                pos, m = end, buf[end - 1] if end else 0  # an oracle's buffer is empty before its first chunk
+                if lo < m < hi:  # the walk goes on past the chunk's end
+                    self._refill()
+                    buf, base, lo, hi, start = self._buf, base - m, lo - m, hi - m, start - end
+                    end, pos, m = len(buf), 0, 0
         self._pos = pos
-        return m > 0, t
+        return m > base, pos - start
 
     def _run(self, k: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """``count`` walks at threshold k from the next flip: each one's flips, and whether it ended at +k.

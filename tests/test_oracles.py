@@ -16,7 +16,7 @@ from noisyquery import harness, oracles
 from noisyquery.errors import ContractViolation
 from noisyquery.oracles import (
     _BLOCK,
-    _FLIPS,
+    _BUF_CAP,
     _PREFIX,
     _PREFIX_LEN,
     _REPORTS,
@@ -25,6 +25,7 @@ from noisyquery.oracles import (
     _block_states,
     _generator,
     _lattice,
+    _margins,
     BitInstance,
     NoisyOracle,
     StopReport,
@@ -419,6 +420,14 @@ def _twins(instance, p=0.25, seed=0, trial=0):
     return NoisyOracle(instance, p, seed, trial), NoisyOracle(instance, p, seed, trial)
 
 
+def _place(oracle, flips):
+    """Moves a fresh oracle to flip ``flips``, where that many single queries leave it: on a chunk's end, not refilled."""
+    while flips > len(oracle._buf):
+        flips -= len(oracle._buf)
+        oracle._refill()
+    oracle._pos = flips
+
+
 def _single(oracle, j):
     return oracle.read_bit(1) if j is None else oracle.compare(1, 2)
 
@@ -460,20 +469,32 @@ class TestWalkMatchesQueryLoop:
         for boundary in REFILL_AT:
             assert any(s < boundary < e for s, e in zip(starts, totals)), boundary
 
-    @pytest.mark.parametrize("boundary", REFILL_AT[:2])
+    @pytest.mark.parametrize("boundary", (0, *REFILL_AT))
+    @pytest.mark.parametrize("k", [1, 2, 150])
     @pytest.mark.parametrize("j", [None, 2])
-    def test_walks_starting_and_ending_at_a_refill(self, boundary, j):
-        # Single queries bring both twins to just before a boundary; short
-        # walks then start at it, end on it, or cross it.
+    def test_walks_starting_and_ending_at_a_refill(self, boundary, k, j):
+        # Both twins of a trial are put a lead of flips before a refill
+        # edge; walks then start at it, end on it, or cross it.  Edge 0 is a
+        # fresh oracle, which has no draws yet.  One more trial and lead are
+        # found at which the first walk ends on the edge, which a walk of k
+        # or more flips can do only at an edge at least k flips in.
         instance = BIT_INSTANCE if j is None else VALUE_INSTANCE
-        ended_on_boundary = False
-        for lead in range(12):
-            fast, slow = _twins(instance, 0.25, 5, lead)
-            for _ in range(boundary - lead):
-                assert _single(fast, j) == _single(slow, j)
-            totals = _assert_walks_match(fast, slow, [(1, j, 2)] * 4)
-            ended_on_boundary |= boundary in totals
-        assert ended_on_boundary
+        cases = [(0, 0)] if boundary == 0 else [(lead, lead) for lead in range(12)]  # (trial, lead)
+        if k <= boundary:
+            leads = range(k, min(boundary, 3 * k + 12) + 1, 2)  # a walk's flips have k's parity
+            ending = ((t, lead) for t in range(50) for lead in leads if self._ends_on(instance, j, k, boundary, t, lead))
+            cases.append(next(ending))
+        for trial, lead in cases:
+            fast, slow = _twins(instance, 0.25, 5, trial)
+            _place(fast, boundary - lead)
+            _place(slow, boundary - lead)
+            _assert_walks_match(fast, slow, [(1, j, k)] * 4)
+
+    @staticmethod
+    def _ends_on(instance, j, k, boundary, trial, lead):
+        probe = NoisyOracle(instance, 0.25, 5, trial)
+        _place(probe, boundary - lead)
+        return probe.walk(1, j, k).queries_used == lead
 
     @pytest.mark.parametrize("k, p", [(600, 0.02), (600, 0.05), (5000, 0.02), (5000, 0.05), (9000, 0.02)])
     @pytest.mark.parametrize("instance, j", [(BIT_INSTANCE, None), (VALUE_INSTANCE, 3)])
@@ -1107,7 +1128,7 @@ class TestSharedDraws:
 
     def test_no_chunk_is_longer_than_the_lattice_reaches(self):
         # A pass reads a chunk's margins as offsets into _lattice(k), which
-        # spans len(_FLIPS) either way; from a longer chunk it would index the
+        # spans _BUF_CAP either way; from a longer chunk it would index the
         # mask with negative offsets, which numpy wraps silently.
         oracle = NoisyOracle(BIT_INSTANCE, 0.25, 3, 1)
         lengths = []
@@ -1115,9 +1136,23 @@ class TestSharedDraws:
             oracle._refill()
             lengths.append(len(oracle._buf))
         assert lengths == np.diff((0, *REFILL_AT)).tolist()
-        assert max(lengths) <= len(_FLIPS)
+        assert max(lengths) <= _BUF_CAP == 8192
         for k in (1, 2, 5, 17, 150, 9000):
-            assert len(_lattice(k)) == 2 * len(_FLIPS) + 1, k
+            assert len(_lattice(k)) == 2 * _BUF_CAP + 1, k
+
+    @pytest.mark.numpy_mirror
+    @pytest.mark.parametrize("shape", [(128,), (448,), (4096,), (8192,), (_SET_UP, 128)])
+    @pytest.mark.parametrize("p", [0.02, 0.25, 0.45])
+    def test_margins_are_a_running_sum_of_votes(self, shape, p):
+        # A table is one accumulate whose input and output are one array.
+        draws = np.random.default_rng(shape[-1]).random(shape)
+        draws.reshape(-1)[::5] = p  # a draw equal to p leaves its answer unflipped
+        # Every answer flipped, then none (each draw equal to p): the rows end at -len and +len.
+        for case, last in [(draws, None), (np.zeros(shape), -shape[-1]), (np.full(shape, p), shape[-1])]:
+            margin = _margins(case, p)
+            assert margin.dtype == np.intp and not margin.flags.writeable
+            assert np.array_equal(margin, np.cumsum(np.where(case >= p, 1, -1), axis=-1))
+            assert last is None or (margin[..., -1] == last).all()
 
     @pytest.mark.numpy_mirror
     def test_advance_matches_drawing_the_prefix(self):
