@@ -23,11 +23,11 @@ of 8,192.  A run of trials sets up their first chunks a block at a time
 (:meth:`TrialDraws.block`).
 
 A run of walks at one vote threshold is named first (:meth:`NoisyOracle.name_run`),
-from integer arrays of indices, taken as they are.  Its
+from integer arrays of indices, taken as they are, and read whole.  Its
 stops are read in one numpy pass a chunk into two preallocated arrays, its
-batch's reports are one gather off a table of shared reports by code, and
-each walk is taken as a ready report, checked against plain lists of its
-batch's indices.
+reports are one gather off a table of shared reports by code, and each
+walk is taken as a ready report, checked against plain lists of the run's
+indices.  The caller bounds a run's length.
 
 Indices are 1-based throughout, matching the usual [n] convention.
 """
@@ -56,7 +56,6 @@ _BUF_CAP = 8192  # the flips of each private chunk, past the prefix; no chunk is
 _PREFIX = (128, 448, 4096)  # the channel's first chunk sizes, shared by a trial's oracles
 _PREFIX_LEN = sum(_PREFIX)
 _PASS_MIN = 32  # a named run's stops are read in numpy passes while it has this many walks left
-_BATCH = 1024  # a named run's walks are read this many at a time, so its arrays stay small
 _WORD = 0xFFFFFFFF
 _BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
 _SET_UP = 256  # trials whose first chunks TrialDraws.block draws and tabulates in one pass
@@ -259,7 +258,7 @@ class _Reports(dict):
     first use, so the dict never holds more than 16,384; a larger code gets
     a fresh report each time.  ``_dense`` holds the stored reports
     themselves as an object array by code, grown on demand to a power of
-    two of at most 16,384, so a batch's are one gather.
+    two of at most 16,384, so a named run's are one gather.
     """
 
     _dense = np.empty(0, dtype=object)
@@ -357,8 +356,7 @@ class NoisyOracle:
         "_bits", "_values", "_n",  # the hidden instance
         "_draws", "_rng", "_chunk",  # the shared prefix, the private generator past it, the next chunk's number
         "_buf", "_pos",  # the current chunk and the next flip
-        "pending", "_firsts", "_seconds", "_named_k",  # the named run, set by name_run
-        "_batch_firsts", "_batch_seconds", "_walk", "_batch_end",  # the read batch, its next walk, the run's next batch
+        "pending", "_firsts", "_seconds", "_walk",  # the named run's reports, its indices as lists, its next walk
         "_alg_rng",
     )  # fmt: skip
 
@@ -466,9 +464,13 @@ class NoisyOracle:
 
         The indices are integer numpy arrays, read as they are.  Every walk is
         checked, in walk order, before anything moves, so a bad run raises its
-        first bad walk's message.  The stops of _BATCH walks at a time are read
+        first bad walk's message.  The stops of the whole run are then read
         ahead, moving the flip stream on, but each walk's queries are counted
-        when it is taken.  An empty run does nothing.
+        when it is taken.  A run of fewer than _PASS_MIN walks is checked and
+        read a walk at a time, since numpy would cost more than it saves; a
+        longer one is checked and read in numpy.  The run's first and second
+        indices (None for bit reads) are kept as plain lists, which
+        :meth:`take` checks each walk against.  An empty run does nothing.
         """
         if self.pending:
             raise ContractViolation(f"a run named while the last one has {len(self.pending)} walks left")
@@ -478,62 +480,38 @@ class NoisyOracle:
             if not isinstance(indices, np.ndarray) or indices.dtype.kind not in "iu":
                 got = f"an array of {indices.dtype}" if isinstance(indices, np.ndarray) else type(indices).__name__
                 raise ContractViolation(f"a run's indices must be an integer array, got {got}")
-        if seconds is not None and len(seconds) != len(firsts):
+        pairs = seconds is not None
+        if pairs and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
-        self._firsts, self._seconds, self._named_k = firsts, seconds, k
-        if len(firsts) > _BATCH:  # check every batch before the first is read
-            for start in range(0, len(firsts), _BATCH):
-                self._batch(start)
-        if len(firsts):
-            self._batch(0, read=True)
+        f, s = firsts.tolist(), seconds.tolist() if pairs else [None] * len(firsts)
+        if len(f) < _PASS_MIN:
+            truths = [self._truth(i, j) for i, j in zip(f, s)]
+            stops = [self._jump(k) for _ in truths]
+            codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)]
+            pending = list(map(_REPORTS.__getitem__, reversed(codes)))
+        else:
+            bad = (firsts < 1) | (firsts > self._n)
+            if pairs:
+                bad |= (seconds < 1) | (seconds > self._n) | (firsts == seconds)
+            wrong_channel = (self._bits is None) != pairs
+            if wrong_channel or bad.any():
+                w = 0 if wrong_channel else int(bad.argmax())  # on the wrong channel, every walk is bad
+                self._truth(int(firsts[w]), int(seconds[w]) if pairs else None)  # raises as that walk would alone
+            table = self.instance.array
+            truths = table[firsts - 1] if seconds is None else table[firsts - 1] < table[seconds - 1]
+            ts, ups = self._run(k, len(firsts))
+            pending = _REPORTS.gather((4 * ts + (truths == ups) + 2 * pairs)[::-1])
+        self._firsts, self._seconds, self._walk, self.pending = f, s, 0, pending
 
     def take(self, i: int, j: int | None) -> StopReport:
         """The report of the named run's next walk, which must be walk (i, j), else this raises; counts its queries."""
         pending, w = self.pending, self._walk
-        if not pending or i != self._batch_firsts[w] or j != self._batch_seconds[w]:
+        if not pending or i != self._firsts[w] or j != self._seconds[w]:
             raise ContractViolation(f"walk ({i}, {j}) is not the next walk of a named run")
         self._walk = w + 1
         report = pending.pop()
         self.queries += report[1]
-        if not pending and self._batch_end < len(self._firsts):
-            self._batch(self._batch_end, read=True)
         return report
-
-    def _batch(self, start: int, read: bool = False) -> None:
-        """Check walks start..start + _BATCH of the run, a bad one raising as alone; if ``read``, queue their reports.
-
-        A read batch keeps its walks' first and second indices (None for bit
-        reads) as plain lists, which :meth:`take` checks each walk against.
-        A batch of fewer than _PASS_MIN walks is checked and read a walk at a
-        time, since numpy would cost more than it saves; a larger one is
-        checked and read in numpy.
-        """
-        k, pairs = self._named_k, self._seconds is not None
-        f = self._firsts[start : start + _BATCH]
-        s = self._seconds[start : start + _BATCH] if pairs else None
-        if len(f) < _PASS_MIN:
-            firsts, seconds = f.tolist(), s.tolist() if pairs else [None] * len(f)
-            truths = [self._truth(i, j) for i, j in zip(firsts, seconds)]
-            stops = [self._jump(k) for _ in truths] if read else []
-            codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)]
-            pending = list(map(_REPORTS.__getitem__, reversed(codes)))
-        else:
-            bad = (f < 1) | (f > self._n) if s is None else (f < 1) | (f > self._n) | (s < 1) | (s > self._n) | (f == s)
-            wrong_channel = (self._bits is None) != pairs
-            if wrong_channel or bad.any():
-                w = 0 if wrong_channel else int(bad.argmax())  # on the wrong channel, every walk is bad
-                self._truth(int(f[w]), int(s[w]) if pairs else None)  # raises as that walk would alone
-            if not read:
-                return
-            table = self.instance.array
-            truths = table[f - 1] if s is None else table[f - 1] < table[s - 1]
-            ts, ups = self._run(k, len(f))
-            pending = _REPORTS.gather((4 * ts + (truths == ups) + 2 * pairs)[::-1])
-            firsts, seconds = f.tolist(), s.tolist() if pairs else [None] * len(f)
-        if read:
-            self._batch_firsts, self._batch_seconds, self._walk = firsts, seconds, 0
-            self._batch_end = start + len(firsts)
-            self.pending = pending
 
     def _truth(self, i: int, j: int | None) -> int | bool:
         """The true answer of bit i, or of values[i] < values[j]; refuses bad arguments."""

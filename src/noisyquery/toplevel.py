@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import log_inverse
 from .errors import ContractViolation
-from .oracles import _BATCH, NoisyOracle
+from .oracles import NoisyOracle
 from .primitives import check_bit, noisy_compare, vote_threshold
 from .tournaments import or_half, tournament_max, tournament_or
 
@@ -30,6 +30,8 @@ __all__ = [
     "or_threshold",
     "sampling_probability",
 ]
+
+_RUN = 1024  # the longest named run: a phase of about n walks names them this many at a time, so no run grows with n
 
 
 def or_threshold(n: int, delta: float) -> float:
@@ -76,8 +78,8 @@ def noisy_or_report(oracle: NoisyOracle, delta: float) -> RunReport:
     n, p = oracle.instance.n, oracle.p
     start = oracle.queries
     k, survivors = vote_threshold(p, delta), []
-    for first in range(1, n + 1, _BATCH):  # a run a read batch long, so no array of n indices is held
-        stop = min(first + _BATCH, n + 1)
+    for first in range(1, n + 1, _RUN):
+        stop = min(first + _RUN, n + 1)
         oracle.name_run(np.arange(first, stop), None, k)
         survivors += [i for i in range(first, stop) if check_bit(oracle, i, delta, p).decision == 1]
     phase1 = oracle.queries - start
@@ -114,14 +116,16 @@ def noisy_max_report(oracle: NoisyOracle, delta: float) -> RunReport:
                 break
         sample = (mask.nonzero()[0] + 1).tolist()
         unsampled = (~mask).nonzero()[0] + 1  # the unsampled indices, in order
-    others = unsampled.tolist()
     start = oracle.queries
 
     champion = tournament_max(oracle, sample, delta)
     before_compares = oracle.queries
 
-    oracle.name_run(np.full(len(others), champion), unsampled, vote_threshold(p, delta))
-    shortlist = [champion, *(u for u in others if noisy_compare(oracle, champion, u, delta, p).decision)]
+    k, shortlist = vote_threshold(p, delta), [champion]
+    for first in range(0, len(unsampled), _RUN):
+        run = unsampled[first : first + _RUN]
+        oracle.name_run(np.full(len(run), champion), run, k)
+        shortlist += [u for u in run.tolist() if noisy_compare(oracle, champion, u, delta, p).decision]
     phase1 = oracle.queries - before_compares
 
     output = tournament_max(oracle, shortlist, delta)

@@ -19,7 +19,7 @@ class RecordingOracle(NoisyOracle):
     run's k.  A walk that raises is not listed.
     """
 
-    __slots__ = ("walks",)
+    __slots__ = ("walks", "_run_k")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -30,9 +30,13 @@ class RecordingOracle(NoisyOracle):
         self.walks.append((i, j, k, report.queries_used))
         return report
 
+    def name_run(self, firsts, seconds, k: int) -> None:
+        super().name_run(firsts, seconds, k)
+        self._run_k = k  # kept only once the run is named, so a refused run leaves the last one's
+
     def take(self, i: int, j: int | None):
-        report = super().take(i, j)  # a run's threshold is set only once it is named
-        self.walks.append((i, j, self._named_k, report.queries_used))
+        report = super().take(i, j)  # a walk is taken only from a named run, so _run_k is set
+        self.walks.append((i, j, self._run_k, report.queries_used))
         return report
 
 

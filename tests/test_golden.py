@@ -39,7 +39,7 @@ CASES = {
     "run-tournament-max.json": _run("tournament-max", "permuted:7", 16, "0.25", "0.01"),
     "run-noisy-or.json": _run("noisy-or", "all_zero", 100, "0.25", "0.01"),
     "run-noisy-max.json": _run("noisy-max", "relocated:40", 100, "0.25", "0.01"),
-    # Named runs of 2,500 walks, read in three batches of at most 1,024.
+    # Phases of 2,500 walks, named as runs of at most 1,024 walks.
     "run-noisy-or-n2500.json": _run("noisy-or", "single_one:2100", 2500, "0.25", "0.01"),
     "run-noisy-max-n2500.json": _run("noisy-max", "relocated:2100", 2500, "0.25", "0.01"),
     "sweep-checkbit.csv": ["sweep", "--algorithm", "checkbit", "--instance", "single_one:1", "--n", "1", *_GRID],

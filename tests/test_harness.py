@@ -448,6 +448,24 @@ class TestSweep:
         assert min(columns[0][1]) > 500_000
         assert peak < 1_000_000  # bytes; the flips of one trial take over 4 MB
 
+    def test_a_max_sweep_holds_no_list_of_n_indices(self):
+        # A two-row noisy-max sweep at n = 10^5: the sampling draws, the
+        # value array and the unsampled indices are arrays of about n
+        # (under 3 MB together), but the champion comparisons are named
+        # 1,024 at a time, so no list of the ~91,000 unsampled indices
+        # (about 3.6 MB of ints on its own) is ever built.
+        base = _config(algorithm="noisy-max", instance="sorted", n=100_000, delta=0.05, trials=2)
+        configs = sweep_configs(base, [100_000], [0.25, 0.3], [0.05])  # builds the instance before tracing
+        harness._run_rows(sweep_configs(base, [1000], [0.25, 0.3], [0.05]), 1)  # imports and fills the caches
+        tracemalloc.start()
+        try:
+            columns = harness._run_rows(configs, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min(columns[0][1]) > 500_000
+        assert peak < 4_000_000  # bytes
+
     # More n values than the instance cache holds (32).
     N_GRID = list(range(1, 41))
 

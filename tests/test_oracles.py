@@ -848,7 +848,7 @@ class TestNamedRuns:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("instance", _CHANNELS)
     def test_every_threshold_across_the_prefix(self, instance, shared):
-        # From K = 1 (about 10,500 walks, over ten batches) to K = 150, each
+        # From K = 1 (one run of about 10,500 walks) to K = 150, each
         # run crosses the refills at 128 and 576 flips, the end of the shared
         # prefix at 4,672 flips, and a refill of the private generator.
         p = 0.25
@@ -912,7 +912,7 @@ class TestNamedRuns:
     def test_a_champion_run_named_from_arrays_is_the_lone_walks(self, count, dtype):
         # The MAX champion comparisons name their run from the index arrays
         # they hold: the champion against each unsampled index, in order.
-        # Runs of under _PASS_MIN walks, of one batch, and of three.
+        # Runs of under _PASS_MIN walks, and of about 700 and 2,600, each read whole.
         champion, rng = 1234, np.random.default_rng(count)
         others = np.flatnonzero(rng.random(3000) < count / 3000) + 1
         others = others[others != champion].astype(dtype)
@@ -998,39 +998,6 @@ class TestNamedRunContracts:
             named.take(i, j)  # the run is over
         assert [_single(named, j) for _ in range(3)] == [_single(alone, j) for _ in range(3)]
 
-    @pytest.mark.parametrize("instance", _CHANNELS)
-    def test_a_walk_not_next_at_a_batch_edge_raises_before_anything_moves(self, instance):
-        # 2,049 walks are read in batches of 1,024, 1,024 and 1; walk 1,024
-        # is the first of the second batch, read when walk 1,023 was taken.
-        named, alone = _twins(instance, 0.25, 3, 1)
-        walks = _walks(instance, 2049)
-        _name(named, walks, 4)
-        for i, j in walks[:1024]:
-            assert named.take(i, j) == alone.walk(i, j, 4)
-        assert len(named.pending) == 1024
-        i, j = walks[1024]
-        wrong = [
-            lambda: named.take(*walks[1023]),  # the last walk of the first batch, again
-            lambda: named.take(*walks[1025]),  # a later walk of the run
-            lambda: named.take(i, 3 if j is None else None),  # the other channel
-            lambda: named.take(1 + i % 4, j),  # another first index
-            lambda: named.walk(i, j, 4),  # the same walk, alone
-            lambda: _name(named, walks, 4),  # another run
-        ]
-        position = (named._chunk, named._pos)
-        for call in wrong:
-            with pytest.raises(ContractViolation):
-                call()
-            assert named.queries == alone.queries and len(named.pending) == 1024
-            assert (named._chunk, named._pos) == position  # the next flips are the same
-        for i, j in walks[1024:]:
-            assert named.take(i, j) == alone.walk(i, j, 4)
-            assert named.queries == alone.queries
-        assert not named.pending
-        with pytest.raises(ContractViolation):
-            named.take(i, j)  # the run is over
-        assert [_single(named, j) for _ in range(3)] == [_single(alone, j) for _ in range(3)]
-
     @pytest.mark.parametrize("instance, firsts, seconds", [
         (BIT_INSTANCE, np.empty(0, dtype=np.intp), None),
         (BIT_INSTANCE, np.arange(1, 1), None),
@@ -1055,14 +1022,14 @@ class TestNamedRunContracts:
             (VALUE_INSTANCE, [1, 2], None, 3, (1, None)),  # bit reads on a value instance
             (VALUE_INSTANCE, [1, 2, 3], [2, 2, 4], 3, (2, 2)),  # i == j
             (VALUE_INSTANCE, [1, 2], [2, 7], 3, (2, 7)),  # pair out of range
-            (BIT_INSTANCE, [1, 2, 3, 4] * 400 + [9], None, 3, (9, None)),  # bad index in a later batch
+            (BIT_INSTANCE, [1, 2, 3, 4] * 400 + [9], None, 3, (9, None)),  # bad index at walk 1,600, the run's last
             (VALUE_INSTANCE, [1, 2] * 800, [2, 1] * 799 + [3, 0], 3, (2, 0)),  # the same, for pairs
             # Runs long enough for a numpy pass, bad from their first walk, last walk, or channel.
             (BIT_INSTANCE, [0] + [1, 2] * 200, None, 3, (0, None)),
             (VALUE_INSTANCE, [1, 2] * 200, [2, 1] * 199 + [2, 2], 3, (2, 2)),
             (BIT_INSTANCE, [1, 2] * 200, [2, 1] * 200, 3, (1, 2)),
             (VALUE_INSTANCE, [1, 2] * 200, None, 3, (1, None)),
-            # Runs of several batches, bad early and again in a later batch: the early walk's message.
+            # Runs of 2,000 walks, bad early and again past walk 1,024: the early walk's message.
             (BIT_INSTANCE, _spliced([1, 2, 3, 4] * 500, {3: 0, 1200: 5000}), None, 3, (0, None)),
             (VALUE_INSTANCE, [1, 2] * 1000, _spliced([2, 1] * 1000, {5: 2, 1500: 9999}), 3, (2, 2)),
             # Comparisons on a bit instance, with a pair out of range past walk 0: walk 0's message.

@@ -69,6 +69,41 @@ class TestSamplingProbability:
         assert 0.0 < q <= 1.0
 
 
+class _RunLog(RecordingOracle):
+    """A :class:`RecordingOracle` whose ``runs`` lists each named run's first and second indices (None for bits)."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.runs: list[tuple[list[int], list[int] | None]] = []
+
+    def name_run(self, firsts, seconds, k: int) -> None:
+        super().name_run(firsts, seconds, k)
+        self.runs.append((firsts.tolist(), None if seconds is None else seconds.tolist()))
+
+
+class TestPhasesNameRunsOfAtMost1024Walks:
+    """The per-element phases name their walks in runs of at most 1,024, at n = 2,500 as in the goldens."""
+
+    def test_or_phase1(self):
+        oracle = _RunLog(make_instance_or("single_one", 2500, index=2100), 0.25, master_seed=20230907)
+        noisy_or_report(oracle, 0.01)
+        assert [len(firsts) for firsts, _ in oracle.runs] == [1024, 1024, 452]
+        assert [i for firsts, _ in oracle.runs for i in firsts] == list(range(1, 2501))
+        assert all(seconds is None for _, seconds in oracle.runs)
+
+    def test_max_champion_comparisons(self):
+        oracle = _RunLog(make_instance_max("relocated", 2500, index=2100), 0.25, master_seed=20230907)
+        noisy_max_report(oracle, 0.01)
+        sample, _, _, champion, _, _ = _max_phases(oracle)
+        assert len(oracle.runs) > 1 and all(len(firsts) <= 1024 for firsts, _ in oracle.runs)
+        assert {i for firsts, _ in oracle.runs for i in firsts} == {champion}
+        sampled = set(sample)
+        unsampled = [u for u in range(1, 2501) if u not in sampled]
+        assert [u for _, seconds in oracle.runs for u in seconds] == unsampled
+
+
 def _twin(oracle):
     """A fresh oracle on the same instance, p, seed and trial: its streams replay the logged oracle's."""
     return NoisyOracle(oracle.instance, oracle.p, oracle.master_seed, oracle.trial_index)
