@@ -328,13 +328,10 @@ def expected_queries_noisy_max(n: int, delta: float, p: float) -> float:
     walk = analyze_walk(p, k)
     err = walk.error_probability
 
-    if q >= 1.0:  # everything is sampled, so the sample champion is the whole shortlist
-        return tournament_max_cost(n, delta, p)
-
     # Sample size (conditioned nonempty) drives the first tournament and
     # the number of champion comparisons.
     lo_s, pmf_s = _binom_pmf_window(n, q)
-    nonempty = 1.0 - math.exp(n * math.log1p(-q))
+    nonempty = 1.0 - (1.0 - q) ** n
     first_tournament = 0.0
     mean_sample = 0.0
     for offset, mass in enumerate(pmf_s):
@@ -469,9 +466,8 @@ def _enum_noisy_max(entrants: tuple, delta: float, p: float) -> list:
         return leaves
 
     # The sample is a branch of no queries, weighted q^s (1-q)^(n-s) / P(nonempty).
-    nonempty = 1.0 - (1.0 - q) ** n if q < 1.0 else 1.0
-    masks = range(1, 1 << n) if q < 1.0 else [(1 << n) - 1]
-    samples = [(q ** m.bit_count() * (1.0 - q) ** (n - m.bit_count()) / nonempty, 0.0, m) for m in masks]
+    nonempty = 1.0 - (1.0 - q) ** n
+    samples = [(q ** m.bit_count() * (1.0 - q) ** (n - m.bit_count()) / nonempty, 0.0, m) for m in range(1, 1 << n)]
     return _then(_then(samples, shortlists), lambda shortlist: _enum_tournament_max(shortlist, delta, p))
 
 
@@ -534,6 +530,13 @@ class VerifyConfig:
     instance: BitInstance | ValueInstance
     delta: float
     p: float
+
+    @property
+    def spec(self) -> str:
+        """The instance as a CLI ``literal`` spec: bits by ``str``, values by ``repr``, so it parses back exactly."""
+        if isinstance(self.instance, BitInstance):
+            return "literal:" + ",".join(str(x) for x in self.instance.bits)
+        return "literal:" + ",".join(repr(x) for x in self.instance.values)
 
     @property
     def error_bound_multiplier(self) -> int:
@@ -668,14 +671,10 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
         from .harness import ExperimentConfig, run_experiment
 
         for cfg, result in registry:
-            if isinstance(cfg.instance, BitInstance):
-                spec = "literal:" + ",".join(str(x) for x in cfg.instance.bits)
-            else:
-                spec = "literal:" + ",".join(repr(x) for x in cfg.instance.values)
             stats = run_experiment(
                 ExperimentConfig(
                     algorithm=cfg.algorithm,
-                    instance=spec,
+                    instance=cfg.spec,
                     n=cfg.instance.n,
                     p=cfg.p,
                     delta=cfg.delta,

@@ -60,12 +60,12 @@ __all__ = [
 
 
 def _run_checkbit(oracle: NoisyOracle, delta: float) -> tuple[int, int, int]:
-    decision, queries = check_bit(oracle, 1, delta, oracle.p)
+    decision, queries = check_bit(oracle, 1, delta)
     return decision, queries, 0
 
 
 def _run_noisycompare(oracle: NoisyOracle, delta: float) -> tuple[int, int, int]:
-    decision, queries = noisy_compare(oracle, 1, 2, delta, oracle.p)
+    decision, queries = noisy_compare(oracle, 1, 2, delta)
     return decision, queries, 0
 
 

@@ -68,11 +68,12 @@ def vote_threshold_log(p: float, log_delta: float) -> int:
 
 # Each primitive is one walk.  While the caller's named run has walks left
 # (``oracle.pending``), check_bit and noisy_compare take its next report, at
-# the run's threshold.  The ``_log`` forms serve tournament matches, which
-# no run names, so they always walk alone.
+# the run's threshold; a lone walk's threshold uses the oracle's own p.  The
+# ``_log`` forms serve tournament matches, which no run names, so they always
+# walk alone; they take p, as the benchmark's direct walk timings pass one.
 
 
-def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport:
+def check_bit(oracle: NoisyOracle, i: int, delta: float) -> StopReport:
     """Estimate bit i by repeated reads; error probability at most delta.
 
     Returns decision 1 when the posterior reaches 1 - delta (net votes
@@ -81,15 +82,15 @@ def check_bit(oracle: NoisyOracle, i: int, delta: float, p: float) -> StopReport
     """
     if oracle.pending:
         return oracle.take(i, None)
-    return oracle.walk(i, None, vote_threshold(p, delta))
+    return oracle.walk(i, None, vote_threshold(oracle.p, delta))
 
 
 def check_bit_log(oracle: NoisyOracle, i: int, log_delta: float, p: float) -> StopReport:
-    """As :func:`check_bit` with the tolerance given as log(delta), always walked alone."""
+    """As :func:`check_bit` at tolerance exp(log_delta), always walked alone; p is passed, as the benchmark does."""
     return oracle.walk(i, None, vote_threshold_log(p, log_delta))
 
 
-def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -> StopReport:
+def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float) -> StopReport:
     """Decide whether values[i] < values[j] by repeated comparisons.
 
     Identical walk to :func:`check_bit` on comparison answers; decision
@@ -97,9 +98,9 @@ def noisy_compare(oracle: NoisyOracle, i: int, j: int, delta: float, p: float) -
     """
     if oracle.pending:
         return oracle.take(i, j)
-    return oracle.walk(i, j, vote_threshold(p, delta))
+    return oracle.walk(i, j, vote_threshold(oracle.p, delta))
 
 
 def noisy_compare_log(oracle: NoisyOracle, i: int, j: int, log_delta: float, p: float) -> StopReport:
-    """As :func:`noisy_compare` with the tolerance given as log(delta), always walked alone."""
+    """As :func:`noisy_compare` at tolerance exp(log_delta), always walked alone; p is passed, as the benchmark does."""
     return oracle.walk(i, j, vote_threshold_log(p, log_delta))

@@ -81,7 +81,7 @@ def noisy_or_report(oracle: NoisyOracle, delta: float) -> RunReport:
     for first in range(1, n + 1, _RUN):
         stop = min(first + _RUN, n + 1)
         oracle.name_run(np.arange(first, stop), None, k)
-        survivors += [i for i in range(first, stop) if check_bit(oracle, i, delta, p).decision == 1]
+        survivors += [i for i in range(first, stop) if check_bit(oracle, i, delta).decision == 1]
     phase1 = oracle.queries - start
     if not survivors:
         return RunReport(0, phase1, 0)
@@ -106,16 +106,12 @@ def noisy_max_report(oracle: NoisyOracle, delta: float) -> RunReport:
     """
     n, p = oracle.instance.n, oracle.p
     q = sampling_probability(n)
-    rng = oracle.algorithm_rng
-    if q >= 1.0:
-        sample, unsampled = list(range(1, n + 1)), np.empty(0, dtype=np.intp)
-    else:
-        while True:
-            mask = rng.random(n) < q
-            if mask.any():
-                break
-        sample = (mask.nonzero()[0] + 1).tolist()
-        unsampled = (~mask).nonzero()[0] + 1  # the unsampled indices, in order
+    while True:
+        mask = oracle.algorithm_rng.random(n) < q  # all true at n <= 2, where q is 1
+        if mask.any():
+            break
+    sample = (mask.nonzero()[0] + 1).tolist()
+    unsampled = (~mask).nonzero()[0] + 1  # the unsampled indices, in order
     start = oracle.queries
 
     champion = tournament_max(oracle, sample, delta)
@@ -125,7 +121,7 @@ def noisy_max_report(oracle: NoisyOracle, delta: float) -> RunReport:
     for first in range(0, len(unsampled), _RUN):
         run = unsampled[first : first + _RUN]
         oracle.name_run(np.full(len(run), champion), run, k)
-        shortlist += [u for u in run.tolist() if noisy_compare(oracle, champion, u, delta, p).decision]
+        shortlist += [u for u in run.tolist() if noisy_compare(oracle, champion, u, delta).decision]
     phase1 = oracle.queries - before_compares
 
     output = tournament_max(oracle, shortlist, delta)

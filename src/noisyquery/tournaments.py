@@ -90,7 +90,7 @@ def tournament_or(oracle: NoisyOracle, indices: Sequence[int], delta: float) -> 
         return [a if check_bit_log(oracle, a, log_tol, p).decision == 1 else b for a, b in zip(firsts, seconds)]
 
     last = _play_rounds(indices, half, play)
-    return check_bit(oracle, last, half, p).decision
+    return check_bit(oracle, last, half).decision
 
 
 def tournament_max(oracle: NoisyOracle, indices: Sequence[int], delta: float) -> int:

@@ -32,7 +32,7 @@ from noisyquery.harness import (
     trial_records,
     wilson_interval,
 )
-from noisyquery.oracles import BitInstance, TrialDraws
+from noisyquery.oracles import TrialDraws
 from recording import RecordingOracle
 
 
@@ -150,12 +150,14 @@ class TestAlgorithmTable:
     def test_verify_registry_runs_as_written(self):
         for cfg in verify_registry():
             assert cfg.algorithm in harness.ALGORITHMS
-            if isinstance(cfg.instance, BitInstance):
-                spec = "literal:" + ",".join(str(x) for x in cfg.instance.bits)
-            else:
-                spec = "literal:" + ",".join(repr(x) for x in cfg.instance.values)
-            config = ExperimentConfig(cfg.algorithm, spec, cfg.instance.n, cfg.p, cfg.delta, trials=3, seed=1)
+            config = ExperimentConfig(cfg.algorithm, cfg.spec, cfg.instance.n, cfg.p, cfg.delta, trials=3, seed=1)
             assert run_experiment(config).config.algorithm == cfg.algorithm
+
+    def test_a_registry_spec_parses_back_to_its_instance(self):
+        registry = verify_registry()
+        assert len(registry) == 20
+        for cfg in registry:
+            assert parse_instance_spec(cfg.spec, cfg.instance.n, cfg.algorithm) == cfg.instance
 
 
 class TestIntervals:

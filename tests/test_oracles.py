@@ -900,8 +900,8 @@ class TestNamedRuns:
         _name(bits, [(2, None), (1, None)], 7)
         _name(values, [(1, 2), (3, 4)], 7)
         # The run's threshold stands, whatever tolerance the primitive is given.
-        reports = [check_bit(bits, 2, 0.01, 0.25), check_bit(bits, 1, 1e-20, 0.25)]
-        reports += [noisy_compare(values, 1, 2, 0.01, 0.25), noisy_compare(values, 3, 4, 1e-20, 0.25)]
+        reports = [check_bit(bits, 2, 0.01), check_bit(bits, 1, 1e-20)]
+        reports += [noisy_compare(values, 1, 2, 0.01), noisy_compare(values, 3, 4, 1e-20)]
         assert all(type(r) is StopReport for r in reports)
         assert [type(r.decision) for r in reports] == [int, int, bool, bool]
         assert [w[2] for w in bits.walks + values.walks] == [7] * 4

@@ -27,6 +27,7 @@ class TestVoteThreshold:
             (0.25, 0.01, 5),   # ceil(log 99 / log 3) = ceil(4.1826)
             (0.25, 0.25, 1),   # ratio exactly 1
             (0.1, 0.001, 4),   # ceil(log 999 / log 9) = ceil(3.1432)
+            (0.1, 0.01, 3),    # ceil(log 99 / log 9) = ceil(2.0913)
             (0.25, 0.1, 2),
             (0.4, 0.01, 12),
             (0.4, 0.001, 18),
@@ -93,20 +94,20 @@ def _truthful_oracle(bits=(1,)):
 class TestCheckBitTraces:
     def test_truthful_one_bit_stops_at_threshold(self):
         oracle = _truthful_oracle((1,))
-        report = check_bit(oracle, 1, 0.01, 0.25)
+        report = check_bit(oracle, 1, 0.01)
         assert report.decision == 1 and type(report.decision) is int
         assert report.queries_used == 5
         assert oracle.queries == 5
 
     def test_truthful_zero_bit_symmetric(self):
         oracle = _truthful_oracle((0,))
-        report = check_bit(oracle, 1, 0.01, 0.25)
+        report = check_bit(oracle, 1, 0.01)
         assert report.decision == 0 and type(report.decision) is int
         assert report.queries_used == 5
 
     def test_single_vote_regime(self):
         oracle = ScriptedOracle(BitInstance(bits=(0,)), [True])
-        report = check_bit(oracle, 1, 0.25, 0.25)  # K = 1: one lie decides
+        report = check_bit(oracle, 1, 0.25)  # K = 1: one lie decides
         assert report.decision == 1
         assert report.queries_used == 1
 
@@ -114,7 +115,7 @@ class TestCheckBitTraces:
         # A truthful K=5 walk must take exactly 5 answers and leave the
         # flips after them unread: the next read is the first flip.
         oracle = ScriptedOracle(BitInstance(bits=(1,)), [False] * 5 + [True] * 7)
-        report = check_bit(oracle, 1, 0.01, 0.25)
+        report = check_bit(oracle, 1, 0.01)
         assert report.queries_used == oracle.queries == 5
         assert oracle.read_bit(1) == 0
 
@@ -122,22 +123,20 @@ class TestCheckBitTraces:
         # +1 -1 +1 -1 ... never absorbs until a run of +1s arrives.
         flips = [False, True, False, True] + [False] * 5
         oracle = ScriptedOracle(BitInstance(bits=(1,)), flips)
-        report = check_bit(oracle, 1, 0.01, 0.25)
+        report = check_bit(oracle, 1, 0.01)
         assert report.decision == 1
         assert report.queries_used == 9
 
     def test_rejects_bad_parameters(self):
         oracle = _truthful_oracle((1,))
         with pytest.raises(ContractViolation):
-            check_bit(oracle, 1, 0.6, 0.25)
-        with pytest.raises(ContractViolation):
-            check_bit(oracle, 1, 0.01, 0.0)
+            check_bit(oracle, 1, 0.6)
 
 
 class TestStopReport:
     def test_immutable_and_unpacks_to_decision_then_queries(self):
         oracle = NoisyOracle(BitInstance(bits=(1,)), 0.25, 5, 0)
-        report = check_bit(oracle, 1, 0.01, 0.25)
+        report = check_bit(oracle, 1, 0.01)
         assert isinstance(report, StopReport)
         decision, queries = report
         assert (decision, queries) == (report.decision, report.queries_used)
@@ -150,7 +149,7 @@ class TestStopReport:
 
     def test_compare_report_fields(self):
         oracle = NoisyOracle(ValueInstance(values=(1.0, 2.0)), 0.25, 5, 0)
-        report = noisy_compare(oracle, 1, 2, 0.01, 0.25)
+        report = noisy_compare(oracle, 1, 2, 0.01)
         assert type(report) is StopReport
         assert type(report.decision) is bool
         assert report._fields == ("decision", "queries_used")
@@ -159,30 +158,48 @@ class TestStopReport:
 class TestNoisyCompareTraces:
     def test_truthful_pair(self):
         oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0)))
-        report = noisy_compare(oracle, 1, 2, 0.01, 0.25)
+        report = noisy_compare(oracle, 1, 2, 0.01)
         assert report.decision is True
         assert report.queries_used == 5
 
     def test_single_lie_flips_single_vote(self):
         oracle = ScriptedOracle(ValueInstance(values=(2.0, 1.0)), [True])
-        report = noisy_compare(oracle, 1, 2, 0.25, 0.25)
+        report = noisy_compare(oracle, 1, 2, 0.25)
         assert report.decision is True  # wrong, via the scripted flip
         assert report.queries_used == 1
 
     def test_distinct_indices_required(self):
         oracle = NoisyOracle(ValueInstance(values=(1.0, 2.0)), 0.25)
         with pytest.raises(ContractViolation):
-            noisy_compare(oracle, 2, 2, 0.01, 0.25)
+            noisy_compare(oracle, 2, 2, 0.01)
 
     @pytest.mark.parametrize("instance", [BitInstance(bits=(1, 0)), ValueInstance(values=(1.0, 2.0))])
     def test_index_zero_is_out_of_range(self, instance):
         # j = 0 is an index out of range, not a bit read (that is j = None).
         oracle = NoisyOracle(instance, 0.25)
         with pytest.raises(ContractViolation, match="out of range"):
-            noisy_compare(oracle, 1, 0, 0.01, 0.25)
+            noisy_compare(oracle, 1, 0, 0.01)
         with pytest.raises(ContractViolation, match="out of range"):
             noisy_compare_log(oracle, 2, 0, math.log(0.01), 0.25)
         assert oracle.queries == 0
+
+
+class TestALoneWalkReadsPOffTheOracle:
+    """Noiseless walks stop after exactly K queries, with K from the oracle's own p: 3 at p = 0.1, 12 at p = 0.4."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.4])
+    def test_check_bit(self, p):
+        oracle = ScriptedOracle(BitInstance(bits=(1,)), p=p)
+        k = vote_threshold(p, 0.01)
+        assert check_bit(oracle, 1, 0.01) == StopReport(1, k)
+        assert oracle.walks == [(1, None, k, k)]
+
+    @pytest.mark.parametrize("p", [0.1, 0.4])
+    def test_noisy_compare(self, p):
+        oracle = ScriptedOracle(ValueInstance(values=(1.0, 2.0)), p=p)
+        k = vote_threshold(p, 0.01)
+        assert noisy_compare(oracle, 1, 2, 0.01) == StopReport(True, k)
+        assert oracle.walks == [(1, 2, k, k)]
 
 
 def _float_posterior_run(p, delta, answers):
@@ -262,7 +279,7 @@ class TestStoppingStatistics:
         total_queries = 0
         for t in range(trials):
             oracle = NoisyOracle(BitInstance(bits=(1,)), p, master_seed=555, trial_index=t)
-            report = check_bit(oracle, 1, delta, p)
+            report = check_bit(oracle, 1, delta)
             wrong += report.decision == 0
             total_queries += report.queries_used
         err = wrong / trials
@@ -282,7 +299,7 @@ class TestStoppingStatistics:
             oracle = NoisyOracle(
                 ValueInstance(values=(1.0, 2.0)), 0.25, master_seed=556, trial_index=t
             )
-            report = noisy_compare(oracle, 1, 2, 0.01, 0.25)
+            report = noisy_compare(oracle, 1, 2, 0.01)
             wrong += report.decision is False
             total_queries += report.queries_used
         sigma = math.sqrt(exact.error_probability / trials)
@@ -295,6 +312,6 @@ class TestStoppingStatistics:
 def test_queries_equal_count_delta(seed):
     oracle = NoisyOracle(BitInstance(bits=(0, 1)), 0.3, master_seed=seed)
     before = oracle.queries
-    report = check_bit(oracle, 2, 0.05, 0.3)
+    report = check_bit(oracle, 2, 0.05)
     assert report.queries_used == oracle.queries - before
     assert report.queries_used >= vote_threshold(0.3, 0.05)

@@ -113,8 +113,6 @@ def _drawn_sample(oracle):
     """The sample noisy_max_report draws on ``oracle``, redrawn off a twin's algorithm stream."""
     n = oracle.instance.n
     q = sampling_probability(n)
-    if q >= 1.0:
-        return list(range(1, n + 1))
     rng = _twin(oracle).algorithm_rng
     while True:
         mask = rng.random(n) < q
