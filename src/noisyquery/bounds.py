@@ -12,18 +12,6 @@ import sys
 
 from .errors import ContractViolation
 
-__all__ = [
-    "binary_entropy",
-    "checkbit_budget",
-    "kl_pq",
-    "lecam_budget",
-    "lecam_floor",
-    "log_inverse",
-    "log_odds",
-    "regime_label",
-    "regime_ratio",
-    "upper_budget",
-]
 
 def _require(cond: bool, message: str) -> None:
     if not cond:

@@ -65,14 +65,15 @@ def _parse_grid(text: str, kind: type[int] | type[float]) -> list:
         if (stop - start) // step >= _GRID_CAP:
             raise ContractViolation(too_many)
         return list(range(start, stop + 1, step))
-    if not (stop + 1e-12 - start) / step < _GRID_CAP:
+    slack = step * 1e-6  # relative to the step, so a range of tiny steps keeps its last point and no more
+    if not (stop + slack - start) / step < _GRID_CAP:
         raise ContractViolation(too_many)
     out = []
     x = start
-    while x <= stop + 1e-12:
+    while x <= stop + slack:
         if len(out) == _GRID_CAP:  # x + step can equal x further on, though not at start
             raise ContractViolation(too_many)
-        out.append(round(x, 12))
+        out.append(float(f"{x:.12g}"))  # 12 significant digits, so a tiny step keeps its points
         x += step
     return out
 

@@ -1,12 +1,8 @@
-"""Shared exception types."""
+"""The package's two exception types: a caller's fault, size caps included (CLI exit 2), and a bug (exit 3)."""
 
 
 class ContractViolation(ValueError):
     """A precondition of a public operation was violated by the caller."""
-
-
-class EnumerationCapError(RuntimeError):
-    """Exact enumeration was refused because the configuration exceeds the state cap."""
 
 
 class InvariantError(RuntimeError):

@@ -36,26 +36,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolation, EnumerationCapError
+from .errors import ContractViolation
 from .oracles import BitInstance, ValueInstance
 from .primitives import vote_threshold
 from .toplevel import or_threshold, sampling_probability
 from .tournaments import or_half, round_thresholds
-
-__all__ = [
-    "EnumerationResult",
-    "WalkAnalysis",
-    "WalkBranchStats",
-    "analyze_walk",
-    "analyze_walk_markov",
-    "enumerate_tournament",
-    "expected_queries_noisy_max",
-    "expected_queries_noisy_or",
-    "noisy_or_error_all_zero",
-    "tournament_max_cost",
-    "tournament_or_cost",
-    "walk_branch_stats",
-]
 
 _FULL_ALGO_N_CAP = 4
 _TOURNAMENT_N_CAP = 8
@@ -502,7 +487,7 @@ def enumerate_tournament(
         raise ContractViolation(f"unknown algorithm {algorithm!r}; choose from {', '.join(_ENUMERATORS)}")
     model, enumerate_paths, n_cap = _ENUMERATORS[algorithm]
     if instance.n > n_cap:
-        raise EnumerationCapError(f"{algorithm} enumeration capped at n <= {n_cap}, got {instance.n}")
+        raise ContractViolation(f"{algorithm} enumeration capped at n <= {n_cap}, got {instance.n}")
     if not isinstance(instance, model):
         raise ContractViolation(f"{algorithm} needs a {model.__name__}")
     entrants = tuple(enumerate(instance.bits if model is BitInstance else instance.values, start=1))

@@ -32,26 +32,6 @@ from .primitives import check_bit, noisy_compare
 from .toplevel import RunReport, noisy_max_report, noisy_or_report
 from .tournaments import or_half, tournament_max, tournament_or
 
-__all__ = [
-    "AggregateStats",
-    "CSV_COLUMNS",
-    "ExperimentConfig",
-    "TrialStats",
-    "aggregate",
-    "check_workers",
-    "mean_interval",
-    "parse_instance_spec",
-    "render_csv",
-    "render_json",
-    "run_experiment",
-    "run_sweep",
-    "run_trial",
-    "run_trials",
-    "sweep_configs",
-    "trial_records",
-    "wilson_interval",
-]
-
 
 # A runner maps (oracle, delta) to (output, phase-1 queries, subroutine
 # queries); p is the oracle's.  Each calls its algorithm by module-global name,

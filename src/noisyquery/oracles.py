@@ -43,15 +43,6 @@ import numpy as np
 
 from .errors import ContractViolation
 
-__all__ = [
-    "BitInstance",
-    "NoisyOracle",
-    "TrialDraws",
-    "ValueInstance",
-    "make_instance_max",
-    "make_instance_or",
-]
-
 _BUF_CAP = 8192  # the flips of each private chunk, past the prefix; no chunk is longer
 _PREFIX = (128, 448, 4096)  # the channel's first chunk sizes, shared by a trial's oracles
 _PREFIX_LEN = sum(_PREFIX)

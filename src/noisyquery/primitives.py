@@ -22,15 +22,6 @@ from .bounds import log_odds
 from .errors import ContractViolation
 from .oracles import NoisyOracle, StopReport
 
-__all__ = [
-    "check_bit",
-    "check_bit_log",
-    "noisy_compare",
-    "noisy_compare_log",
-    "vote_threshold",
-    "vote_threshold_log",
-]
-
 
 # Walks ask for the same few thresholds over and over (one per tournament
 # round and parameter point); bad arguments raise on every call, since

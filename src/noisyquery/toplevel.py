@@ -23,14 +23,6 @@ from .oracles import NoisyOracle
 from .primitives import check_bit, noisy_compare, vote_threshold
 from .tournaments import or_half, tournament_max, tournament_or
 
-__all__ = [
-    "RunReport",
-    "noisy_max_report",
-    "noisy_or_report",
-    "or_threshold",
-    "sampling_probability",
-]
-
 _RUN = 1024  # the longest named run: a phase of about n walks names them this many at a time, so no run grows with n
 
 

@@ -28,8 +28,6 @@ from .errors import ContractViolation
 from .oracles import NoisyOracle
 from .primitives import check_bit, check_bit_log, noisy_compare_log, vote_threshold_log
 
-__all__ = ["or_half", "round_log_errors", "round_thresholds", "tournament_max", "tournament_or"]
-
 
 def round_log_errors(r: int, delta: float) -> list[float]:
     """log of each round's tolerance delta 2^-i, i = 1..ceil(log2 r), for a bracket of r entrants.

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisyquery import harness
 from noisyquery.cli import _parse_grid, build_parser, main
 from noisyquery.errors import ContractViolation
 
@@ -171,6 +172,20 @@ class TestRunCommand:
         assert "configuration error" in err
         assert "Traceback" not in err
 
+    def test_invariant_violation_exits_three(self, capsys, monkeypatch):
+        model, runner, target = harness.ALGORITHMS["checkbit"]
+
+        def misreporting(oracle, delta):
+            output, phase1, sub = runner(oracle, delta)
+            return output, phase1, sub + 1
+
+        monkeypatch.setitem(harness.ALGORITHMS, "checkbit", (model, misreporting, target))
+        assert main(self.ARGS) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal invariant violation: phase accounting" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestHugeN:
     @pytest.mark.parametrize(
@@ -300,6 +315,8 @@ class TestSweepCommand:
             ["--p", "0:inf:0.1"],
             # moves its start, but x + 0.75 == x once x passes 2**53
             ["--p", "9007199254740980:9007199254740999:0.75"],
+            ["--n", "1:3"],
+            ["--n", "1:3:1:1"],
         ],
     )
     def test_bad_grid_exits_two(self, broken, capsys):
@@ -312,6 +329,24 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "grid, points",
+        [
+            ("1e-14:3e-14:1e-14", [1e-14, 2e-14, 3e-14]),  # 12 decimal places would make these 0.0
+            ("1e-12:3e-12:1e-12", [1e-12, 2e-12, 3e-12]),  # a slack of 1e-12 would add 4e-12
+        ],
+    )
+    def test_a_range_of_tiny_steps_stops_at_its_stop(self, grid, points, capsys):
+        assert _parse_grid(grid, float) == points
+        args = [
+            "sweep", "--algorithm", "checkbit", "--instance", "single_one:1",
+            "--n", "1", "--p", "0.25", "--delta", grid, "--trials", "5",
+        ]  # fmt: skip
+        assert main(args) == 0
+        header, *rows = capsys.readouterr().out.strip().split("\n")
+        column = header.split(",").index("delta")
+        assert [float(row.split(",")[column]) for row in rows] == points
 
     @pytest.mark.parametrize(
         "flag, grid, reason",

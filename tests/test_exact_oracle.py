@@ -6,7 +6,7 @@ import pytest
 
 from noisyquery import exact_oracle
 from noisyquery.bounds import upper_budget
-from noisyquery.errors import ContractViolation, EnumerationCapError
+from noisyquery.errors import ContractViolation
 from noisyquery.exact_oracle import (
     analyze_walk,
     analyze_walk_markov,
@@ -209,6 +209,10 @@ class TestEnumeration:
             enum.expected_queries, rel=1e-12
         )
 
+    def test_max_predictor_refuses_an_empty_input(self):
+        with pytest.raises(ContractViolation, match="n must be >= 1, got 0"):
+            expected_queries_noisy_max(0, 0.01, 0.25)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_max_predictor_equals_enumeration_at_small_delta(self, n):
         # The predictor's one approximation is O(delta); the rank law of the
@@ -266,13 +270,21 @@ class TestBoundsAtSmallDelta:
 class TestEnumerationCaps:
     def test_tournament_size_cap(self):
         inst = BitInstance(bits=(0,) * 9)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(ContractViolation, match="enumeration capped at n <= 8"):
             enumerate_tournament(inst, "tournament-or", 0.05, 0.25)
 
     def test_full_algorithm_size_cap(self):
         inst = BitInstance(bits=(0,) * 5)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(ContractViolation, match="enumeration capped at n <= 4"):
             enumerate_tournament(inst, "noisy-or", 0.1, 0.25)
+
+    @pytest.mark.parametrize(
+        "delta, p, reason",
+        [(0.0, 0.25, "delta"), (0.5, 0.25, "delta"), (0.1, 0.0, "p"), (0.1, 0.5, "p")],
+    )
+    def test_delta_and_p_outside_the_open_half_interval(self, delta, p, reason):
+        with pytest.raises(ContractViolation, match=f"^{reason} must lie in"):
+            enumerate_tournament(BitInstance(bits=(0,)), "noisy-or", delta, p)
 
     def test_no_threshold_cap(self):
         # Only n is capped: each walk is one two-way branch whatever its K.

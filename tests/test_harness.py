@@ -187,6 +187,10 @@ class TestIntervals:
         with pytest.raises(ContractViolation):
             wilson_interval(11, 10)
 
+    def test_mean_interval_refuses_no_values(self):
+        with pytest.raises(ContractViolation, match="at least one value"):
+            mean_interval([])
+
     def test_mean_interval_single_value_degenerates(self):
         assert mean_interval([4.0]) == (4.0, 4.0, 4.0)
 

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -83,6 +84,24 @@ class TestInstanceFactories:
     def test_single_one_range(self):
         with pytest.raises(ContractViolation):
             make_instance_or("single_one", 3, index=4)
+
+    @pytest.mark.parametrize(
+        "make, family, kwargs, reason",
+        [
+            (make_instance_or, "all_zero", {"n": None}, "all_zero requires n >= 1, got None"),
+            (make_instance_or, "all_zero", {"n": 0}, "all_zero requires n >= 1, got 0"),
+            (make_instance_or, "single_one", {"n": None, "index": 1}, "single_one requires n >= 1, got None"),
+            (make_instance_or, "single_one", {"n": 0, "index": 1}, "single_one requires n >= 1, got 0"),
+            (make_instance_or, "literal", {}, "literal requires bits"),
+            (make_instance_max, "sorted", {"n": 0}, "sorted requires n >= 1, got 0"),
+            (make_instance_max, "permuted", {"n": 0, "seed": 1}, "permuted requires n >= 1, got 0"),
+            (make_instance_max, "permuted", {"n": 3}, "permuted requires a seed"),
+            (make_instance_max, "literal", {}, "literal requires values"),
+        ],
+    )
+    def test_refuses_a_missing_size_or_payload(self, make, family, kwargs, reason):
+        with pytest.raises(ContractViolation, match=f"^{re.escape(reason)}$"):
+            make(family, **kwargs)
 
     def test_sorted(self):
         inst = make_instance_max("sorted", 4)

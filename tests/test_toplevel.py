@@ -60,6 +60,10 @@ class TestSamplingProbability:
         assert sampling_probability(1) == 1.0
         assert sampling_probability(2) == 1.0
 
+    def test_refuses_an_empty_input(self):
+        with pytest.raises(ContractViolation, match="n must be >= 1, got 0"):
+            sampling_probability(0)
+
     def test_inverse_log_anchor(self):
         assert sampling_probability(8) == pytest.approx(0.48089834696298783, rel=1e-14)
 
