@@ -6,13 +6,13 @@ Three layers, each checking the one below:
   expected absorption time of the +/-K vote walk (the stopping rule both
   primitives reduce to).
 * :func:`analyze_walk_markov` recomputes both by a dense linear solve of
-  the absorbing chain; :func:`walk_branch_stats` solves the conditional
-  expected durations exactly in rational arithmetic, which the
-  enumerators need because an algorithm's future depends on each
-  decision.
+  the absorbing chain.
 * :func:`enumerate_tournament` walks every decision path of a whole
   algorithm on a tiny instance, yielding the exact output distribution,
-  error probability, and expected query count.
+  error probability, and expected query count.  It prices each walk by
+  :func:`analyze_walk` alone: a walk's length is independent of its
+  decision, which ``verify`` checks exactly, so both of a walk's branches
+  cost its expected queries.
 
 The implementations consume oracle answers query by query; the analysis
 here never draws a single random bit.  It shares only four definitions
@@ -32,7 +32,6 @@ import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,90 +108,25 @@ def analyze_walk_markov(p: float, threshold: int) -> WalkAnalysis:
     return WalkAnalysis(error_probability=float(lose[start]), expected_queries=float(time[start]))
 
 
-@dataclass(frozen=True)
-class WalkBranchStats:
-    """Decision-conditional walk statistics.
+def _stop_laws_match(p: float, threshold: int, horizon: int) -> bool:
+    """Whether P(T = t, +K) = lambda^K P(T = t, -K) for every t <= horizon, exactly in rationals of the float p.
 
-    ``correct_prob`` is the probability the walk absorbs on the side the
-    true answer favours; ``error_prob`` is its exact complement,
-    converted from rational arithmetic separately so that tiny values
-    survive.  The conditional expected durations are carried because an
-    enumerated algorithm's future depends on each decision; for this walk
-    they happen to coincide (symmetric barriers, centered start), which
-    doubles as a solver check.
+    Swapping the up and down steps of a path that stops at +K gives a path
+    of the same length that stops at -K, whose probability is lambda^K
+    times smaller.  So a walk's length is independent of its decision.
+    The check propagates the walk's law over its 2K - 1 transient states.
     """
-
-    correct_prob: float
-    error_prob: float
-    expected_queries: float
-    expected_queries_correct: float
-    expected_queries_wrong: float
-
-
-def _solve_tridiagonal(
-    lower: list[Fraction], diag: list[Fraction], upper: list[Fraction], rhs: list[Fraction]
-) -> list[Fraction]:
-    # Thomas algorithm in exact rational arithmetic.
-    m = len(diag)
-    c = [Fraction(0)] * m
-    d = [Fraction(0)] * m
-    c[0] = upper[0] / diag[0]
-    d[0] = rhs[0] / diag[0]
-    for i in range(1, m):
-        denom = diag[i] - lower[i] * c[i - 1]
-        if i < m - 1:
-            c[i] = upper[i] / denom
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    x = [Fraction(0)] * m
-    x[m - 1] = d[m - 1]
-    for i in range(m - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
-
-
-@lru_cache(maxsize=None)
-def _branch_stats_cached(p: float, threshold: int) -> WalkBranchStats:
-    k = threshold
-    m = 2 * k - 1
-    up = Fraction(1) - Fraction(p)
     down = Fraction(p)
-    one = Fraction(1)
-
-    # (I - Q) x = rhs systems over transient states d = -K+1 .. K-1.
-    lower = [-down] * m
-    diag = [one] * m
-    upper = [-up] * m
-
-    # Win probability h: rhs collects the jump onto the +K boundary.
-    rhs_h = [Fraction(0)] * m
-    rhs_h[m - 1] = up
-    h = _solve_tridiagonal(lower, diag, upper, rhs_h)
-
-    # Unconditional expected time t.
-    t = _solve_tridiagonal(lower, diag, upper, [one] * m)
-
-    # w = E[T 1{win}]: rhs is the harmonic average of h including boundaries.
-    h_full = [Fraction(0), *h, one]
-    rhs_w = [down * h_full[s] + up * h_full[s + 2] for s in range(m)]
-    w = _solve_tridiagonal(lower, diag, upper, rhs_w)
-
-    start = k - 1
-    win = h[start]
-    e_win = w[start] / win
-    e_lose = (t[start] - w[start]) / (one - win)
-    return WalkBranchStats(
-        correct_prob=float(win),
-        error_prob=float(one - win),
-        expected_queries=float(t[start]),
-        expected_queries_correct=float(e_win),
-        expected_queries_wrong=float(e_lose),
-    )
-
-
-def walk_branch_stats(p: float, threshold: int) -> WalkBranchStats:
-    """Exact conditional absorption statistics (rational solve, cached)."""
-    _check_walk(p, threshold)
-    return _branch_stats_cached(float(p), int(threshold))
+    up = 1 - down
+    ratio = (up / down) ** threshold
+    law = [Fraction(0)] * (2 * threshold - 1)  # over the margins -K+1 .. K-1
+    law[threshold - 1] = Fraction(1)
+    for _ in range(horizon):
+        if law[-1] * up != ratio * law[0] * down:  # this step's stops at +K and at -K
+            return False
+        padded = [Fraction(0), *law, Fraction(0)]
+        law = [padded[s] * up + padded[s + 2] * down for s in range(len(law))]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +305,18 @@ class EnumerationResult:
 # branch on the walks in the order the algorithms play them.
 
 
-def _walk(leaves: list, stats: WalkBranchStats, truth, step) -> list:
-    """Branch each leaf on one stopped walk: true decision ``truth(state)``, next state ``step(state, decision)``."""
+def _walk(leaves: list, walk: WalkAnalysis, truth, step) -> list:
+    """Branch each leaf on one stopped walk: true decision ``truth(state)``, next state ``step(state, decision)``.
+
+    A walk's length is independent of its decision (see :func:`_stop_laws_match`),
+    so both branches add its expected queries.
+    """
+    error, cost = walk.error_probability, walk.expected_queries
     out = []
     for prob, queries, state in leaves:
         right = truth(state)
-        out.append((prob * stats.correct_prob, queries + stats.expected_queries_correct, step(state, right)))
-        out.append((prob * stats.error_prob, queries + stats.expected_queries_wrong, step(state, not right)))
+        out.append((prob * (1.0 - error), queries + cost, step(state, right)))
+        out.append((prob * error, queries + cost, step(state, not right)))
     return out
 
 
@@ -403,9 +342,9 @@ def _enum_knockout(entrants: tuple, delta: float, p: float, is_max: bool) -> lis
     leaves = [(1.0, 0.0, entrants)]
     size = len(entrants)
     for k in round_thresholds(size, delta, p):
-        stats = walk_branch_stats(p, k)
+        walk = analyze_walk(p, k)
         for _ in range(size // 2):
-            leaves = _walk(leaves, stats, truth, step)
+            leaves = _walk(leaves, walk, truth, step)
         if size % 2 == 1:
             leaves = [(prob, queries, s[1:] + s[:1]) for prob, queries, s in leaves]
         size = (size + 1) // 2
@@ -414,7 +353,7 @@ def _enum_knockout(entrants: tuple, delta: float, p: float, is_max: bool) -> lis
 
 def _enum_tournament_or(entrants: tuple, delta: float, p: float) -> list:
     half = or_half(delta)
-    final_check = walk_branch_stats(p, vote_threshold(p, half))
+    final_check = analyze_walk(p, vote_threshold(p, half))
     leaves = _enum_knockout(entrants, half, p, is_max=False)
     return _walk(leaves, final_check, lambda s: s[0][1] == 1, lambda s, one: int(one))  # the winner's final check
 
@@ -424,11 +363,11 @@ def _enum_tournament_max(entrants: tuple, delta: float, p: float) -> list:
 
 
 def _enum_noisy_or(entrants: tuple, delta: float, p: float) -> list:
-    stats = walk_branch_stats(p, vote_threshold(p, delta))
+    walk = analyze_walk(p, vote_threshold(p, delta))
     theta = or_threshold(len(entrants), delta)
     leaves = [(1.0, 0.0, ())]  # phase 1: the state is the survivor list
     for e in entrants:
-        leaves = _walk(leaves, stats, lambda s: e[1] == 1, lambda s, one: s + (e,) if one else s)
+        leaves = _walk(leaves, walk, lambda s: e[1] == 1, lambda s, one: s + (e,) if one else s)
 
     def finish(survivors: tuple) -> list:
         if not survivors or len(survivors) >= theta:  # none declares 0; the cutoff or more declares 1
@@ -441,13 +380,13 @@ def _enum_noisy_or(entrants: tuple, delta: float, p: float) -> list:
 def _enum_noisy_max(entrants: tuple, delta: float, p: float) -> list:
     n = len(entrants)
     q = sampling_probability(n)
-    stats = walk_branch_stats(p, vote_threshold(p, delta))
+    walk = analyze_walk(p, vote_threshold(p, delta))
 
     def shortlists(mask: int) -> list:
         # The sample's champion, then every unsampled element that beats it.
         leaves = _enum_knockout(tuple(e for i, e in enumerate(entrants) if mask >> i & 1), delta, p, is_max=True)
         for u in (e for i, e in enumerate(entrants) if not mask >> i & 1):
-            leaves = _walk(leaves, stats, lambda s: s[0][1] < u[1], lambda s, less: s + (u,) if less else s)
+            leaves = _walk(leaves, walk, lambda s: s[0][1] < u[1], lambda s, less: s + (u,) if less else s)
         return leaves
 
     # The sample is a branch of no queries, weighted q^s (1-q)^(n-s) / P(nonempty).
@@ -592,19 +531,9 @@ def run_verify_checks(mc_trials: int = 0) -> list[tuple[str, bool, str]]:
         ("walk closed-form vs markov (K<=30)", worst < 1e-12, f"max rel err {worst:.2e}")
     )
 
-    # Rational branch stats vs closed form, plus the equal-conditional-time identity.
-    worst = 0.0
-    for p in (0.05, 0.1, 0.25, 0.4, 0.45):
-        for k in (1, 2, 3, 5, 8, 13, 21):
-            cf = analyze_walk(p, k)
-            br = walk_branch_stats(p, k)
-            worst = max(
-                worst,
-                _rel_err(br.error_prob, cf.error_probability),
-                _rel_err(br.expected_queries, cf.expected_queries),
-                _rel_err(br.expected_queries_correct, br.expected_queries_wrong),
-            )
-    checks.append(("walk conditional stats vs closed form", worst < 1e-12, f"max rel err {worst:.2e}"))
+    # A walk's length is independent of its decision, which the enumerator's _walk relies on.
+    ok = all(_stop_laws_match(p, k, 60) for p in (0.1, 0.25, 0.4) for k in (1, 2, 3, 5, 8))
+    checks.append(("walk length independent of decision (t<=60)", ok, "exact in rationals"))
 
     # Enumeration agrees with hand-derivable structure.
     single = enumerate_tournament(BitInstance(bits=(0,)), "tournament-or", 0.25, 0.25)

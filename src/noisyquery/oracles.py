@@ -27,7 +27,8 @@ from integer arrays of indices, taken as they are, and read whole.  Its
 stops are read in one numpy pass a chunk into two preallocated arrays, its
 reports are one gather off a table of shared reports by code, and each
 walk is taken as a ready report, checked against plain lists of the run's
-indices.  The caller bounds a run's length.
+indices.  The caller bounds a run's length; an empty run returns once
+checked.
 
 Indices are 1-based throughout, matching the usual [n] convention.
 """
@@ -457,11 +458,10 @@ class NoisyOracle:
         checked, in walk order, before anything moves, so a bad run raises its
         first bad walk's message.  The stops of the whole run are then read
         ahead, moving the flip stream on, but each walk's queries are counted
-        when it is taken.  A run of fewer than _PASS_MIN walks is checked and
-        read a walk at a time, since numpy would cost more than it saves; a
-        longer one is checked and read in numpy.  The run's first and second
-        indices (None for bit reads) are kept as plain lists, which
-        :meth:`take` checks each walk against.  An empty run does nothing.
+        when it is taken.  The run is checked and read in numpy, whatever its
+        length.  Its first and second indices (None for bit reads) are kept as
+        plain lists, which :meth:`take` checks each walk against.  An empty
+        run returns once its arguments are checked.
         """
         if self.pending:
             raise ContractViolation(f"a run named while the last one has {len(self.pending)} walks left")
@@ -474,25 +474,21 @@ class NoisyOracle:
         pairs = seconds is not None
         if pairs and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
-        f, s = firsts.tolist(), seconds.tolist() if pairs else [None] * len(firsts)
-        if len(f) < _PASS_MIN:
-            truths = [self._truth(i, j) for i, j in zip(f, s)]
-            stops = [self._jump(k) for _ in truths]
-            codes = [4 * t + (truth == up) + 2 * pairs for truth, (up, t) in zip(truths, stops)]
-            pending = list(map(_REPORTS.__getitem__, reversed(codes)))
-        else:
-            bad = (firsts < 1) | (firsts > self._n)
-            if pairs:
-                bad |= (seconds < 1) | (seconds > self._n) | (firsts == seconds)
-            wrong_channel = (self._bits is None) != pairs
-            if wrong_channel or bad.any():
-                w = 0 if wrong_channel else int(bad.argmax())  # on the wrong channel, every walk is bad
-                self._truth(int(firsts[w]), int(seconds[w]) if pairs else None)  # raises as that walk would alone
-            table = self.instance.array
-            truths = table[firsts - 1] if seconds is None else table[firsts - 1] < table[seconds - 1]
-            ts, ups = self._run(k, len(firsts))
-            pending = _REPORTS.gather((4 * ts + (truths == ups) + 2 * pairs)[::-1])
-        self._firsts, self._seconds, self._walk, self.pending = f, s, 0, pending
+        if not len(firsts):
+            return
+        bad = (firsts < 1) | (firsts > self._n)
+        if pairs:
+            bad |= (seconds < 1) | (seconds > self._n) | (firsts == seconds)
+        wrong_channel = (self._bits is None) != pairs
+        if wrong_channel or bad.any():
+            w = 0 if wrong_channel else int(bad.argmax())  # on the wrong channel, every walk is bad
+            self._truth(int(firsts[w]), int(seconds[w]) if pairs else None)  # raises as that walk would alone
+        table = self.instance.array
+        truths = table[firsts - 1] if seconds is None else table[firsts - 1] < table[seconds - 1]
+        ts, ups = self._run(k, len(firsts))
+        pending = _REPORTS.gather((4 * ts + (truths == ups) + 2 * pairs)[::-1])
+        self._firsts, self._walk, self.pending = firsts.tolist(), 0, pending
+        self._seconds = seconds.tolist() if pairs else [None] * len(firsts)
 
     def take(self, i: int, j: int | None) -> StopReport:
         """The report of the named run's next walk, which must be walk (i, j), else this raises; counts its queries."""

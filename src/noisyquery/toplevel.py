@@ -24,6 +24,7 @@ from .primitives import check_bit, noisy_compare, vote_threshold
 from .tournaments import or_half, tournament_max, tournament_or
 
 _RUN = 1024  # the longest named run: a phase of about n walks names them this many at a time, so no run grows with n
+_NAMED_MIN = 32  # the shortest named run: a shorter one costs less walked alone than named
 
 
 def or_threshold(n: int, delta: float) -> float:
@@ -72,7 +73,8 @@ def noisy_or_report(oracle: NoisyOracle, delta: float) -> RunReport:
     k, survivors = vote_threshold(p, delta), []
     for first in range(1, n + 1, _RUN):
         stop = min(first + _RUN, n + 1)
-        oracle.name_run(np.arange(first, stop), None, k)
+        if stop - first >= _NAMED_MIN:
+            oracle.name_run(np.arange(first, stop), None, k)
         survivors += [i for i in range(first, stop) if check_bit(oracle, i, delta).decision == 1]
     phase1 = oracle.queries - start
     if not survivors:
@@ -112,7 +114,8 @@ def noisy_max_report(oracle: NoisyOracle, delta: float) -> RunReport:
     k, shortlist = vote_threshold(p, delta), [champion]
     for first in range(0, len(unsampled), _RUN):
         run = unsampled[first : first + _RUN]
-        oracle.name_run(np.full(len(run), champion), run, k)
+        if len(run) >= _NAMED_MIN:
+            oracle.name_run(np.full(len(run), champion), run, k)
         shortlist += [u for u in run.tolist() if noisy_compare(oracle, champion, u, delta).decision]
     phase1 = oracle.queries - before_compares
 

@@ -931,7 +931,8 @@ class TestNamedRuns:
     def test_a_champion_run_named_from_arrays_is_the_lone_walks(self, count, dtype):
         # The MAX champion comparisons name their run from the index arrays
         # they hold: the champion against each unsampled index, in order.
-        # Runs of under _PASS_MIN walks, and of about 700 and 2,600, each read whole.
+        # Runs of about 10 walks (each taken by the jump loop, as a run's last 31
+        # are), 700 and 2,600, each checked in numpy and read whole.
         champion, rng = 1234, np.random.default_rng(count)
         others = np.flatnonzero(rng.random(3000) < count / 3000) + 1
         others = others[others != champion].astype(dtype)

@@ -74,21 +74,33 @@ class TestSamplingProbability:
 
 
 class _RunLog(RecordingOracle):
-    """A :class:`RecordingOracle` whose ``runs`` lists each named run's first and second indices (None for bits)."""
+    """A :class:`RecordingOracle` whose ``runs`` lists each named run's first and second indices (None for bits).
 
-    __slots__ = ("runs",)
+    ``lone`` lists the walks walked alone, as ``walks`` lists them.
+    """
+
+    __slots__ = ("runs", "lone")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.runs: list[tuple[list[int], list[int] | None]] = []
+        self.lone: list[tuple[int, int | None, int, int]] = []
 
     def name_run(self, firsts, seconds, k: int) -> None:
         super().name_run(firsts, seconds, k)
         self.runs.append((firsts.tolist(), None if seconds is None else seconds.tolist()))
 
+    def walk(self, i: int, j: int | None, k: int):
+        report = super().walk(i, j, k)
+        self.lone.append(self.walks[-1])
+        return report
 
-class TestPhasesNameRunsOfAtMost1024Walks:
-    """The per-element phases name their walks in runs of at most 1,024, at n = 2,500 as in the goldens."""
+
+class TestPhasesNameRunsOf32To1024Walks:
+    """The per-element phases name their walks in runs of 32 to 1,024, at n = 2,500 as in the goldens.
+
+    A shorter run is walked alone.
+    """
 
     def test_or_phase1(self):
         oracle = _RunLog(make_instance_or("single_one", 2500, index=2100), 0.25, master_seed=20230907)
@@ -106,6 +118,55 @@ class TestPhasesNameRunsOfAtMost1024Walks:
         sampled = set(sample)
         unsampled = [u for u in range(1, 2501) if u not in sampled]
         assert [u for _, seconds in oracle.runs for u in seconds] == unsampled
+
+    def test_or_phase1_tail(self):
+        # At n = 1,030 the phase names 1,024 walks and walks the last 6 alone, at its k.
+        oracle = _RunLog(make_instance_or("all_zero", 1030), 0.25, master_seed=20230907)
+        noisy_or_report(oracle, 0.01)
+        assert [len(firsts) for firsts, _ in oracle.runs] == [1024]
+        k = vote_threshold(0.25, 0.01)
+        assert oracle.lone[:6] == oracle.walks[1024:1030]
+        assert [(i, j, kk) for i, j, kk, _ in oracle.lone[:6]] == [(i, None, k) for i in range(1025, 1031)]
+
+    @pytest.mark.parametrize("family", ["or-single_one", "max-sorted"])
+    def test_no_run_at_n_20(self, family):
+        report, instance = _FAMILIES[family][0], _FAMILIES[family][1](20)
+        oracle = _RunLog(instance, 0.25, master_seed=20230907)
+        report(oracle, 0.01)
+        assert oracle.runs == [] and oracle.lone == oracle.walks
+
+
+class _Unnamed(RecordingOracle):
+    """A :class:`RecordingOracle` that names no run, so every walk is walked alone."""
+
+    __slots__ = ()
+
+    def name_run(self, firsts, seconds, k: int) -> None:
+        pass
+
+
+_FAMILIES = {
+    "or-all_zero": (noisy_or_report, lambda n: make_instance_or("all_zero", n)),
+    "or-single_one": (noisy_or_report, lambda n: make_instance_or("single_one", n, index=(n + 1) // 2)),
+    "max-sorted": (noisy_max_report, lambda n: make_instance_max("sorted", n)),
+    "max-relocated": (noisy_max_report, lambda n: make_instance_max("relocated", n, index=max(1, n // 2))),
+}
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for f in _FAMILIES for n in (1, 2, 3, 20, 31, 32, 33, 1030) if (f, n) != ("max-relocated", 1)],
+)
+def test_naming_changes_no_walk(family, n):
+    # Whether a phase names its runs or walks them alone, every walk, the
+    # report and the flips after it are the same.  No golden reaches n < 100
+    # or a phase's tail of under 32 walks (6 at n = 1,030).
+    report, instance = _FAMILIES[family][0], _FAMILIES[family][1](n)
+    for seed in (1, 2, 3):
+        named, alone = RecordingOracle(instance, 0.25, master_seed=seed), _Unnamed(instance, 0.25, master_seed=seed)
+        assert report(named, 0.01) == report(alone, 0.01)
+        assert named.walks == alone.walks and named.queries == alone.queries
+        assert [named._jump(1) for _ in range(5)] == [alone._jump(1) for _ in range(5)]
 
 
 def _twin(oracle):
