@@ -8,8 +8,8 @@ fixed configuration regardless of parallelism.
 
 One runner serves a single campaign and a sweep alike: it takes the
 trials one at a time and runs every row of a set of rows on that trial's
-one :class:`~noisyquery.oracles.TrialDraws`, the channel's shared
-prefix, set up with those of the trials around it.  A sweep gives it the
+one :class:`~noisyquery.oracles.TrialDraws`, the trial's channel, whose
+prefix is shared, set up with those of the trials around it.  A sweep gives it the
 rows of one n at a time.  A row's trials are kept as three columns, which
 :func:`aggregate` reads as they stand.
 """
@@ -229,8 +229,8 @@ def _cached_instance(spec: str, n: int, algorithm: str) -> tuple[BitInstance | V
 def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | None = None) -> TrialStats:
     """Execute one trial; deterministic in (config.seed, trial_index).
 
-    ``draws``, the trial's shared channel prefix, changes no answer: it
-    only spares the oracle drawing that prefix again.
+    ``draws``, the trial's channel, changes no answer: it only spares
+    the oracle drawing the channel's shared prefix again.
     """
     instance, target = _cached_instance(config.instance, config.n, config.algorithm)
     oracle = NoisyOracle(instance, config.p, config.seed, trial_index, draws)

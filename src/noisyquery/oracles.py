@@ -14,12 +14,13 @@ are hashed for a block of 1024 trial indices in one numpy pass and kept
 for the last few blocks, so a stream costs a table row, not a
 SeedSequence.
 
-The first 4,672 draws of a trial's channel are held by one
-:class:`TrialDraws`, which every oracle of that trial may share: a sweep
-runs each of its rows on the trial's one set of draws, whatever p the
-row has.  The prefix is read in chunks of 128, 448 and 4,096 flips;
-draws past it come from each oracle's own generator, in private chunks
-of 8,192.  A run of trials sets up their first chunks a block at a time
+A trial's channel is held by one :class:`TrialDraws`, which every oracle
+of that trial may share: a sweep runs each of its rows on the trial's one
+set of draws, whatever p the row has.  Its first 4,672 draws, the prefix,
+are read in shared chunks of 128, 448 and 4,096 flips; past it, each
+oracle is handed private chunks of 8,192, drawn from the trial's one
+generator.  An oracle holds a chunk's table and its position in it, no
+generator.  A run of trials sets up their first chunks a block at a time
 (:meth:`TrialDraws.block`).
 
 A run of walks at one vote threshold is named first (:meth:`NoisyOracle.name_run`),
@@ -51,7 +52,6 @@ _PASS_MIN = 32  # a named run's stops are read in numpy passes while it has this
 _WORD = 0xFFFFFFFF
 _BLOCK = 1024  # trial indices seeded in one pass; divides 2**32
 _SET_UP = 256  # trials whose first chunks TrialDraws.block draws and tabulates in one pass
-_NO_FLIPS = memoryview(b"")  # an oracle's buffer before its first chunk; read-only, so shared
 
 
 @lru_cache(maxsize=256)
@@ -166,21 +166,29 @@ def _generator(master_seed: int, trial_index: int, stream: int) -> np.random.Gen
 
 
 class TrialDraws:
-    """The first chunks of one trial's channel, shared by every oracle of that trial.
+    """One trial's channel, stream 0, in chunks; the first three are shared by every oracle of that trial.
 
-    Chunk c holds the next ``_PREFIX[c]`` doubles of the trial's stream-0
-    generator, drawn at first use; :meth:`table` keeps one running-margin
-    table per (p, chunk).  So a trial's prefix costs one generator and
-    4,672 doubles whatever the number of oracles that read it, plus one
-    table a chunk for each distinct p.
+    Prefix chunk c holds the next ``_PREFIX[c]`` doubles of the trial's
+    stream-0 generator, drawn at first use; :meth:`table` keeps one
+    running-margin table per (p, chunk).  So a trial's prefix costs 4,672
+    doubles whatever the number of oracles that read it, plus one table a
+    chunk for each distinct p.  A chunk past the prefix is drawn for its
+    caller alone, from the same generator: asked for the chunk after the
+    last one drawn, it streams on; asked for any other, :meth:`_seat`
+    moves it there first.  So one oracle reading on builds one generator,
+    and as every chunk is read at its own place in the stream, seating it
+    past the prefix never moves a prefix chunk not yet drawn.
     """
 
-    __slots__ = ("master_seed", "trial_index", "_rng", "_chunks", "_tables")
+    __slots__ = ("master_seed", "trial_index", "_rng", "_at", "_chunks", "_tables")
 
     def __init__(self, master_seed: int, trial_index: int) -> None:
+        if master_seed < 0 or trial_index < 0:
+            raise ContractViolation(f"seed and trial must be non-negative, got {master_seed} and {trial_index}")
         self.master_seed = master_seed
         self.trial_index = trial_index
         self._rng: np.random.Generator | None = None
+        self._at = 0  # the draw _rng stands at
         self._chunks: list[np.ndarray] = []
         self._tables: dict[tuple[float, int], memoryview] = {}
 
@@ -194,15 +202,15 @@ class TrialDraws:
         its rows; its later chunks are drawn at first use, as alone.
         """
         for lo in range(start, stop, _SET_UP):
-            rngs = [_generator(master_seed, t, 0) for t in range(lo, min(lo + _SET_UP, stop))]
-            first = np.empty((len(rngs), _PREFIX[0]))
-            for rng, row in zip(rngs, first):
-                rng.random(out=row)
+            trials = [cls(master_seed, t) for t in range(lo, min(lo + _SET_UP, stop))]
+            first = np.empty((len(trials), _PREFIX[0]))
+            for draws, row in zip(trials, first):
+                draws._rng, draws._at = _generator(master_seed, draws.trial_index, 0), _PREFIX[0]
+                draws._rng.random(out=row)
             first.flags.writeable = False
             tables = [(p, _margins(first, p)) for p in ps]
-            for i, t in enumerate(range(lo, lo + len(rngs))):
-                draws = cls(master_seed, t)
-                draws._rng, rngs[i] = rngs[i], None  # the block keeps no trial's generator once handed out
+            for i in range(len(trials)):
+                draws, trials[i] = trials[i], None  # the block keeps no trial once handed out
                 draws._chunks.append(first[i])
                 draws._tables = {(p, 0): memoryview(margin[i]) for p, margin in tables}
                 yield draws
@@ -211,26 +219,26 @@ class TrialDraws:
         """Chunk ``chunk``'s running margin at crossover p: entry t is (unflipped - flipped) over its flips 0..t."""
         table = self._tables.get((p, chunk))
         if table is None:
+            if chunk >= len(_PREFIX):  # drawn for its caller, and not kept
+                return memoryview(_margins(self._draw(_PREFIX_LEN + (chunk - len(_PREFIX)) * _BUF_CAP, _BUF_CAP), p))
             while len(self._chunks) <= chunk:
-                if self._rng is None:
-                    self._rng = _generator(self.master_seed, self.trial_index, 0)
-                self._chunks.append(self._rng.random(_PREFIX[len(self._chunks)]))
+                c = len(self._chunks)
+                self._chunks.append(self._draw(sum(_PREFIX[:c]), _PREFIX[c]))
             table = self._tables[(p, chunk)] = memoryview(_margins(self._chunks[chunk], p))
         return table
 
-    def continuation(self) -> np.random.Generator:
-        """A private generator for the draws past the prefix: the trial's stream 0, standing at draw _PREFIX_LEN.
+    def _draw(self, at: int, size: int) -> np.ndarray:
+        """Draws at..at+size-1 of stream 0: read on if the generator stands at ``at``, else seated there first."""
+        if self._rng is None or self._at != at:
+            self._seat(at)
+        self._at = at + size
+        return self._rng.random(size)
 
-        The first caller once the prefix is drawn gets the generator that
-        drew it; any other a new one, advanced: a double takes one output.
-        """
-        rng = self._rng
-        if rng is not None and len(self._chunks) == len(_PREFIX):
-            self._rng = None  # every chunk is drawn, so the prefix needs it no more
-            return rng
-        rng = _generator(self.master_seed, self.trial_index, 0)
-        rng.bit_generator.advance(_PREFIX_LEN)
-        return rng
+    def _seat(self, at: int) -> None:
+        """Stands ``_rng``, the trial's stream-0 generator, at draw ``at``: built at first use, else moved from _at."""
+        if self._rng is None:
+            self._rng, self._at = _generator(self.master_seed, self.trial_index, 0), 0
+        self._rng.bit_generator.advance(at - self._at)  # a double takes one output; a step back wraps round
 
 
 class StopReport(NamedTuple):
@@ -336,17 +344,17 @@ class NoisyOracle:
     streams keyed by ``(master_seed, trial_index)``, so consuming one
     never perturbs the other.  ``queries`` counts every query asked.
 
-    ``draws`` is the trial's shared prefix of channel draws; an oracle
-    given none makes its own, so it answers exactly as one that shares.
+    ``draws`` is the trial's channel draws, which its oracles may share; an
+    oracle given none makes its own, so it answers exactly as one that shares.
 
     A walk is asked alone (:meth:`walk`) or named in a run (:meth:`name_run`)
     and then taken (:meth:`take`); ``pending`` holds the reports not yet taken.
     """
 
     __slots__ = (
-        "instance", "p", "master_seed", "trial_index", "queries",
+        "instance", "p", "queries",
         "_bits", "_values", "_n",  # the hidden instance
-        "_draws", "_rng", "_chunk",  # the shared prefix, the private generator past it, the next chunk's number
+        "_draws", "_chunk",  # the trial's draws, the next chunk's number
         "_buf", "_pos",  # the current chunk and the next flip
         "pending", "_firsts", "_seconds", "_walk",  # the named run's reports, its indices as lists, its next walk
         "_alg_rng",
@@ -369,8 +377,6 @@ class NoisyOracle:
             )
         self.instance = instance
         self.p = p
-        self.master_seed = master_seed
-        self.trial_index = trial_index
         self.queries = 0
         # The instance's own tuples, read at i - 1: a trial copies nothing of size n.
         if isinstance(instance, BitInstance):
@@ -381,12 +387,11 @@ class NoisyOracle:
             self._bits = None
             self._values = instance.values
             self._n = len(instance.values)
-        self._draws = TrialDraws(master_seed, trial_index) if draws is None else draws
-        self._rng: np.random.Generator | None = None
-        # Draws that hold chunk 0's table at p, as a block's trials do at their rows' p, start the oracle on it.
-        table = None if draws is None else draws._tables.get((p, 0))
-        self._chunk = 0 if table is None else 1
-        self._buf = _NO_FLIPS if table is None else table
+        self._draws = draws = TrialDraws(master_seed, trial_index) if draws is None else draws
+        # A block's trials hold chunk 0's table at their rows' p; other draws tabulate it now.
+        table = draws._tables.get((p, 0))
+        self._buf = draws.table(p, 0) if table is None else table
+        self._chunk = 1
         self._pos = 0
         # The reports of the named run's walks not yet taken, last first; a shared empty tuple until a run is named.
         self.pending: list[StopReport] | tuple[()] = ()
@@ -398,29 +403,21 @@ class NoisyOracle:
         # Chunk sizes follow a fixed schedule (128, 448, 4096, then 8192 flips),
         # and the channel draws one double per flip whatever the chunk
         # size, so the flip sequence is a pure function of
-        # (master_seed, trial_index).  A chunk is kept as its running
+        # (master_seed, trial_index).  A chunk is held as its running
         # margin: entry t is (unflipped - flipped) over flips 0..t of the
         # chunk, so a walk reads the margin of any run of flips as the
-        # difference of two entries.  The first chunks are the shared
-        # prefix's tables; an oracle that started on chunk 0's table
-        # first refills at chunk 1.  The private generator is created at
-        # the first chunk past the prefix.
-        chunk = self._chunk
-        if chunk < len(_PREFIX):
-            buf = self._draws.table(self.p, chunk)
-        else:
-            if self._rng is None:
-                self._rng = self._draws.continuation()
-            buf = memoryview(_margins(self._rng.random(_BUF_CAP), self.p))
-        self._buf = buf
-        self._chunk = chunk + 1
+        # difference of two entries.  Every table, shared prefix or
+        # private chunk past it, comes from the trial's draws; the oracle
+        # starts on chunk 0's, so it first refills at chunk 1.
+        self._buf = self._draws.table(self.p, self._chunk)
+        self._chunk += 1
         self._pos = 0
 
     @property
     def algorithm_rng(self) -> np.random.Generator:
         """Deterministic stream for algorithm-level randomness (e.g. subsampling)."""
         if self._alg_rng is None:
-            self._alg_rng = _generator(self.master_seed, self.trial_index, 1)
+            self._alg_rng = _generator(self._draws.master_seed, self._draws.trial_index, 1)
         return self._alg_rng
 
     # -- queries ---------------------------------------------------------------
@@ -454,7 +451,7 @@ class NoisyOracle:
     def name_run(self, firsts: np.ndarray, seconds: np.ndarray | None, k: int) -> None:
         """Name the walks (firsts[w], seconds[w] or None for bit reads) at threshold k, to be taken in turn.
 
-        The indices are integer numpy arrays, read as they are.  Every walk is
+        The indices are 1-d integer numpy arrays, read as they are.  Every walk is
         checked, in walk order, before anything moves, so a bad run raises its
         first bad walk's message.  The stops of the whole run are then read
         ahead, moving the flip stream on, but each walk's queries are counted
@@ -468,9 +465,10 @@ class NoisyOracle:
         if k < 1:
             raise ContractViolation(f"vote threshold must be >= 1, got {k}")
         for indices in (firsts,) if seconds is None else (firsts, seconds):
-            if not isinstance(indices, np.ndarray) or indices.dtype.kind not in "iu":
-                got = f"an array of {indices.dtype}" if isinstance(indices, np.ndarray) else type(indices).__name__
-                raise ContractViolation(f"a run's indices must be an integer array, got {got}")
+            array = isinstance(indices, np.ndarray)
+            if not array or indices.dtype.kind not in "iu" or indices.ndim != 1:
+                got = f"a {indices.ndim}-d array of {indices.dtype}" if array else type(indices).__name__
+                raise ContractViolation(f"a run's indices must be a 1-d integer array, got {got}")
         pairs = seconds is not None
         if pairs and len(seconds) != len(firsts):
             raise ContractViolation(f"a run of {len(firsts)} walks given {len(seconds)} second indices")
@@ -538,7 +536,7 @@ class NoisyOracle:
             if pos < end:
                 m = buf[pos - 1]
             else:
-                pos, m = end, buf[end - 1] if end else 0  # an oracle's buffer is empty before its first chunk
+                pos, m = end, buf[end - 1]
                 if lo < m < hi:  # the walk goes on past the chunk's end
                     self._refill()
                     buf, base, lo, hi, start = self._buf, base - m, lo - m, hi - m, start - end

@@ -8,7 +8,7 @@ checks, jump loop and run passes.
 
 import numpy as np
 
-from noisyquery.oracles import _PREFIX_LEN, NoisyOracle, TrialDraws
+from noisyquery.oracles import NoisyOracle, TrialDraws
 
 
 class RecordingOracle(NoisyOracle):
@@ -41,7 +41,7 @@ class RecordingOracle(NoisyOracle):
 
 
 class _ScriptedStream:
-    """Stands in for a channel generator: draw t is 0.0 (below any p: a flip) if flip t is scripted, else 1.0."""
+    """Stands in for the channel's generator: draw t is 0.0 (below any p: a flip) if flip t is scripted, else 1.0."""
 
     def __init__(self, flips: np.ndarray, drawn: int) -> None:
         self.flips = flips
@@ -56,17 +56,16 @@ class _ScriptedStream:
 
 
 class _ScriptedDraws(TrialDraws):
-    """A trial's draws read off a script: the shared prefix from flip 0, the continuation from flip _PREFIX_LEN."""
+    """A trial's draws read off a script: wherever the channel is seated, its draw t is flip t's."""
 
     __slots__ = ("flips",)
 
     def __init__(self, flips) -> None:
         super().__init__(0, 0)
         self.flips = np.asarray(flips, dtype=bool)
-        self._rng = _ScriptedStream(self.flips, 0)  # the generator the prefix is drawn from
 
-    def continuation(self) -> _ScriptedStream:
-        return _ScriptedStream(self.flips, _PREFIX_LEN)
+    def _seat(self, at: int) -> None:
+        self._rng = _ScriptedStream(self.flips, at)
 
 
 class ScriptedOracle(RecordingOracle):
@@ -76,9 +75,9 @@ class ScriptedOracle(RecordingOracle):
     no answer is flipped, so ``ScriptedOracle(instance)`` is the
     noiseless channel.  The oracle's p (0.25 unless given) sets the
     thresholds an algorithm run on it walks at, and how far a named run's
-    passes read, not which answers flip.  The script stands in for the
-    oracle's draws, both the trial's shared prefix and the oracle's
-    private continuation past it.
+    passes read, not which answers flip.  The script stands in for every
+    draw of the channel, shared prefix and private chunks alike, through
+    the one hook that seats the trial's generator.
     """
 
     __slots__ = ()

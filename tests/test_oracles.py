@@ -367,17 +367,23 @@ class TestDeterminism:
 
     @pytest.mark.numpy_mirror
     @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (3, -(2**40)), (-(2**40), 5)])
-    def test_negative_seed_or_trial_is_refused_before_any_draw(self, seed, trial):
+    def test_negative_seed_or_trial_is_refused_before_any_draw(self, seed, trial, monkeypatch):
+        # SeedSequence refuses the key, and so does the mirror's generator;
+        # a trial's draws refuse it as a caller's fault, before they build one.
         with pytest.raises(ValueError):
             np.random.SeedSequence((seed, trial, 0))
         with pytest.raises(ValueError):
             _generator(seed, trial, 0)
-        oracle = NoisyOracle(BitInstance(bits=(0,)), 0.3, master_seed=seed, trial_index=trial)
-        with pytest.raises(ValueError):
-            oracle.read_bit(1)
-        with pytest.raises(ValueError):
-            oracle.algorithm_rng
-        assert oracle.queries == 0 and len(oracle._buf) == 0
+        monkeypatch.setattr(oracles, "_generator", None)  # a draw would raise TypeError
+        message = f"seed and trial must be non-negative, got {seed} and {trial}"
+        for build in [
+            lambda: TrialDraws(seed, trial),
+            lambda: NoisyOracle(BitInstance(bits=(0,)), 0.3, master_seed=seed, trial_index=trial),
+            lambda: next(TrialDraws.block(seed, trial, trial + 1, [0.3])),
+        ]:
+            with pytest.raises(ContractViolation) as refused:
+                build()
+            assert str(refused.value) == message
 
     @pytest.mark.numpy_mirror
     def test_negative_block_key_is_refused(self):
@@ -1086,18 +1092,22 @@ class TestNamedRunContracts:
             (BIT_INSTANCE, [], None, "list"),
             (BIT_INSTANCE, range(1, 3), None, "range"),
             (VALUE_INSTANCE, np.array([1, 2]), [2, 1], "list"),
-            (BIT_INSTANCE, np.array([1.0, 2.0]), None, "an array of float64"),
-            (BIT_INSTANCE, np.array([1.0, 2.0] * 20), None, "an array of float64"),
-            (VALUE_INSTANCE, np.array([1, 2] * 20), np.array([2.0, 1.0] * 20), "an array of float64"),
-            (VALUE_INSTANCE, np.array([True, True]), np.array([2, 3]), "an array of bool"),
-            (BIT_INSTANCE, np.array([2**70, 1], dtype=object), None, "an array of object"),
+            (BIT_INSTANCE, np.array([1.0, 2.0]), None, "a 1-d array of float64"),
+            (BIT_INSTANCE, np.array([1.0, 2.0] * 20), None, "a 1-d array of float64"),
+            (VALUE_INSTANCE, np.array([1, 2] * 20), np.array([2.0, 1.0] * 20), "a 1-d array of float64"),
+            (VALUE_INSTANCE, np.array([True, True]), np.array([2, 3]), "a 1-d array of bool"),
+            (BIT_INSTANCE, np.array([2**70, 1], dtype=object), None, "a 1-d array of object"),
+            # Integer arrays of another shape, every index in range: numpy would broadcast them.
+            (BIT_INSTANCE, np.array(1), None, "a 0-d array of int64"),
+            (make_instance_or("all_zero", 10), np.arange(1, 7).reshape(2, 3), None, "a 2-d array of int64"),
+            (VALUE_INSTANCE, np.array([1, 2]), np.array([[2], [3]]), "a 2-d array of int64"),
         ],
     )
     def test_a_run_of_anything_but_integer_arrays_is_refused(self, instance, firsts, seconds, got):
         oracle, fresh = _twins(instance, 0.25, 3, 1)
         with pytest.raises(ContractViolation) as refused:
             oracle.name_run(firsts, seconds, 3)
-        assert str(refused.value) == f"a run's indices must be an integer array, got {got}"
+        assert str(refused.value) == f"a run's indices must be a 1-d integer array, got {got}"
         assert oracle.queries == 0 and oracle.pending == ()
         assert (oracle._chunk, oracle._pos) == (fresh._chunk, fresh._pos)
         j = None if isinstance(instance, BitInstance) else 2
@@ -1118,8 +1128,8 @@ class TestSharedDraws:
         # spans _BUF_CAP either way; from a longer chunk it would index the
         # mask with negative offsets, which numpy wraps silently.
         oracle = NoisyOracle(BIT_INSTANCE, 0.25, 3, 1)
-        lengths = []
-        for _ in REFILL_AT:
+        lengths = [len(oracle._buf)]  # an oracle starts on chunk 0's table
+        for _ in REFILL_AT[1:]:
             oracle._refill()
             lengths.append(len(oracle._buf))
         assert lengths == np.diff((0, *REFILL_AT)).tolist()
@@ -1143,12 +1153,18 @@ class TestSharedDraws:
 
     @pytest.mark.numpy_mirror
     def test_advance_matches_drawing_the_prefix(self):
-        # Each double takes one PCG64 output, so the continuation, advanced
-        # past the prefix, draws what the stream draws after 4,672 doubles.
+        # Each double takes one PCG64 output, so the trial's generator, seated
+        # past the prefix by PCG64.advance, draws what the stream draws after
+        # 4,672 doubles; seated back, by a step that wraps round, it draws
+        # the stream's first doubles again.
         for seed in range(50):
             trial = 977 * seed + _BLOCK * (seed % 3)
-            drawn = _generator(seed, trial, 0).random(_PREFIX_LEN + 64)
-            assert TrialDraws(seed, trial).continuation().random(64).tolist() == drawn[_PREFIX_LEN:].tolist(), seed
+            drawn = _generator(seed, trial, 0).random(_PREFIX_LEN + 2 * _BUF_CAP)
+            draws = TrialDraws(seed, trial)
+            for chunk, start, size in [(4, _PREFIX_LEN + _BUF_CAP, _BUF_CAP), (3, _PREFIX_LEN, _BUF_CAP), (0, 0, 128)]:
+                want = np.cumsum(np.where(drawn[start : start + size] < 0.25, -1, 1))
+                assert np.asarray(draws.table(0.25, chunk)).tolist() == want.tolist(), (seed, chunk)
+            assert draws._chunks[0].tolist() == drawn[:128].tolist(), seed
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     @pytest.mark.parametrize("p, others", [(0.25, (0.1, 0.4)), (0.1, (0.25,)), (0.45, (0.02, 0.25))])
@@ -1177,41 +1193,69 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     @pytest.mark.parametrize("ps", [(0.25, 0.1), (0.25, 0.25), (0.1, 0.45)])
-    def test_two_rows_read_past_the_prefix(self, instance, ps):
-        # Two rows of one TrialDraws each read past the prefix, in turns of
-        # 400 walks; each must match its twin with private draws.  The first
-        # to read past takes the generator that drew the prefix, which then
-        # stands at draw 4,672; the other builds its own.
+    @pytest.mark.parametrize("k, turns", [(5, (400, 400)), (1, (700, 1100))])
+    def test_two_rows_read_past_the_prefix(self, instance, ps, k, turns):
+        # Two rows of one TrialDraws take turns of walks until each reads
+        # three chunks past the prefix; each must match its twin with draws
+        # of its own, walk for walk, and at k = 1 flip for flip.  Turns of
+        # two lengths have each row cross chunk ends while the other stands
+        # elsewhere in the stream.  Both rows' chunks past the prefix come
+        # from the generator that drew it.
         seed, trial = 6, 9
         shared = TrialDraws(seed, trial)
         rows = [NoisyOracle(instance, p, seed, trial, shared) for p in ps]
         twins = [NoisyOracle(instance, p, seed, trial) for p in ps]
-        shared.table(ps[0], 0)
         prefix_rng = shared._rng
-        walks = _run(instance, 5, 2400)
-        for stretch in range(6):  # each row walks past _PREFIX_LEN in turn, then both go on
-            for row, twin in zip(rows, twins):
-                for i, j, k in walks[stretch * 400 : stretch * 400 + 400]:
+        while min(row.queries for row in rows) <= REFILL_AT[4]:
+            for row, twin, turn in zip(rows, twins, turns):
+                for i, j, _ in _run(instance, k, turn, start=row.queries):
                     assert row.walk(i, j, k) == twin.walk(i, j, k)
                     assert row.queries == twin.queries
-        assert all(row.queries > REFILL_AT[3] for row in rows)  # past the first private refill
-        assert [row._rng is prefix_rng for row in rows].count(True) == 1
+        assert shared._rng is prefix_rng
 
-    def test_the_first_continuation_is_the_prefix_generator(self):
+    @pytest.mark.parametrize("instance", _CHANNELS)
+    def test_an_oracle_reading_on_builds_one_generator(self, instance, monkeypatch):
+        # Counted once a block has set up its trial: a lone oracle builds and
+        # seats its trial's stream-0 generator once, at chunk 0; the block's
+        # oracle builds none; and neither seats it again past the prefix.
+        blocked = NoisyOracle(instance, 0.25, 5, 3, next(TrialDraws.block(5, 3, 4, [0.25])))
+        seats, built, seat, generator = [], [], TrialDraws._seat, oracles._generator
+        monkeypatch.setattr(TrialDraws, "_seat", lambda draws, at: (seats.append(at), seat(draws, at))[1])
+        monkeypatch.setattr(oracles, "_generator", lambda *key: (built.append(key), generator(*key))[1])
+        lone = NoisyOracle(instance, 0.25, 5, 3)
+        i, j, _ = _run(instance, 50, 1)[0]
+        while lone._chunk < len(_PREFIX) + 3:  # reading chunk 5, the third past the prefix
+            assert lone.walk(i, j, 50) == blocked.walk(i, j, 50)
+        assert lone.queries == blocked.queries and blocked._chunk == lone._chunk
+        assert seats == [0] and built == [(5, 3, 0)]
+
+    def test_a_chunk_past_the_prefix_streams_on_from_the_prefix_generator(self, monkeypatch):
+        # The chunk after the last one drawn is read where the generator
+        # stands; any other is seated first.  A chunk past the prefix asked
+        # for before chunks 1 and 2 are drawn leaves their draws be.
+        seats, seat = [], TrialDraws._seat
+        monkeypatch.setattr(TrialDraws, "_seat", lambda draws, at: (seats.append(at), seat(draws, at))[1])
         for seed in range(20):
-            drawn = _generator(seed, seed, 0).random(_PREFIX_LEN + 64)
-            draws = TrialDraws(seed, seed)
+            drawn = _generator(seed, seed, 0).random(_PREFIX_LEN + 2 * _BUF_CAP)
+
+            def margin(start, size):
+                return np.cumsum(np.where(drawn[start : start + size] < 0.25, -1, 1)).tolist()
+
+            draws, seats[:] = TrialDraws(seed, seed), []
             draws.table(0.25, 2)  # draws the whole prefix
-            first, second = draws.continuation(), draws.continuation()
-            assert first is not second
-            for rng in (first, second):
-                assert rng.random(64).tolist() == drawn[_PREFIX_LEN:].tolist(), seed
-            # Asked for before the prefix is all drawn, it leaves the prefix's generator be.
-            draws = TrialDraws(seed, seed)
+            rng = draws._rng
+            first, again = draws.table(0.25, 3), draws.table(0.25, 3)
+            assert first.obj is not again.obj  # drawn for each caller, and not kept
+            for table in (first, again):
+                assert np.asarray(table).tolist() == margin(_PREFIX_LEN, _BUF_CAP), seed
+            assert draws._rng is rng and seats == [0, _PREFIX_LEN]
+            draws, fresh, seats[:] = TrialDraws(seed, seed), TrialDraws(seed, seed), []
             draws.table(0.25, 0)
-            assert draws.continuation().random(64).tolist() == drawn[_PREFIX_LEN:].tolist(), seed
-            tail = np.asarray(draws.table(0.25, 2))
-            assert tail.tolist() == np.cumsum(np.where(drawn[576:_PREFIX_LEN] < 0.25, -1, 1)).tolist(), seed
+            assert np.asarray(draws.table(0.25, 4)).tolist() == margin(_PREFIX_LEN + _BUF_CAP, _BUF_CAP), seed
+            for chunk in (1, 2):
+                assert np.asarray(draws.table(0.25, chunk)).tolist() == np.asarray(fresh.table(0.25, chunk)).tolist()
+            assert [c.tolist() for c in draws._chunks] == [c.tolist() for c in fresh._chunks], seed
+            assert seats == [0, _PREFIX_LEN + _BUF_CAP, _PREFIX[0], 0]  # the last is fresh's
 
     def test_oracles_at_one_p_share_its_tables(self):
         shared = TrialDraws(1, 2)
@@ -1230,22 +1274,20 @@ class TestSharedDraws:
 def assert_block_twin(draws, seed, trial, ps, late=False):
     """``draws``, handed out by a block built at ``ps``, draws and tabulates as ``TrialDraws(seed, trial)``.
 
-    Every chunk's table is compared at each p of ``ps`` and at one p not
-    in it, then the first and a later continuation.  With ``late`` the
-    first continuation is asked for before chunks 1 and 2 are drawn.
+    Every prefix chunk's table is compared at each p of ``ps`` and at one
+    p not in it, then the first two chunks past the prefix, twice; the
+    lone draws are asked in that order.  With ``late`` the second chunk
+    past the prefix is asked for first, before chunks 1 and 2 are drawn.
     """
     lone = TrialDraws(seed, trial)
     assert (draws.master_seed, draws.trial_index) == (seed, trial)
     assert draws._chunks[0].tolist() == _generator(seed, trial, 0).random(_PREFIX[0]).tolist()
-    if late:
-        assert draws.continuation().random(8).tolist() == lone.continuation().random(8).tolist()
-    for p in (*ps, 0.3):
-        for chunk in range(3):
-            got, want = np.asarray(draws.table(p, chunk)), np.asarray(lone.table(p, chunk))
-            assert got.dtype == want.dtype and got.tolist() == want.tolist(), (trial, p, chunk)
-            assert not got.flags.writeable
-    for _ in range(2):
-        assert draws.continuation().random(8).tolist() == lone.continuation().random(8).tolist(), trial
+    asked = [(p, chunk) for p in (*ps, 0.3) for chunk in range(3)] + [(0.3, 3), (0.3, 4)] * 2
+    want = [np.asarray(lone.table(p, chunk)) for p, chunk in asked]
+    for w in [len(asked) - 1] * late + list(range(len(asked))):
+        got = np.asarray(draws.table(*asked[w]))
+        assert got.dtype == want[w].dtype and got.tolist() == want[w].tolist(), (trial, asked[w])
+        assert not got.flags.writeable
 
 
 class TestBlockDraws:
@@ -1307,9 +1349,10 @@ class TestBlockDraws:
         while oracle.queries < _PREFIX[0]:
             oracle.walk(i, j, 1)
         assert set(draws._tables) == {(p, 0), (0.25, 0)} and len(draws._chunks) == 1
-        # Without a table at its p an oracle draws nothing until its first walk.
+        # Without a table at its p an oracle tabulates the drawn chunk 0 when built.
+        monkeypatch.undo()
         lone = NoisyOracle(instance, 0.3, 3, 8, draws)
-        assert len(lone._buf) == 0 and lone._chunk == 0 and (0.3, 0) not in draws._tables
+        assert lone._buf.obj is draws._tables[(0.3, 0)].obj and lone._chunk == 1 and len(draws._chunks) == 1
 
     @pytest.mark.parametrize("instance", _CHANNELS)
     @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])

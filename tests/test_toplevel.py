@@ -171,7 +171,7 @@ def test_naming_changes_no_walk(family, n):
 
 def _twin(oracle):
     """A fresh oracle on the same instance, p, seed and trial: its streams replay the logged oracle's."""
-    return NoisyOracle(oracle.instance, oracle.p, oracle.master_seed, oracle.trial_index)
+    return NoisyOracle(oracle.instance, oracle.p, oracle._draws.master_seed, oracle._draws.trial_index)
 
 
 def _drawn_sample(oracle):
