@@ -35,7 +35,6 @@ from .harness import (
     run_sweep,
     run_trials,
     sweep_configs,
-    trial_records,
 )
 
 _EXIT_OK = 0
@@ -148,7 +147,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(render_csv([stats]), args.out)
     else:
-        _emit(render_json([stats], trial_records(columns) if args.raw_trials else None), args.out)
+        _emit(render_json([stats], columns if args.raw_trials else None), args.out)
     return _EXIT_OK
 
 

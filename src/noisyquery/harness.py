@@ -1,21 +1,25 @@
 """Reproducible Monte Carlo campaigns over the noisy-query algorithms.
 
 Each trial builds a fresh oracle seeded by (master_seed, trial_index),
-runs one algorithm, and records correctness plus query accounting.
-Trials are independent, so they may run across worker processes; results
-are aggregated in trial order, making every output byte-identical for a
+runs one algorithm, and returns its record: (correct, queries, phase-1
+queries), its row of the campaign's three columns.  Trials are
+independent, so they may run across worker processes; results are
+aggregated in trial order, making every output byte-identical for a
 fixed configuration regardless of parallelism.
 
 One runner serves a single campaign and a sweep alike: it takes the
 trials one at a time and runs every row of a set of rows on that trial's
 one :class:`~noisyquery.oracles.TrialDraws`, the trial's channel, whose
-prefix is shared, set up with those of the trials around it.  A sweep gives it the
-rows of one n at a time.  A row's trials are kept as three columns, which
-:func:`aggregate` reads as they stand.
+prefix is shared, set up with those of the trials around it.  A sweep
+gives it the rows of one n at a time.  Each row's records are appended
+to its columns, which :func:`aggregate` reads as they stand and from
+which the raw per-trial JSON is read.  CSV is written by the :mod:`csv`
+module, so a cell that holds a comma is quoted.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -23,7 +27,7 @@ from array import array
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bounds import lecam_budget, upper_budget
 from .errors import ContractViolation, InvariantError
@@ -66,7 +70,7 @@ def _run_noisy_max(oracle: NoisyOracle, delta: float) -> RunReport:
 
 
 def _literal(parse: Callable[[str], int | float]) -> Callable[[str], tuple]:
-    return lambda text: tuple(parse(tok) for tok in text.split(",") if tok != "")
+    return lambda text: tuple(map(parse, text.split(",")))
 
 
 # An instance model: its factory, and for each family that takes a parameter
@@ -124,16 +128,6 @@ class ExperimentConfig:
         if self.algorithm in ("noisycompare",) and self.n < 2:
             raise ContractViolation("noisycompare needs n >= 2")
         _cached_instance(self.instance, self.n, self.algorithm)  # the instance its trials will run on
-
-
-class TrialStats(NamedTuple):
-    """Observables of a single trial; :func:`run_trial` checks queries = phase1 + subroutine."""
-
-    trial_index: int
-    correct: bool
-    queries: int
-    phase1_queries: int
-    subroutine_queries: int
 
 
 @dataclass(frozen=True)
@@ -226,8 +220,11 @@ def _cached_instance(spec: str, n: int, algorithm: str) -> tuple[BitInstance | V
     return instance, ALGORITHMS[algorithm][2](instance)
 
 
-def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | None = None) -> TrialStats:
+def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | None = None) -> tuple[bool, int, int]:
     """Execute one trial; deterministic in (config.seed, trial_index).
+
+    Returns its record, its row of the campaign's columns: (correct,
+    queries, phase-1 queries).
 
     ``draws``, the trial's channel, changes no answer: it only spares
     the oracle drawing the channel's shared prefix again.
@@ -240,8 +237,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, draws: TrialDraws | No
         raise InvariantError(
             f"phase accounting {phase1} + {sub} != query count {total} for {config.algorithm}"
         )
-    # TrialStats from a tuple, without its Python-level __new__, as trial_records builds them.
-    return tuple.__new__(TrialStats, (trial_index, output == target, total, phase1, sub))
+    return output == target, total, phase1
 
 
 # A row's trial records as three columns, in trial order: correct (0 or 1),
@@ -266,17 +262,11 @@ def _run_block(configs: Sequence[ExperimentConfig], start: int, stop: int) -> li
     for t, draws in zip(range(start, stop), TrialDraws.block(configs[0].seed, start, stop, ps)):
         for config, (correct, queries, phase1) in zip(configs, columns):
             # By module-global name, so a tracer that swaps run_trial sees every (row, trial).
-            _, right, total, first, _ = run_trial(config, t, draws)
+            right, total, first = run_trial(config, t, draws)
             correct.append(right)
             queries.append(total)
             phase1.append(first)
     return columns
-
-
-def trial_records(columns: Columns) -> list[TrialStats]:
-    """A row's TrialStats, rebuilt from its columns."""
-    new = tuple.__new__  # TrialStats from a tuple, without its Python-level __new__
-    return [new(TrialStats, (t, c == 1, q, f, q - f)) for t, (c, q, f) in enumerate(zip(*columns))]
 
 
 def check_workers(workers: int) -> None:
@@ -393,28 +383,28 @@ def run_sweep(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[Agg
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _row_values(stats: AggregateStats) -> list:
     cfg = stats.config
     return [getattr(cfg, name) for name in _CONFIG_COLUMNS] + [getattr(stats, name) for name in _STATS_COLUMNS]
 
 
 def render_csv(rows: Iterable[AggregateStats]) -> str:
-    """Fixed-schema CSV; float cells use shortest round-trip formatting."""
-    lines = [",".join(CSV_COLUMNS)]
-    for stats in rows:
-        lines.append(",".join(_cell(v) for v in _row_values(stats)))
-    return "\n".join(lines) + "\n"
+    """Fixed-schema CSV; a float cell is its shortest round-trip form, and a cell holding a comma is quoted."""
+    import csv  # loaded only where CSV is written: at module level it adds about 5% to the CLI's start-up
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(_row_values(stats) for stats in rows)
+    return out.getvalue()
 
 
-def render_json(rows: Sequence[AggregateStats], raw_trials: Sequence[TrialStats] | None = None) -> str:
-    """JSON rendering with the same fields; optional raw per-trial records of a one-row run."""
+def render_json(rows: Sequence[AggregateStats], columns: Columns | None = None) -> str:
+    """JSON rendering with the same fields; optionally each trial's record, read off a one-row run's columns."""
     payload = [dict(zip(CSV_COLUMNS, _row_values(stats))) for stats in rows]
-    if raw_trials is not None:
-        payload[0]["trials_raw"] = [t._asdict() for t in raw_trials]
+    if columns is not None:
+        payload[0]["trials_raw"] = [
+            {"trial_index": t, "correct": c == 1, "queries": q, "phase1_queries": f, "subroutine_queries": q - f}
+            for t, (c, q, f) in enumerate(zip(*columns))
+        ]
     return json.dumps(payload, indent=2) + "\n"

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, stream discipline, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -265,6 +266,25 @@ class TestOutputPath:
         err = capsys.readouterr().err
         assert "configuration error: cannot write" in err and "Permission denied" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, spec, rows",
+    [
+        (["run", "--algorithm", "checkbit", "--n", "3", "--p", "0.25"], "literal:0,1,0", 1),
+        (["sweep", "--algorithm", "noisy-max", "--n", "3", "--p", "0.1,0.25"], "literal:1.5,3.5,2.5", 2),
+    ],
+)
+def test_a_literal_instance_is_one_csv_cell(argv, spec, rows, capsys):
+    # A literal spec holds commas; its cell is quoted, so every row keeps the header's columns.
+    assert main(argv + ["--instance", spec, "--delta", "0.01", "--trials", "2"]) == 0
+    text = capsys.readouterr().out
+    table = list(csv.reader(io.StringIO(text)))
+    assert table[0] == list(harness.CSV_COLUMNS)
+    assert len(table) == 1 + rows
+    assert all(len(row) == len(harness.CSV_COLUMNS) for row in table)
+    assert [row[harness.CSV_COLUMNS.index("instance")] for row in table[1:]] == [spec] * rows
+    assert text.splitlines()[1].startswith(f'{argv[2]},"{spec}",3,')
 
 
 class TestSweepCommand:

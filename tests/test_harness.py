@@ -29,7 +29,6 @@ from noisyquery.harness import (
     run_trial,
     run_trials,
     sweep_configs,
-    trial_records,
     wilson_interval,
 )
 from noisyquery.oracles import TrialDraws
@@ -95,6 +94,13 @@ class TestConfigValidation:
             # wrong length for n=1
             ({"instance": "literal:0,1"}, "bad instance parameters in 'literal:0,1': "
              "literal bits have length 2, expected n=1"),
+            # an empty entry is refused, not dropped
+            ({"instance": "literal:0,,1", "n": 2}, "bad instance parameters in 'literal:0,,1': "
+             "invalid literal for int() with base 10: ''"),
+            ({"instance": "literal:0,1,", "n": 2}, "bad instance parameters in 'literal:0,1,': "
+             "invalid literal for int() with base 10: ''"),
+            ({"instance": "literal:,0,1", "n": 2}, "bad instance parameters in 'literal:,0,1': "
+             "invalid literal for int() with base 10: ''"),
             # n=1 too small
             ({"algorithm": "noisycompare", "instance": "sorted"}, "noisycompare needs n >= 2"),
             # argmax undefined
@@ -210,9 +216,13 @@ class TestIntervals:
 
 class TestTrials:
     def test_trial_determinism(self):
-        cfg = _config(trials=1)
-        assert run_trial(cfg, 0) == run_trial(cfg, 0)
-        assert run_trial(cfg, 0) != run_trial(cfg, 1)
+        # A record holds no trial index, and with seed 7 trials 3, 4 and 5
+        # all give (True, 5, 5); so whole runs are compared, as columns.
+        cfg = _config(trials=8)
+        columns = run_trials(cfg)
+        assert run_trials(cfg) == columns
+        assert [run_trial(cfg, t) for t in range(cfg.trials)] == list(zip(*columns))
+        assert run_trials(replace(cfg, seed=8)) != columns
 
     def test_misreported_phase_split_is_caught(self, monkeypatch):
         model, runner, target = harness.ALGORITHMS["noisy-or"]
@@ -238,10 +248,12 @@ class TestTrials:
     )
     def test_all_algorithms_run(self, algorithm, instance, n):
         cfg = _config(algorithm=algorithm, instance=instance, n=n, trials=3)
-        trials = trial_records(run_trials(cfg))
-        assert len(trials) == 3
-        for t in trials:
-            assert t.queries == t.phase1_queries + t.subroutine_queries
+        correct, queries, phase1 = run_trials(cfg)
+        assert len(correct) == len(queries) == len(phase1) == 3
+        assert set(correct) <= {0, 1}
+        for q, f in zip(queries, phase1):
+            assert 0 <= f <= q
+            assert q > 0
 
     def test_worker_count_does_not_change_results(self):
         cfg = _config(algorithm="noisy-or", instance="single_one:3", n=8, trials=24)
@@ -271,7 +283,7 @@ class TestQueryConservation:
             _, phase1, sub = runner(oracle, cfg.delta)
             assert oracle.walks
             assert sum(queries for *_, queries in oracle.walks) == oracle.queries == phase1 + sub
-            assert run_trial(cfg, trial)[2:] == (oracle.queries, phase1, sub)
+            assert run_trial(cfg, trial)[1:] == (oracle.queries, phase1)
 
 
 class TestTrialSetUp:
@@ -304,11 +316,10 @@ class TestTrialSetUp:
         # Every row of a 3 p x 3 delta one-walk sweep, over trials that cross
         # the 256-trial set-up edge, each trial on draws set up at all three p.
         cfg = _config(algorithm=algorithm, instance=instance, n=n, p=p, delta=delta, trials=300, seed=5)
-        records = trial_records(run_trials(cfg))
+        columns = run_trials(cfg)
         for t, draws in zip(range(cfg.trials), TrialDraws.block(cfg.seed, 0, cfg.trials, (0.1, 0.25, 0.4))):
-            for stats in (run_trial(cfg, t, draws), run_trial(cfg, t)):
-                assert type(stats) is harness.TrialStats
-                assert stats == records[t], t
+            for record in (run_trial(cfg, t, draws), run_trial(cfg, t)):
+                assert record == tuple(column[t] for column in columns), t
 
 
 class TestWorkerCap:
@@ -325,21 +336,21 @@ class TestAggregation:
         cfg = _config(algorithm="noisy-or", instance="all_zero", n=6, trials=80, delta=0.1)
         columns = run_trials(cfg)
         stats = aggregate(cfg, columns)
-        trials = trial_records(columns)
+        correct, total, phase1 = columns
 
         # Independent reference computation, same arithmetic order.
-        errors = sum(1 for t in trials if not t.correct)
+        errors = sum(1 for c in correct if not c)
         assert stats.errors == errors
         assert stats.error_rate == errors / 80
-        queries = [float(t.queries) for t in trials]
+        queries = [float(q) for q in total]
         mean = sum(queries) / 80
         assert stats.mean_queries == mean
         var = sum((q - mean) ** 2 for q in queries) / 79
         half = 1.959963984540054 * math.sqrt(var / 80)
         assert stats.queries_ci_hi - stats.mean_queries == pytest.approx(half, rel=1e-12)
-        assert stats.max_queries == max(t.queries for t in trials)
-        assert stats.phase1_mean_queries == sum(t.phase1_queries for t in trials) / 80
-        assert stats.subroutine_mean_queries == sum(t.subroutine_queries for t in trials) / 80
+        assert stats.max_queries == max(total)
+        assert stats.phase1_mean_queries == sum(phase1) / 80
+        assert stats.subroutine_mean_queries == sum(q - f for q, f in zip(total, phase1)) / 80
         assert stats.theory_upper_budget == upper_budget(6, 0.1, 0.25)
         assert stats.theory_lecam_m_at_delta == lecam_budget(6, 0.1, 0.25)
         assert stats.ratio_mean_over_upper == mean / upper_budget(6, 0.1, 0.25)
@@ -381,12 +392,18 @@ class TestRendering:
         cfg = _config(trials=6)
         columns = run_trials(cfg)
         stats = aggregate(cfg, columns)
-        trials = trial_records(columns)
-        payload = json.loads(render_json([stats], trials))
+        payload = json.loads(render_json([stats], columns))
         assert payload[0]["algorithm"] == "checkbit"
         assert payload[0]["trials"] == 6
-        assert len(payload[0]["trials_raw"]) == 6
-        assert payload[0]["trials_raw"][0]["queries"] == trials[0].queries
+        correct, queries, phase1 = columns
+        assert payload[0]["trials_raw"] == [
+            {"trial_index": t, "correct": c == 1, "queries": q, "phase1_queries": f, "subroutine_queries": q - f}
+            for t, (c, q, f) in enumerate(zip(correct, queries, phase1))
+        ]
+        assert [list(record) for record in payload[0]["trials_raw"]] == [
+            ["trial_index", "correct", "queries", "phase1_queries", "subroutine_queries"]
+        ] * 6
+        assert all(type(record["correct"]) is bool for record in payload[0]["trials_raw"])
 
     def test_json_without_raw_trials(self):
         cfg = _config(trials=4)
