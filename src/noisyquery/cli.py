@@ -3,6 +3,14 @@
 Data goes to --out or standard output; progress and diagnostics go to
 standard error.  Exit codes: 0 success, 2 configuration error,
 3 internal invariant or verification failure.
+
+Every command loads this module's imports: numpy, ``bounds``, ``errors``,
+``harness`` and the algorithm modules (``oracles``, ``primitives``,
+``toplevel``, ``tournaments``), which a trial needs.  The rest is
+loaded only by the command that uses it: ``run`` and ``sweep`` load
+``csv`` or ``json`` for their output format, and ``multiprocessing``
+only when a pool starts; ``verify`` alone loads the exact referee,
+``exact_oracle``, with ``fractions`` and ``decimal``.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from .bounds import (
     upper_budget,
 )
 from .errors import ContractViolation, InvariantError
-from .exact_oracle import run_verify_checks
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
@@ -50,7 +57,10 @@ def _parse_grid(text: str, kind: type[int] | type[float]) -> list:
     before any point is built.
     """
     if ":" not in text:
-        return [kind(tok) for tok in text.split(",") if tok != ""]
+        tokens = text.split(",")
+        if "" in tokens:  # a stray comma most likely stands for a missing value
+            raise ContractViolation(f"comma grid {text!r} has an empty entry")
+        return [kind(tok) for tok in tokens]
     parts = text.split(":")
     if len(parts) != 3:
         raise ContractViolation(f"range grid must be start:stop:step, got {text!r}")
@@ -158,8 +168,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         delta_grid = _parse_grid(args.delta, float)
     except ValueError as exc:  # int()/float() parse failures
         raise ContractViolation(f"bad grid value: {exc}") from exc
-    if not n_grid or not p_grid or not delta_grid:  # the base below is the first grid point
-        raise ContractViolation("sweep grids must be nonempty")
     base = ExperimentConfig(
         algorithm=args.algorithm,
         instance=args.instance,
@@ -181,6 +189,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .exact_oracle import run_verify_checks  # only verify runs the exact referee; run and sweep never load it
+
     checks = run_verify_checks(mc_trials=args.mc_trials)
     width = max(len(name) for name, _, _ in checks)
     failed = 0

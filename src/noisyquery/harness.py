@@ -20,7 +20,6 @@ module, so a cell that holds a comma is quoted.
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 from array import array
@@ -69,16 +68,33 @@ def _run_noisy_max(oracle: NoisyOracle, delta: float) -> RunReport:
     return noisy_max_report(oracle, delta)
 
 
+# A parameter is read strictly, so that each instance has one spec and a row
+# names the instance it ran: int() and float() alone also take "_" separators,
+# surrounding whitespace and other scripts' digits, and int() a sign.
+
+
+def _integer(text: str) -> int:
+    if text.strip("0123456789"):  # a character that is not an ASCII digit; "" is left to int()
+        raise ValueError(f"integer {text!r} must be ASCII digits only")
+    return int(text)
+
+
+def _real(text: str) -> float:
+    if "_" in text or text != text.strip() or not text.isascii():  # float() refuses inner whitespace itself
+        raise ValueError(f"number {text!r} must be ASCII with no '_' or whitespace")
+    return float(text)
+
+
 def _literal(parse: Callable[[str], int | float]) -> Callable[[str], tuple]:
     return lambda text: tuple(map(parse, text.split(",")))
 
 
 # An instance model: its factory, and for each family that takes a parameter
 # the keyword argument the text after the colon becomes.
-_OR_MODEL = (make_instance_or, {"single_one": ("index", int), "literal": ("bits", _literal(int))})
+_OR_MODEL = (make_instance_or, {"single_one": ("index", _integer), "literal": ("bits", _literal(_integer))})
 _MAX_MODEL = (
     make_instance_max,
-    {"relocated": ("index", int), "permuted": ("seed", int), "literal": ("values", _literal(float))},
+    {"relocated": ("index", _integer), "permuted": ("seed", _integer), "literal": ("values", _literal(_real))},
 )
 
 # name -> (instance model, runner, target: the output a correct run returns).
@@ -401,6 +417,8 @@ def render_csv(rows: Iterable[AggregateStats]) -> str:
 
 def render_json(rows: Sequence[AggregateStats], columns: Columns | None = None) -> str:
     """JSON rendering with the same fields; optionally each trial's record, read off a one-row run's columns."""
+    import json  # loaded only where JSON is written, as csv is in render_csv
+
     payload = [dict(zip(CSV_COLUMNS, _row_values(stats))) for stats in rows]
     if columns is not None:
         payload[0]["trials_raw"] = [

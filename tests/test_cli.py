@@ -408,17 +408,22 @@ class TestSweepCommand:
         else:
             assert len(captured.out.splitlines()) == 3 and "sweeping 2 grid points" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--n", "--p", "--delta"])
-    def test_empty_grid_exits_two(self, flag, capsys):
+    @pytest.mark.parametrize(
+        "flag, grid",
+        [("--n", ","), ("--p", ","), ("--delta", ","), ("--p", "0.25,"), ("--delta", ",0.01"), ("--p", "0.1,,0.4")],
+        ids=["--n", "--p", "--delta", "--p=0.25,", "--delta=,0.01", "--p=0.1,,0.4"],
+    )
+    def test_empty_grid_exits_two(self, flag, grid, capsys):
+        # An empty entry is refused, not dropped: a stray comma most likely stands for a missing value.
         args = [
             "sweep", "--algorithm", "checkbit", "--instance", "single_one:1",
             "--n", "1", "--p", "0.25", "--delta", "0.05", "--trials", "5",
         ]  # fmt: skip
-        args[args.index(flag) + 1] = ","
+        args[args.index(flag) + 1] = grid
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "configuration error: sweep grids must be nonempty\n"
+        assert captured.err == f"configuration error: bad grid value: comma grid {grid!r} has an empty entry\n"
 
     def test_range_cap_is_inclusive(self):
         assert _parse_grid("1:10000:1", int) == list(range(1, 10001))
@@ -460,10 +465,11 @@ class TestVerifyCommand:
         assert captured.out == ""
 
     def test_verify_failure_exits_three(self, capsys, monkeypatch):
-        import noisyquery.cli as cli
+        import noisyquery.exact_oracle as exact_oracle
 
+        # verify imports the referee where it runs it, so it reads the module's attribute at call time.
         monkeypatch.setattr(
-            cli, "run_verify_checks", lambda mc_trials=0: [("rigged", False, "forced failure")]
+            exact_oracle, "run_verify_checks", lambda mc_trials=0: [("rigged", False, "forced failure")]
         )
         assert main(["verify"]) == 3
         assert "FAIL" in capsys.readouterr().out
@@ -593,3 +599,28 @@ def test_a_one_worker_run_leaves_multiprocessing_unloaded():
         "print(code, 'multiprocessing' in sys.modules)"
     )
     assert _fresh_python(code) == "0 False"
+
+
+def test_run_and_sweep_leave_the_referee_unloaded():
+    # The exact referee (with fractions and decimal) is imported only by verify, and json only where JSON is written.
+    code = (
+        "import contextlib, io, sys, noisyquery.cli as cli\n"
+        "def main(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        return cli.main(list(argv))\n"
+        "def loaded(*names):\n"
+        "    return [name for name in names if name in sys.modules]\n"
+        "referee = ('noisyquery.exact_oracle', 'fractions', 'decimal')\n"
+        "print(main('run', '--algorithm', 'noisy-or', '--instance', 'all_zero', '--n', '50',"
+        " '--p', '0.25', '--delta', '0.01', '--trials', '8'),"
+        " main('sweep', '--algorithm', 'noisy-max', '--instance', 'sorted', '--n', '5,8',"
+        " '--p', '0.1,0.25', '--delta', '0.05', '--trials', '8'), loaded('json', *referee))\n"
+        "print(main('run', '--algorithm', 'checkbit', '--instance', 'single_one:1', '--n', '1',"
+        " '--p', '0.25', '--delta', '0.05', '--trials', '8', '--format', 'json'), loaded('json', *referee))\n"
+        "print(main('verify'), loaded(*referee))"
+    )
+    assert _fresh_python(code).splitlines() == [
+        "0 0 []",
+        "0 ['json']",
+        "0 ['noisyquery.exact_oracle', 'fractions', 'decimal']",
+    ]

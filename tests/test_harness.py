@@ -115,6 +115,22 @@ class TestConfigValidation:
             ({"algorithm": "noisy-or", "instance": "all_zero", "delta": 5e-324},
              "delta 5e-324 is too small to split in half"),
             ({"algorithm": "tournament-or", "delta": 5e-324}, "delta 5e-324 is too small to split in half"),
+            # a parameter is read strictly, so a row names the instance it ran
+            ({"algorithm": "noisy-or", "instance": "single_one:1_0", "n": 10},
+             "bad instance parameters in 'single_one:1_0': integer '1_0' must be ASCII digits only"),
+            ({"instance": "single_one: 1"},
+             "bad instance parameters in 'single_one: 1': integer ' 1' must be ASCII digits only"),
+            ({"algorithm": "noisy-max", "instance": "relocated:+2", "n": 3},
+             "bad instance parameters in 'relocated:+2': integer '+2' must be ASCII digits only"),
+            ({"algorithm": "noisy-max", "instance": "permuted: 7", "n": 3},
+             "bad instance parameters in 'permuted: 7': integer ' 7' must be ASCII digits only"),
+            ({"instance": "literal:0, 1", "n": 2},
+             "bad instance parameters in 'literal:0, 1': integer ' 1' must be ASCII digits only"),
+            ({"algorithm": "noisy-max", "instance": "literal:1.5,2_5", "n": 2},
+             "bad instance parameters in 'literal:1.5,2_5': number '2_5' must be ASCII with no '_' or whitespace"),
+            ({"algorithm": "noisy-max", "instance": "literal:1.5,\u0662.\u0665", "n": 2},
+             "bad instance parameters in 'literal:1.5,\u0662.\u0665': number '\u0662.\u0665' must be ASCII with no '_' "
+             "or whitespace"),
         ],
     )
     def test_rejects(self, overrides, message):
